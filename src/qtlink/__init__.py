@@ -35,7 +35,6 @@ from .sensing import (
     OffsetResult,
     SensingConfig,
     advantage_boundary_eta1,
-    db_from_r,
     delta_u_smsv_real,
     delta_u_sql,
     delta_u_tmsv_ideal,

@@ -258,7 +258,7 @@ def _render_grid_svg(result: SweepResult, levels=None) -> str:
                 f'<rect x="{px0:.2f}" y="{py0:.2f}" width="{px1 - px0:.2f}" '
                 f'height="{py1 - py0:.2f}" fill="{_cell_color(z[i, j], vmax)}"/>'
             )
-    for level in levels:
+    for row, level in enumerate(levels):
         path = []
         for (xa, ya), (xb, yb) in contour_segments(e1, e2, z, level):
             path.append(
@@ -271,7 +271,7 @@ def _render_grid_svg(result: SweepResult, levels=None) -> str:
                 f'stroke-width="1"/>'
             )
             parts.append(
-                f'<text x="{_W - _MR - 5}" y="{_MT + 14 + 14 * levels.index(level)}" '
+                f'<text x="{_W - _MR - 5}" y="{_MT + 14 + 14 * row}" '
                 f'text-anchor="end">level {level:.3e}</text>'
             )
     parts.append(

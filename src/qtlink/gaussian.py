@@ -5,6 +5,11 @@ vacuum covariance matrix is the identity.  Quadratures are ordered
 (x1, p1, x2, p2, ...).  Every operation returns a new state; nothing is
 mutated in place.
 
+States and operations broadcast over leading batch axes: a state may hold a
+stack of covariances of shape (..., 2n, 2n), and ``r``/``eta`` may be arrays,
+so one chain of operations carries many parameter points at once.  A scalar
+call is the 0-d case of the same code.
+
 This module is the brute-force cross-check for the closed-form photocurrent
 variances in :mod:`qtlink.sensing`: build the state by explicit matrix
 algebra, read the homodyne variance off the covariance matrix, and compare.
@@ -34,12 +39,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Mean vector and covariance matrix of n optical modes.
+    """Mean vector and covariance matrix of n optical modes, or a stack of them.
 
     Attributes:
         n_modes: number of modes.
-        mean: length-2n vector of quadrature expectations (x1, p1, x2, p2, ...).
-        cov: 2n x 2n real symmetric covariance matrix; identity for vacuum.
+        mean: quadrature expectations (x1, p1, x2, p2, ...), shape (..., 2n).
+        cov: real symmetric covariance matrices, shape (..., 2n, 2n); identity
+            for vacuum.  Leading axes are batch axes and must match ``mean``'s.
         shared_ancillas: map from loss-channel tag to the mode index of the
             vacuum ancilla that all losses with that tag read (see pure_loss).
     """
@@ -55,19 +61,28 @@ class GaussianState:
         mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
         d = 2 * self.n_modes
-        if mean.shape != (d,):
-            raise ValueError(f"mean must have shape ({d},), got {mean.shape}")
-        if cov.shape != (d, d):
-            raise ValueError(f"cov must have shape ({d}, {d}), got {cov.shape}")
-        if not np.allclose(cov, cov.T, rtol=1e-12, atol=1e-12):
+        if mean.shape[-1:] != (d,):
+            raise ValueError(f"mean must have shape (..., {d}), got {mean.shape}")
+        if cov.shape[-2:] != (d, d):
+            raise ValueError(f"cov must have shape (..., {d}, {d}), got {cov.shape}")
+        if mean.shape[:-1] != cov.shape[:-2]:
+            raise ValueError(
+                f"mean and cov batch shapes differ: {mean.shape[:-1]} vs {cov.shape[:-2]}"
+            )
+        if not np.allclose(cov, np.swapaxes(cov, -1, -2), rtol=1e-12, atol=1e-12):
             raise ValueError("covariance matrix must be symmetric")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
+    @property
+    def batch_shape(self) -> tuple:
+        """Leading batch axes; () for a single state."""
+        return self.mean.shape[:-1]
+
     def mode_block(self, mode: int) -> np.ndarray:
-        """2x2 covariance block of a single mode."""
+        """2x2 covariance block of a single mode, shape (..., 2, 2)."""
         i = 2 * self._check_mode(mode)
-        return self.cov[i : i + 2, i : i + 2]
+        return self.cov[..., i : i + 2, i : i + 2]
 
     def _check_mode(self, mode: int) -> int:
         if not 0 <= mode < self.n_modes:
@@ -148,7 +163,10 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 
 
 def min_physicality_eigenvalue(state: GaussianState) -> float:
-    """Smallest eigenvalue of cov + i*Omega; >= 0 (to tolerance) for physical states."""
+    """Smallest eigenvalue of cov + i*Omega over the whole stack.
+
+    >= 0 (to tolerance) when every state in the stack is physical.
+    """
     omega = symplectic_form(state.n_modes)
     h = state.cov + 1j * omega
     return float(np.linalg.eigvalsh(h).min())
@@ -161,11 +179,29 @@ def vacuum(n_modes: int) -> GaussianState:
     return GaussianState(n_modes, np.zeros(2 * n_modes), np.eye(2 * n_modes))
 
 
+def _identity(batch: tuple, d: int) -> np.ndarray:
+    """Writable stack of d x d identities with leading shape ``batch``."""
+    return np.tile(np.eye(d), batch + (1, 1))
+
+
+def _require(ok: np.ndarray, values: np.ndarray, message: str) -> None:
+    """Raise ValueError naming the first element of ``values`` where ``ok`` fails."""
+    if not np.all(ok):
+        raise ValueError(f"{message}, got {values[~ok].flat[0]}")
+
+
+def _transmissivity(eta: float | np.ndarray) -> np.ndarray:
+    eta = np.asarray(eta, dtype=float)
+    _require((eta >= 0.0) & (eta <= 1.0), eta, "transmissivity must be in [0, 1]")
+    return eta
+
+
 def _apply_linear(state: GaussianState, m: np.ndarray) -> GaussianState:
+    """Map mean -> M mean, cov -> M cov M^T; a stack of M broadcasts against the state's."""
     return GaussianState(
         state.n_modes,
-        m @ state.mean,
-        m @ state.cov @ m.T,
+        (m @ state.mean[..., None])[..., 0],
+        m @ state.cov @ np.swapaxes(m, -1, -2),
         dict(state.shared_ancillas),
     )
 
@@ -176,68 +212,70 @@ def _rotation(angle: float) -> np.ndarray:
 
 
 def squeeze_single(
-    state: GaussianState, mode: int, r: float, angle: float = 0.0
+    state: GaussianState, mode: int, r: float | np.ndarray, angle: float = 0.0
 ) -> GaussianState:
     """Squeeze one mode by r >= 0 along the quadrature at ``angle``.
 
     angle = 0 squeezes x (block becomes diag(e^-2r, e^+2r)); angle = pi/2
     squeezes p.  Direction is carried entirely by the angle, so negative r
-    is rejected.
+    is rejected.  An array ``r`` squeezes a stack, one element per state.
     """
     state._check_mode(mode)
-    if r < 0:
-        raise ValueError(f"squeezing magnitude must be >= 0, got {r}")
+    r = np.asarray(r, dtype=float)
+    _require(r >= 0, r, "squeezing magnitude must be >= 0")
     rot = _rotation(angle)
-    local = rot @ np.diag([np.exp(-r), np.exp(r)]) @ rot.T
-    m = np.eye(2 * state.n_modes)
+    diag = np.zeros(r.shape + (2, 2))
+    diag[..., 0, 0] = np.exp(-r)
+    diag[..., 1, 1] = np.exp(r)
+    m = _identity(r.shape, 2 * state.n_modes)
     i = 2 * mode
-    m[i : i + 2, i : i + 2] = local
+    m[..., i : i + 2, i : i + 2] = rot @ diag @ rot.T
     return _apply_linear(state, m)
 
 
-def _bs_rows(n_modes: int, m1: int, m2: int, eta: float) -> np.ndarray:
+def _bs_rows(n_modes: int, m1: int, m2: int, eta: np.ndarray) -> np.ndarray:
     # Transmitted output: sqrt(eta)*m1 - sqrt(1-eta)*m2, identically on x and p.
     t, rfl = np.sqrt(eta), np.sqrt(1.0 - eta)
-    m = np.eye(2 * n_modes)
+    m = _identity(eta.shape, 2 * n_modes)
     for off in (0, 1):
         a, b = 2 * m1 + off, 2 * m2 + off
-        m[a, a] = t
-        m[a, b] = -rfl
-        m[b, a] = rfl
-        m[b, b] = t
+        m[..., a, a] = t
+        m[..., a, b] = -rfl
+        m[..., b, a] = rfl
+        m[..., b, b] = t
     return m
 
 
 def beam_splitter(
-    state: GaussianState, m1: int, m2: int, eta: float
+    state: GaussianState, m1: int, m2: int, eta: float | np.ndarray
 ) -> GaussianState:
     """Mix two modes on a beam splitter of transmissivity eta in [0, 1].
 
     Output mode m1 = sqrt(eta)*m1 - sqrt(1-eta)*m2, output mode m2 the
     orthogonal combination; eta = 1 is the identity, eta = 0 swaps the
-    modes up to sign.
+    modes up to sign.  An array ``eta`` acts on a stack, one element per state.
     """
     state._check_mode(m1)
     state._check_mode(m2)
     if m1 == m2:
         raise ValueError("beam splitter needs two distinct modes")
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"transmissivity must be in [0, 1], got {eta}")
+    eta = _transmissivity(eta)
     return _apply_linear(state, _bs_rows(state.n_modes, m1, m2, eta))
 
 
 def _append_vacuum(state: GaussianState) -> GaussianState:
-    n = state.n_modes + 1
-    mean = np.concatenate([state.mean, np.zeros(2)])
-    cov = np.eye(2 * n)
-    cov[: 2 * state.n_modes, : 2 * state.n_modes] = state.cov
-    return GaussianState(n, mean, cov, dict(state.shared_ancillas))
+    d = 2 * state.n_modes
+    batch = state.batch_shape
+    mean = np.concatenate([state.mean, np.zeros(batch + (2,))], axis=-1)
+    cov = _identity(batch, d + 2)
+    cov[..., :d, :d] = state.cov
+    return GaussianState(state.n_modes + 1, mean, cov, dict(state.shared_ancillas))
 
 
 def pure_loss(
     state: GaussianState,
     mode: int,
-    eta: float,
+    eta: float | np.ndarray,
     policy: LossPolicy = LossPolicy("shared"),
 ) -> GaussianState:
     """Attenuate one mode to transmissivity eta against a vacuum port.
@@ -258,16 +296,17 @@ def pure_loss(
     Args:
         state: input state.
         mode: index of the lossy mode.
-        eta: transmissivity in [0, 1].
+        eta: transmissivity in [0, 1], or an array of them acting on a stack.
         policy: vacuum-port policy; defaults to shared (tag "common").
 
     Returns:
         New state with one more mode the first time a given port is used.
+        Only when every eta is 1 is the state returned unchanged, without
+        an ancilla; a stack mixing eta = 1 with eta < 1 grows for all.
     """
     state._check_mode(mode)
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"transmissivity must be in [0, 1], got {eta}")
-    if eta == 1.0:
+    eta = _transmissivity(eta)
+    if np.all(eta == 1.0):
         return state
 
     if policy.kind == "independent":
@@ -288,15 +327,21 @@ def pure_loss(
         grown = state
     # Read-only coupling: the lossy mode picks up the port with beam-splitter
     # weights, the port row stays the identity.
-    m = np.eye(2 * grown.n_modes)
+    m = _identity(eta.shape, 2 * grown.n_modes)
     for off in (0, 1):
         a, b = 2 * mode + off, 2 * ancilla + off
-        m[a, a] = np.sqrt(eta)
-        m[a, b] = -np.sqrt(1.0 - eta)
+        m[..., a, a] = np.sqrt(eta)
+        m[..., a, b] = -np.sqrt(1.0 - eta)
     return _apply_linear(grown, m)
 
 
-def homodyne_variance(state: GaussianState, pattern: HomodynePattern) -> float:
-    """Variance of the weighted quadrature sum defined by ``pattern``."""
+def homodyne_variance(
+    state: GaussianState, pattern: HomodynePattern
+) -> float | np.ndarray:
+    """Variance of the weighted quadrature sum defined by ``pattern``.
+
+    A float for a single state; an array of shape ``state.batch_shape``
+    for a stack.
+    """
     v = pattern.quadrature_vector(state.n_modes)
-    return float(v @ state.cov @ v)
+    return v @ state.cov @ v

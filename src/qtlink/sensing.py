@@ -27,7 +27,6 @@ __all__ = [
     "ChannelPair",
     "OffsetResult",
     "r_from_db",
-    "db_from_r",
     "photocurrent_mean_single",
     "photocurrent_variance_single",
     "post_variance_ideal",
@@ -46,10 +45,6 @@ def r_from_db(r_db: float) -> float:
     if r_db < 0:
         raise ValueError(f"squeezing level in dB must be >= 0, got {r_db}")
     return r_db * math.log(10.0) / 20.0
-
-
-def db_from_r(r: float) -> float:
-    return 20.0 * r / math.log(10.0)
 
 
 @dataclass(frozen=True)

@@ -116,6 +116,14 @@ def test_verify_impossible_tolerance_exits_2(capsys):
     assert "cross-check failed" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+def test_verify_rejects_non_finite_tolerance(tol, capsys):
+    code, out, err = run(["verify", "--tol", tol], capsys)
+    assert code == 1
+    assert "tolerance" in err
+    assert out == ""
+
+
 def test_verify_independent_policy(capsys):
     code, out, _ = run(["verify", "--policy", "independent"], capsys)
     assert code == 0

@@ -100,6 +100,13 @@ def test_svg_grid_default_levels(small_fig3):
     ET.fromstring(render_svg(small_fig3))
 
 
+def test_svg_grid_duplicate_levels_get_distinct_label_rows(small_fig3):
+    root = ET.fromstring(render_svg(small_fig3, levels=[1e-18, 1e-18]))
+    labels = [el for el in root.iter() if (el.text or "").startswith("level ")]
+    assert len(labels) == 2
+    assert labels[0].get("y") != labels[1].get("y")
+
+
 def test_contour_segments_linear_field():
     x = np.linspace(0.0, 1.0, 11)
     y = np.linspace(0.0, 1.0, 11)

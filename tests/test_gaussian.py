@@ -271,3 +271,77 @@ def test_shared_tag_isolated_per_tag():
     q_indep = 2 * (2 * 0.5 * np.sinh(R_5DB) ** 2 + 1.0 - 0.5 * np.sinh(2 * R_5DB))
     assert homodyne_variance(st, SUM_X) == pytest.approx(q_indep, rel=1e-12)
     assert st.n_modes == 4
+
+
+# Stacked states: every op broadcasts over leading batch axes.
+
+STACK_ETAS = np.array([0.0, 0.2, 0.55, 0.9, 1.0])
+
+
+@pytest.mark.parametrize("policy", [independent_vacuum(), shared_vacuum("link")])
+def test_stacked_chain_matches_per_point_chains(policy):
+    eta1 = np.repeat(STACK_ETAS, len(STACK_ETAS))
+    eta2 = np.tile(STACK_ETAS, len(STACK_ETAS))
+    st = pure_loss(pure_loss(tmsv(R_5DB), 0, eta1, policy), 1, eta2, policy)
+    assert st.batch_shape == (eta1.size,)
+    stacked = homodyne_variance(st, SUM_X)
+    assert stacked.shape == (eta1.size,)
+    for k, (e1, e2) in enumerate(zip(eta1, eta2)):
+        one = pure_loss(pure_loss(tmsv(R_5DB), 0, float(e1), policy), 1, float(e2), policy)
+        assert stacked[k] == homodyne_variance(one, SUM_X)
+
+
+def test_stacked_squeeze_and_splitter_match_scalar_calls():
+    rs = np.array([0.0, 0.3, 1.1])
+    etas = np.array([0.1, 0.5, 1.0])
+    st = beam_splitter(squeeze_single(vacuum(2), 0, rs, 0.4), 0, 1, etas)
+    assert st.cov.shape == (3, 4, 4)
+    assert st.mean.shape == (3, 4)
+    assert st.mode_block(1).shape == (3, 2, 2)
+    for k in range(3):
+        one = beam_splitter(squeeze_single(vacuum(2), 0, float(rs[k]), 0.4), 0, 1, float(etas[k]))
+        assert np.array_equal(st.cov[k], one.cov)
+
+
+def test_stacked_pure_loss_grows_all_points_when_any_eta_below_one():
+    st = squeeze_single(vacuum(1), 0, R_5DB, 0.0)
+    assert pure_loss(st, 0, np.ones(3)) is st
+    grown = pure_loss(st, 0, np.array([1.0, 0.5]), independent_vacuum())
+    assert grown.n_modes == 2
+    assert np.array_equal(grown.cov[0, :2, :2], st.cov)
+
+
+def test_stacked_physicality_spans_the_stack():
+    policy = shared_vacuum("link")
+    st = pure_loss(pure_loss(tmsv(0.0), 0, np.array([1.0, 0.5]), policy), 1, 0.5, policy)
+    assert min_physicality_eigenvalue(st) < -1e-6
+
+
+@pytest.mark.parametrize("bad", [-0.1, 1.5, np.nan])
+def test_stacked_eta_with_one_bad_element_rejected(bad):
+    etas = np.array([0.2, 0.7, bad, 1.0])
+    with pytest.raises(ValueError, match="transmissivity"):
+        pure_loss(vacuum(1), 0, etas, independent_vacuum())
+    with pytest.raises(ValueError, match="transmissivity"):
+        pure_loss(vacuum(1), 0, etas, shared_vacuum())
+    with pytest.raises(ValueError, match="transmissivity"):
+        beam_splitter(vacuum(2), 0, 1, etas)
+
+
+def test_stacked_r_with_one_negative_element_rejected():
+    with pytest.raises(ValueError, match="squeezing magnitude"):
+        squeeze_single(vacuum(1), 0, np.array([0.0, 0.5, -1e-3]), 0.0)
+
+
+def test_state_rejects_mean_cov_batch_mismatch():
+    with pytest.raises(ValueError, match="batch"):
+        GaussianState(1, np.zeros((3, 2)), np.tile(np.eye(2), (2, 1, 1)))
+    with pytest.raises(ValueError, match="batch"):
+        GaussianState(1, np.zeros(2), np.tile(np.eye(2), (2, 1, 1)))
+
+
+def test_state_symmetry_check_covers_whole_stack():
+    cov = np.tile(np.eye(2), (4, 1, 1))
+    cov[3, 0, 1] = 0.5
+    with pytest.raises(ValueError, match="symmetric"):
+        GaussianState(1, np.zeros((4, 2)), cov)
