@@ -35,6 +35,7 @@ from .sensing import (
     OffsetResult,
     SensingConfig,
     advantage_boundary_eta1,
+    delta_u,
     delta_u_smsv_real,
     delta_u_sql,
     delta_u_tmsv_ideal,
@@ -45,6 +46,7 @@ from .sensing import (
     q_factor,
     quantum_advantage,
     r_from_db,
+    radicand,
 )
 from .sweep import (
     GridSpec,

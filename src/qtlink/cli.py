@@ -242,7 +242,16 @@ def _cmd_sweep(args, cfg, ch, file_sweep) -> int:
     return 0
 
 
+def _require_shared(ch: ChannelPair, command: str) -> None:
+    # the grid and the figure presets fix their own channels to the shared model
+    if ch.policy != "shared":
+        raise ValueError(
+            f"{command} supports only the shared vacuum policy, got {ch.policy!r}"
+        )
+
+
 def _cmd_grid(args, cfg, ch, file_sweep) -> int:
+    _require_shared(ch, "grid")
     rng = _range_from(args, file_sweep, sweep.Range(0.01, 1.0, 100))
     spec = sweep.GridSpec(rng, rng, cfg, args.quantity)
     _emit_or_print(sweep.run_grid(spec), args, "grid", levels=_parse_levels(args.levels))
@@ -305,14 +314,16 @@ def _cmd_tm_check(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_fig2(args, cfg, file_sweep) -> int:
+def _cmd_fig2(args, cfg, ch, file_sweep) -> int:
+    _require_shared(ch, "fig2")
     rng = _range_from(args, file_sweep, sweep.Range(0.01, 1.0, 100))
     r_dbs = tuple(float(v) for v in args.r_dbs.split(","))
     _emit_or_print(sweep.preset_fig2(cfg, r_dbs, rng), args, "fig2")
     return 0
 
 
-def _cmd_fig3(args, cfg, file_sweep) -> int:
+def _cmd_fig3(args, cfg, ch, file_sweep) -> int:
+    _require_shared(ch, "fig3")
     rng = _range_from(args, file_sweep, sweep.Range(0.01, 1.0, 100))
     _emit_or_print(
         sweep.preset_fig3(cfg, rng), args, "fig3", levels=_parse_levels(args.levels)
@@ -320,7 +331,8 @@ def _cmd_fig3(args, cfg, file_sweep) -> int:
     return 0
 
 
-def _cmd_fig4(args, cfg, file_sweep) -> int:
+def _cmd_fig4(args, cfg, ch, file_sweep) -> int:
+    _require_shared(ch, "fig4")
     rng = _range_from(args, file_sweep, sweep.Range(0.01, 1.0, 100))
     _emit_or_print(sweep.preset_fig4(cfg, rng), args, "fig4")
     return 0
@@ -344,10 +356,10 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args, cfg, ch)
         if args.command == "fig2":
-            return _cmd_fig2(args, cfg, file_sweep)
+            return _cmd_fig2(args, cfg, ch, file_sweep)
         if args.command == "fig3":
-            return _cmd_fig3(args, cfg, file_sweep)
-        return _cmd_fig4(args, cfg, file_sweep)
+            return _cmd_fig3(args, cfg, ch, file_sweep)
+        return _cmd_fig4(args, cfg, ch, file_sweep)
     except VerifyFailure as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -37,7 +37,7 @@ def render_csv(result: SweepResult) -> str:
     """Header, one comment line echoing the config, 9-significant-digit rows."""
     lines = [f"# config: {json.dumps(result.meta, sort_keys=True)}"]
     lines.append(",".join(result.columns))
-    for row in result.rows:
+    for row in result.rows.tolist():
         lines.append(",".join(_fmt(v, c) for v, c in zip(row, result.columns)))
     return "\n".join(lines) + "\n"
 
@@ -45,7 +45,7 @@ def render_csv(result: SweepResult) -> str:
 def render_json(result: SweepResult) -> str:
     payload = {
         "columns": result.columns,
-        "rows": result.rows,
+        "rows": result.rows.tolist(),
         "meta": result.meta,
     }
     if result.grid_shape is not None:
@@ -57,7 +57,7 @@ def write_result(result: SweepResult, fmt: str, path: str, levels=None) -> None:
     """Render ``result`` in the requested format and write it to ``path``."""
     if fmt not in _FORMATS:
         raise ValueError(f"unknown output format {fmt!r}; pick one of {_FORMATS}")
-    if not result.rows:
+    if len(result.rows) == 0:
         raise ValueError("refusing to emit an empty result")
     if fmt == "csv":
         text = render_csv(result)
@@ -177,67 +177,67 @@ def _render_curves_svg(result: SweepResult) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _grid_arrays(result: SweepResult):
-    n1, n2 = result.grid_shape
-    e1 = np.array(sorted({row[0] for row in result.rows}))
-    e2 = np.array(sorted({row[1] for row in result.rows}))
-    z = np.empty((n1, n2))
-    for k, row in enumerate(result.rows):
-        z[k // n2, k % n2] = row[2]
-    return e1, e2, z
-
-
 def contour_segments(x: np.ndarray, y: np.ndarray, z: np.ndarray, level: float):
     """Iso-line segments of z(x, y) at ``level`` by marching squares.
 
     z is indexed [i, j] for (x[i], y[j]).  Saddle cells are disambiguated
     with the cell-center average.  Returns ((xa, ya), (xb, yb)) pairs in
-    deterministic cell order.
+    row-major cell order.  Cells are classified in one array pass; only
+    those with corners on both sides of the level, the only ones that can
+    hold a crossing, are walked.
     """
     # nudge exact level hits off the level so every crossing is a strict
     # sign change (degenerate corners would otherwise open gaps in the line)
     span = float(np.max(z) - np.min(z)) or 1.0
     z = np.where(z == level, level + 1e-12 * span, z)
+    above = z > level
+    n_above = above[:-1, :-1].astype(np.int8) + above[1:, :-1]
+    n_above += above[1:, 1:]
+    n_above += above[:-1, 1:]
     segments = []
-    for i in range(len(x) - 1):
-        for j in range(len(y) - 1):
-            corners = (
-                (x[i], y[j], z[i, j]),
-                (x[i + 1], y[j], z[i + 1, j]),
-                (x[i + 1], y[j + 1], z[i + 1, j + 1]),
-                (x[i], y[j + 1], z[i, j + 1]),
-            )
-            crossings = []
-            for k in range(4):
-                xa, ya, za = corners[k]
-                xb, yb, zb = corners[(k + 1) % 4]
-                if (za - level) * (zb - level) < 0.0:
-                    t = (level - za) / (zb - za)
-                    crossings.append((xa + t * (xb - xa), ya + t * (yb - ya)))
-            if len(crossings) == 2:
+    for i, j in zip(*np.nonzero((n_above > 0) & (n_above < 4))):
+        corners = (
+            (x[i], y[j], z[i, j]),
+            (x[i + 1], y[j], z[i + 1, j]),
+            (x[i + 1], y[j + 1], z[i + 1, j + 1]),
+            (x[i], y[j + 1], z[i, j + 1]),
+        )
+        crossings = []
+        for k in range(4):
+            xa, ya, za = corners[k]
+            xb, yb, zb = corners[(k + 1) % 4]
+            if (za - level) * (zb - level) < 0.0:
+                t = (level - za) / (zb - za)
+                crossings.append((xa + t * (xb - xa), ya + t * (yb - ya)))
+        if len(crossings) == 2:
+            segments.append((crossings[0], crossings[1]))
+        elif len(crossings) == 4:
+            center = sum(c[2] for c in corners) / 4.0
+            if (center - level) * (corners[0][2] - level) >= 0.0:
+                segments.append((crossings[0], crossings[3]))
+                segments.append((crossings[1], crossings[2]))
+            else:
                 segments.append((crossings[0], crossings[1]))
-            elif len(crossings) == 4:
-                center = sum(c[2] for c in corners) / 4.0
-                if (center - level) * (corners[0][2] - level) >= 0.0:
-                    segments.append((crossings[0], crossings[3]))
-                    segments.append((crossings[1], crossings[2]))
-                else:
-                    segments.append((crossings[0], crossings[1]))
-                    segments.append((crossings[2], crossings[3]))
+                segments.append((crossings[2], crossings[3]))
     return segments
 
 
-def _cell_color(value: float, vmax: float) -> str:
-    if value <= 0.0:
-        return "#d9d9d9"
-    frac = min(value / vmax, 1.0) if vmax > 0 else 0.0
-    red = int(round(235 - 185 * frac))
-    green = int(round(242 - 130 * frac))
-    return f"#{red:02x}{green:02x}f0"
+def _cell_colors(z: np.ndarray, vmax: float) -> list:
+    """Fill of each cell, by row: grey where z <= 0, else a blue ramp up to vmax."""
+    frac = np.minimum(z / vmax, 1.0) if vmax > 0 else np.zeros_like(z)
+    # rint rounds half to even, as round() does
+    red = np.rint(235 - 185 * frac).astype(int).tolist()
+    green = np.rint(242 - 130 * frac).astype(int).tolist()
+    grey = (z <= 0.0).tolist()
+    return [
+        ["#d9d9d9" if g else f"#{r:02x}{gr:02x}f0" for r, gr, g in zip(*cols)]
+        for cols in zip(red, green, grey)
+    ]
 
 
 def _render_grid_svg(result: SweepResult, levels=None) -> str:
-    e1, e2, z = _grid_arrays(result)
+    grid = result.rows.reshape(*result.grid_shape, -1)
+    e1, e2, z = grid[:, 0, 0], grid[0, :, 1], grid[:, :, 2]
     x0, x1 = float(e1.min()), float(e1.max())
     y0, y1 = float(e2.min()), float(e2.max())
     vmax = float(z.max())
@@ -248,15 +248,20 @@ def _render_grid_svg(result: SweepResult, levels=None) -> str:
     parts = _svg_header(result.meta.get("preset", {}).get("name", "grid"))
     half1 = 0.5 * (e1[1] - e1[0]) if len(e1) > 1 else 0.5
     half2 = 0.5 * (e2[1] - e2[0]) if len(e2) > 1 else 0.5
-    for i, xv in enumerate(e1):
-        for j, yv in enumerate(e2):
-            px0 = _x_to_px(xv - half1, x0, x1)
-            px1 = _x_to_px(xv + half1, x0, x1)
-            py0 = _y_to_px(yv + half2, y0, y1)
-            py1 = _y_to_px(yv - half2, y0, y1)
+    # a cell's x and width depend on its column only, its y and height on its row
+    xs = []
+    for xv in e1:
+        px0, px1 = _x_to_px(xv - half1, x0, x1), _x_to_px(xv + half1, x0, x1)
+        xs.append((f"{px0:.2f}", f"{px1 - px0:.2f}"))
+    ys = []
+    for yv in e2:
+        py0, py1 = _y_to_px(yv + half2, y0, y1), _y_to_px(yv - half2, y0, y1)
+        ys.append((f"{py0:.2f}", f"{py1 - py0:.2f}"))
+    for (x_str, width), fills in zip(xs, _cell_colors(z, vmax)):
+        for (y_str, height), fill in zip(ys, fills):
             parts.append(
-                f'<rect x="{px0:.2f}" y="{py0:.2f}" width="{px1 - px0:.2f}" '
-                f'height="{py1 - py0:.2f}" fill="{_cell_color(z[i, j], vmax)}"/>'
+                f'<rect x="{x_str}" y="{y_str}" width="{width}" '
+                f'height="{height}" fill="{fill}"/>'
             )
     for row, level in enumerate(levels):
         path = []

@@ -10,7 +10,7 @@ eta directly, so nothing here gates the physics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 __all__ = [
     "LinkGeometry",
@@ -34,6 +34,10 @@ class LinkGeometry:
     pointing_jitter_rad: float = 0.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         for name in ("range_m", "tx_waist_m", "rx_aperture_m", "wavelength_m"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")

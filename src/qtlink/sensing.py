@@ -4,9 +4,13 @@ Covers four measurement schemes at a fixed photon budget N_in:
 
 * ``TMSV_ideal``  -- entangled two-mode probe over lossless paths,
 * ``TMSV_real``   -- the same probe through channels of transmissivity
-  (eta1, eta2) whose vacuum ports follow the shared-port model,
+  (eta1, eta2) whose vacuum ports follow the shared or the independent
+  port policy,
 * ``SQL``         -- the r = 0 (unentangled) baseline of the same setup,
 * ``SMSV_real``   -- a single squeezed mode through one channel.
+
+One broadcasting kernel, :func:`delta_u`, evaluates every scheme over numpy
+arrays; the scalar ``delta_u_*`` functions are its 0-d case.
 
 The minimum offset is the delta_u at which the post-processed homodyne
 signal equals its own noise (SNR = 1); it scales linearly with any other
@@ -18,7 +22,9 @@ every delta_u.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+
+import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 
@@ -27,6 +33,10 @@ __all__ = [
     "ChannelPair",
     "OffsetResult",
     "r_from_db",
+    "SCHEMES",
+    "radicand",
+    "delta_u",
+    "evaluate",
     "photocurrent_mean_single",
     "photocurrent_variance_single",
     "post_variance_ideal",
@@ -40,10 +50,13 @@ __all__ = [
 ]
 
 
-def r_from_db(r_db: float) -> float:
-    """Squeezing magnitude from decibels: r_db = -10*log10(e^-2r)."""
-    if r_db < 0:
-        raise ValueError(f"squeezing level in dB must be >= 0, got {r_db}")
+SCHEMES = ("TMSV_ideal", "TMSV_real", "SQL", "SMSV_real")
+
+
+def r_from_db(r_db):
+    """Squeezing magnitude from decibels: r_db = -10*log10(e^-2r), elementwise."""
+    ok = np.isfinite(r_db) & (np.asarray(r_db) >= 0.0)
+    _check("squeezing level in dB", r_db, ok, "finite and >= 0")
     return r_db * math.log(10.0) / 20.0
 
 
@@ -69,6 +82,10 @@ class SensingConfig:
     snr: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.r_db < 0:
             raise ValueError(f"r_db must be >= 0, got {self.r_db}")
         if self.n_in <= 0:
@@ -195,77 +212,164 @@ def post_variance_ideal(cfg: SensingConfig) -> float:
     )
 
 
-def _offset(cfg, value, scheme, channel=None) -> OffsetResult:
-    return OffsetResult(cfg.snr * value, scheme, cfg, channel)
+def _check(name: str, values, ok, requirement: str) -> None:
+    """Raise naming ``name`` and its first element where ``ok`` is False.
+
+    NaN fails every comparison, so a range test written as ``ok`` rejects it.
+    """
+    ok = np.asarray(ok)
+    if not ok.all():
+        bad = np.asarray(values, dtype=float)[~ok].flat[0]
+        raise ValueError(f"{name} must be {requirement}, got {bad}")
+
+
+def _unit(name: str, eta) -> np.ndarray:
+    eta = np.asarray(eta, dtype=float)
+    _check(name, eta, (eta >= 0.0) & (eta <= 1.0), "in [0, 1]")
+    return eta
+
+
+def _squeezing(r):
+    ok = np.isfinite(r) & (np.asarray(r) >= 0.0)
+    _check("squeezing magnitude", r, ok, "finite and >= 0")
+    return r
+
+
+def _math(fn, r):
+    """``fn`` (a math function) of every element of ``r``.
+
+    numpy's vectorized sinh/cosh/exp can differ from math's in the last bit,
+    which would move emitted bytes; r holds one value per squeezing level,
+    so the elementwise loop is cheap.
+    """
+    if np.ndim(r) == 0:
+        return fn(float(r))
+    r = np.asarray(r, dtype=float)
+    return np.fromiter(map(fn, r.flat), float, r.size).reshape(r.shape)
+
+
+def radicand(scheme: str, r, eta1, eta2=1.0, policy: str = "shared"):
+    """Noise radicand of a lossy scheme, broadcast over array arguments.
+
+    TMSV_real: (eta1+eta2)*sinh^2 r + 1 + c - sqrt(eta1*eta2)*sinh 2r with
+    the vacuum cross term c = sqrt((1-eta1)(1-eta2)) under the shared port
+    policy and c = 0 under independent ports, evaluated in the algebraically
+    equal factored form
+    1 + c + sinh r*((eta1+eta2)*sinh r - 2*sqrt(eta1*eta2)*cosh r),
+    which avoids the cosh/sinh cancellation at high transmissivity.  Always
+    positive; e^-2r at eta1 = eta2 = 1 and 1 + c at r = 0.
+    SQL: the TMSV_real radicand at r = 0.
+    SMSV_real: eta1*e^-2r + (1-eta1); eta2 and the policy play no part.
+    """
+    if policy not in ("shared", "independent"):
+        raise ValueError(f"unknown vacuum policy {policy!r}")
+    e1 = _unit("eta1", eta1)
+    r = 0.0 if scheme == "SQL" else _squeezing(r)
+    if scheme == "SMSV_real":
+        return e1 * _math(math.exp, -2.0 * r) + (1.0 - e1)
+    if scheme not in ("TMSV_real", "SQL"):
+        raise ValueError(f"no radicand for scheme {scheme!r}")
+    e2 = _unit("eta2", eta2)
+    sh, ch = _math(math.sinh, r), _math(math.cosh, r)
+    cross = np.sqrt((1.0 - e1) * (1.0 - e2)) if policy == "shared" else 0.0
+    return 1.0 + cross + sh * ((e1 + e2) * sh - 2.0 * np.sqrt(e1 * e2) * ch)
+
+
+def delta_u(
+    scheme: str, r, eta1, eta2, n1, n2, omega_rss, snr, policy: str = "shared"
+):
+    """Minimum measurable offset of ``scheme``, broadcast over array arguments.
+
+    Any argument but ``scheme`` and ``policy`` may be an array; the result
+    has their broadcast shape (a 0-d value when all are scalars).  n1 and n2
+    are the photons sent down paths 1 and 2, omega_rss = 1/u0.
+
+    * TMSV_ideal: e^-r / (sqrt(2)*(sqrt(n1)+sqrt(n2))*omega_rss); the etas
+      play no part.
+    * TMSV_real:  sqrt(Q) / (sqrt(2)*(sqrt(eta1*n1)+sqrt(eta2*n2))*omega_rss)
+      with Q from :func:`radicand`; recovers TMSV_ideal at eta1 = eta2 = 1
+      and SQL at r = 0.
+    * SQL:        TMSV_real at r = 0.
+    * SMSV_real:  (1/2)*sqrt((eta1*e^-2r + 1-eta1) / (eta1*(n1+n2))) / omega_rss,
+      the whole budget n1 + n2 in one mode through channel 1.
+
+    Each value is scaled by ``snr``.  Every eta and the result are checked
+    element by element, NaN included.
+    """
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
+    if scheme == "TMSV_ideal":
+        denom = math.sqrt(2.0) * (np.sqrt(n1) + np.sqrt(n2)) * omega_rss
+        value = _math(math.exp, -_squeezing(r)) / denom
+    elif scheme == "SMSV_real":
+        noise = radicand(scheme, r, eta1)
+        e1 = np.asarray(eta1, dtype=float)
+        if np.any(e1 == 0.0):
+            raise ValueError("delta_u diverges with the channel fully opaque")
+        value = 0.5 * np.sqrt(noise / (e1 * (n1 + n2))) / omega_rss
+    else:
+        q = radicand(scheme, r, eta1, eta2, policy)
+        e1, e2 = np.asarray(eta1, dtype=float), np.asarray(eta2, dtype=float)
+        if np.any(e1 + e2 <= 0.0):
+            raise ValueError("delta_u diverges with both channels fully opaque")
+        denom = math.sqrt(2.0) * (np.sqrt(e1 * n1) + np.sqrt(e2 * n2)) * omega_rss
+        value = np.sqrt(q) / denom
+    out = snr * value
+    _check("delta_u", out, np.isfinite(out) & (out > 0.0), "finite and > 0")
+    return out
+
+
+def evaluate(
+    scheme: str,
+    cfg: SensingConfig,
+    eta1=1.0,
+    eta2=1.0,
+    policy: str = "shared",
+    r_db=None,
+    n_in=None,
+):
+    """:func:`delta_u` at ``cfg``, with r_db or n_in optionally replaced by arrays."""
+    r = cfg.r if r_db is None else r_from_db(np.asarray(r_db, dtype=float))
+    n_in = cfg.n_in if n_in is None else np.asarray(n_in, dtype=float)
+    if scheme == "SMSV_real":
+        n1, n2 = n_in, 0.0
+    else:
+        n1, n2 = cfg.split * n_in, (1.0 - cfg.split) * n_in
+    return delta_u(scheme, r, eta1, eta2, n1, n2, cfg.omega_rss, cfg.snr, policy)
+
+
+def _offset(scheme: str, cfg: SensingConfig, ch: ChannelPair | None = None):
+    channel = () if ch is None else (ch.eta1, ch.eta2, ch.policy)
+    return OffsetResult(float(evaluate(scheme, cfg, *channel)), scheme, cfg, ch)
 
 
 def delta_u_tmsv_ideal(cfg: SensingConfig) -> OffsetResult:
-    """Minimum offset of the lossless entangled scheme.
-
-    e^-r / (sqrt(2)*(sqrt(N1)+sqrt(N2))*sqrt(omega0^2+delta_omega^2));
-    reduces to e^-r/(2*sqrt(N_in)*...) at the default even split.
-    """
-    denom = math.sqrt(2.0) * (math.sqrt(cfg.n1) + math.sqrt(cfg.n2)) * cfg.omega_rss
-    return _offset(cfg, math.exp(-cfg.r) / denom, "TMSV_ideal")
+    """Minimum offset of the lossless entangled scheme (reduces to
+    e^-r/(2*sqrt(N_in)*sqrt(omega0^2+delta_omega^2)) at the even split)."""
+    return _offset("TMSV_ideal", cfg)
 
 
 def q_factor(r: float, ch: ChannelPair) -> float:
-    """Noise radicand of the lossy entangled scheme.
-
-    (eta1+eta2)*sinh^2 r + 1 + sqrt((1-eta1)(1-eta2)) - sqrt(eta1*eta2)*sinh 2r,
-    evaluated in the algebraically equal factored form
-    1 + sqrt((1-eta1)(1-eta2)) + sinh r*((eta1+eta2)*sinh r - 2*sqrt(eta1*eta2)*cosh r),
-    which avoids the cosh/sinh cancellation at high transmissivity.
-    Always positive; e^-2r at eta1 = eta2 = 1 and the unentangled radicand
-    1 + sqrt((1-eta1)(1-eta2)) at r = 0.
-    """
-    if r < 0:
-        raise ValueError(f"squeezing magnitude must be >= 0, got {r}")
-    sh = math.sinh(r)
-    cross = math.sqrt((1.0 - ch.eta1) * (1.0 - ch.eta2))
-    return 1.0 + cross + sh * (
-        (ch.eta1 + ch.eta2) * sh - 2.0 * math.sqrt(ch.eta1 * ch.eta2) * math.cosh(r)
-    )
+    """Noise radicand of the lossy entangled scheme under ``ch.policy``."""
+    return float(radicand("TMSV_real", r, ch.eta1, ch.eta2, ch.policy))
 
 
 def delta_u_tmsv_real(cfg: SensingConfig, ch: ChannelPair) -> OffsetResult:
-    """Minimum offset of the entangled scheme through lossy channels.
-
-    sqrt(Q) / ((sqrt(eta1)+sqrt(eta2))*sqrt(N_in*(omega0^2+delta_omega^2)))
-    at the even split; the general split replaces the denominator with
-    sqrt(2)*(sqrt(eta1*N1)+sqrt(eta2*N2))/sqrt(...).  Recovers the ideal
-    value at eta1 = eta2 = 1 and the unentangled baseline at r = 0.
-    """
-    if ch.eta1 + ch.eta2 <= 0.0:
-        raise ValueError("delta_u diverges with both channels fully opaque")
-    q = q_factor(cfg.r, ch)
-    denom = (
-        math.sqrt(2.0)
-        * (math.sqrt(ch.eta1 * cfg.n1) + math.sqrt(ch.eta2 * cfg.n2))
-        * cfg.omega_rss
-    )
-    return _offset(cfg, math.sqrt(q) / denom, "TMSV_real", ch)
+    """Minimum offset of the entangled scheme through lossy channels."""
+    return _offset("TMSV_real", cfg, ch)
 
 
 def delta_u_sql(cfg: SensingConfig, ch: ChannelPair) -> OffsetResult:
     """Unentangled baseline: the lossy-scheme offset at r = 0."""
-    res = delta_u_tmsv_real(cfg.with_(r_db=0.0), ch)
-    return OffsetResult(res.delta_u, "SQL", cfg, ch)
+    return _offset("SQL", cfg, ch)
 
 
 def delta_u_smsv_real(cfg: SensingConfig, eta1: float) -> OffsetResult:
     """Minimum offset of a single squeezed mode through one lossy channel.
 
-    (1/2)*sqrt((eta1*e^-2r + (1-eta1)) / (eta1*N_in*(omega0^2+delta_omega^2))).
     Equals the ideal entangled value at eta1 = 1.
     """
-    if not 0.0 <= eta1 <= 1.0:
-        raise ValueError(f"eta1 must be in [0, 1], got {eta1}")
-    if eta1 == 0.0:
-        raise ValueError("delta_u diverges with the channel fully opaque")
-    noise = eta1 * math.exp(-2.0 * cfg.r) + (1.0 - eta1)
-    value = 0.5 * math.sqrt(noise / (eta1 * cfg.n_in)) / cfg.omega_rss
-    return _offset(cfg, value, "SMSV_real", ChannelPair(eta1, 1.0))
+    return _offset("SMSV_real", cfg, ChannelPair(eta1, 1.0))
 
 
 def quantum_advantage(cfg: SensingConfig, ch: ChannelPair) -> float:

@@ -8,7 +8,7 @@ byte-stable and can be golden-tested.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -46,6 +46,10 @@ class Range:
     steps: int
 
     def __post_init__(self):
+        for name in ("start", "stop"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
         if not self.start < self.stop:
@@ -102,23 +106,31 @@ class GridSpec:
 
 @dataclass
 class SweepResult:
-    """Tabulated sweep output: column names, float rows, config echo."""
+    """Tabulated sweep output: column names, a 2-D float array of rows, config echo.
+
+    Grid results set ``grid_shape`` = (n_eta1, n_eta2); their rows run over
+    eta2 fastest, so any column reshapes straight to the grid.
+    """
 
     columns: list
-    rows: list
+    rows: np.ndarray
     meta: dict = field(default_factory=dict)
     grid_shape: tuple | None = None
 
     def __post_init__(self):
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise ValueError("row width does not match column count")
-            if not all(math.isfinite(v) for v in row):
-                raise ValueError(f"non-finite value in sweep row {row}")
+        rows = np.asarray(self.rows, dtype=float)
+        if rows.size == 0:
+            rows = rows.reshape(0, len(self.columns))
+        if rows.ndim != 2 or rows.shape[1] != len(self.columns):
+            raise ValueError("row width does not match column count")
+        finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            bad = rows[~finite][0].tolist()
+            raise ValueError(f"non-finite value in sweep row {bad}")
+        self.rows = rows
 
     def column(self, name: str) -> np.ndarray:
-        idx = self.columns.index(name)
-        return np.array([row[idx] for row in self.rows])
+        return self.rows[:, self.columns.index(name)]
 
 
 def _echo(config: SensingConfig, channel: ChannelPair | None = None) -> dict:
@@ -128,41 +140,38 @@ def _echo(config: SensingConfig, channel: ChannelPair | None = None) -> dict:
     return out
 
 
-def _apply_variable(spec: SweepSpec, value: float):
-    cfg, ch = spec.config, spec.channel
-    if spec.variable == "eta_symmetric":
-        return cfg, replace(ch, eta1=value, eta2=value)
-    if spec.variable == "eta1":
-        return cfg, replace(ch, eta1=value)
-    if spec.variable == "eta2":
-        return cfg, replace(ch, eta2=value)
-    if spec.variable == "r_db":
-        return cfg.with_(r_db=value), ch
-    return cfg.with_(n_in=value), ch
-
-
 _SCHEME_COLUMNS = {"TMSV": "du_tmsv", "SQL": "du_sql", "SMSV": "du_smsv"}
+_KERNEL_SCHEMES = {"TMSV": "TMSV_real", "SQL": "SQL", "SMSV": "SMSV_real"}
 
 
-def _evaluate(scheme: str, cfg: SensingConfig, ch: ChannelPair) -> float:
-    if scheme == "TMSV":
-        return sensing.delta_u_tmsv_real(cfg, ch).delta_u
-    if scheme == "SQL":
-        return sensing.delta_u_sql(cfg, ch).delta_u
-    return sensing.delta_u_smsv_real(cfg, ch.eta1).delta_u
+def _mesh(scheme: str, cfg: SensingConfig, ch: ChannelPair, **axes) -> np.ndarray:
+    """One scheme's offsets with any of eta1, eta2, r_db, n_in replaced by arrays.
+
+    The arrays broadcast against each other; every other input comes from
+    ``cfg`` and ``ch``.
+    """
+    axes = {"eta1": ch.eta1, "eta2": ch.eta2, **axes}
+    return sensing.evaluate(_KERNEL_SCHEMES[scheme], cfg, policy=ch.policy, **axes)
+
+
+def _table(*columns) -> np.ndarray:
+    """Broadcast the columns to one shape and lay them out as rows (C order)."""
+    return np.stack([c.ravel() for c in np.broadcast_arrays(*columns)], axis=1)
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate the requested schemes at every point of a one-variable sweep."""
     schemes = [s for s in SCHEMES if s in spec.schemes]
+    values = spec.range.values()
+    if spec.variable == "eta_symmetric":
+        axes = {"eta1": values, "eta2": values}
+    else:
+        axes = {spec.variable: values}
+    du = [_mesh(s, spec.config, spec.channel, **axes) for s in schemes]
     columns = [spec.variable] + [_SCHEME_COLUMNS[s] for s in schemes]
-    rows = []
-    for value in spec.range.values():
-        cfg, ch = _apply_variable(spec, float(value))
-        rows.append([float(value)] + [_evaluate(s, cfg, ch) for s in schemes])
     meta = _echo(spec.config, spec.channel)
     meta["sweep"] = {"variable": spec.variable, **asdict(spec.range)}
-    return SweepResult(columns, rows, meta)
+    return SweepResult(columns, _table(values, *du), meta)
 
 
 def run_grid(spec: GridSpec) -> SweepResult:
@@ -171,24 +180,17 @@ def run_grid(spec: GridSpec) -> SweepResult:
     Advantage rows carry the signed value plus a sign column so that
     no-advantage regions can be extracted without re-deriving them.
     """
-    cfg = spec.config
+    cfg, ch = spec.config, ChannelPair(1.0, 1.0)
+    e1 = spec.eta1_range.values()[:, None]
+    e2 = spec.eta2_range.values()[None, :]
+    du_tmsv = _mesh("TMSV", cfg, ch, eta1=e1, eta2=e2)
     if spec.quantity == "advantage":
         columns = ["eta1", "eta2", "advantage", "sign"]
+        adv = _mesh("SQL", cfg, ch, eta1=e1, eta2=e2) - du_tmsv
+        rows = _table(e1, e2, adv, np.sign(adv))
     else:
         columns = ["eta1", "eta2", "du_tmsv"]
-    rows = []
-    e1_values = spec.eta1_range.values()
-    e2_values = spec.eta2_range.values()
-    for e1 in e1_values:
-        for e2 in e2_values:
-            ch = ChannelPair(float(e1), float(e2))
-            if spec.quantity == "advantage":
-                adv = sensing.quantum_advantage(cfg, ch)
-                rows.append([float(e1), float(e2), adv, float(np.sign(adv))])
-            else:
-                rows.append(
-                    [float(e1), float(e2), sensing.delta_u_tmsv_real(cfg, ch).delta_u]
-                )
+        rows = _table(e1, e2, du_tmsv)
     meta = _echo(cfg)
     meta["grid"] = {
         "eta1": asdict(spec.eta1_range),
@@ -204,18 +206,12 @@ def run_compare_smsv(spec: SweepSpec) -> SweepResult:
     """Single-mode vs two-mode comparison along a symmetric-loss sweep."""
     if spec.variable != "eta_symmetric":
         raise ValueError("the comparison sweep runs over eta_symmetric only")
-    columns = ["eta", "du_tmsv", "du_smsv", "du_sql", "ratio"]
-    rows = []
-    for value in spec.range.values():
-        eta = float(value)
-        ch = ChannelPair(eta, eta)
-        du_tmsv = sensing.delta_u_tmsv_real(spec.config, ch).delta_u
-        du_smsv = sensing.delta_u_smsv_real(spec.config, eta).delta_u
-        du_sql = sensing.delta_u_sql(spec.config, ch).delta_u
-        rows.append([eta, du_tmsv, du_smsv, du_sql, du_smsv / du_tmsv])
+    eta = spec.range.values()
+    du = {s: _mesh(s, spec.config, spec.channel, eta1=eta, eta2=eta) for s in SCHEMES}
+    rows = _table(eta, du["TMSV"], du["SMSV"], du["SQL"], du["SMSV"] / du["TMSV"])
     meta = _echo(spec.config)
     meta["sweep"] = {"variable": spec.variable, **asdict(spec.range)}
-    return SweepResult(columns, rows, meta)
+    return SweepResult(["eta", "du_tmsv", "du_smsv", "du_sql", "ratio"], rows, meta)
 
 
 def _label_db(r_db: float) -> str:
@@ -228,16 +224,14 @@ def preset_fig2(
     eta_range: Range = Range(0.01, 1.0, 100),
 ) -> SweepResult:
     """Offset-vs-transmissivity curves for several squeezing levels plus the baseline."""
-    cfg = config or PAPER_SCALE_CONFIG
+    cfg, ch = config or PAPER_SCALE_CONFIG, ChannelPair(1.0, 1.0)
+    eta = eta_range.values()
+    du_sql = _mesh("SQL", cfg, ch, eta1=eta, eta2=eta)
+    # one row of offsets per squeezing level; each becomes a column
+    levels = np.array(r_dbs, dtype=float)[:, None]
+    du_tmsv = _mesh("TMSV", cfg, ch, eta1=eta, eta2=eta, r_db=levels)
+    rows = _table(eta, du_sql, *du_tmsv)
     columns = ["eta"] + ["du_sql"] + [_label_db(r) for r in r_dbs]
-    rows = []
-    for value in eta_range.values():
-        eta = float(value)
-        ch = ChannelPair(eta, eta)
-        row = [eta, sensing.delta_u_sql(cfg, ch).delta_u]
-        for r_db in r_dbs:
-            row.append(sensing.delta_u_tmsv_real(cfg.with_(r_db=r_db), ch).delta_u)
-        rows.append(row)
     meta = _echo(cfg)
     meta["preset"] = {"name": "fig2", "r_dbs": list(r_dbs), **asdict(eta_range)}
     return SweepResult(columns, rows, meta)

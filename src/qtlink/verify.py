@@ -30,7 +30,7 @@ from .gaussian import (
     squeeze_single,
     vacuum,
 )
-from .sensing import ChannelPair, r_from_db
+from .sensing import r_from_db, radicand
 
 __all__ = [
     "VerifyReport",
@@ -135,8 +135,8 @@ class VerifyReport:
         yield f"verify: max_rel_err={self.max_rel_err:.3e} passed={self.passed}"
 
 
-def _rel_err(a: float, b: float) -> float:
-    return abs(a - b) / max(abs(b), 1e-300)
+def _rel_errs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.abs(a - b) / np.maximum(np.abs(b), 1e-300)
 
 
 def _stacked(chain, *etas: np.ndarray) -> np.ndarray:
@@ -171,53 +171,39 @@ def run_verify(
         etas = tuple(np.linspace(min(etas), max(etas), eta_steps))
     report = VerifyReport(policy=policy, tolerance=tolerance)
 
-    # q_factor is imported late to keep the comparison direction obvious:
-    # oracle on one side, closed form on the other.
-    from .sensing import q_factor
-
     eta_vec = np.asarray(etas, dtype=float)
     n = len(eta_vec)
     eta1_vec, eta2_vec = np.repeat(eta_vec, n), np.tile(eta_vec, n)
+    cross = np.sqrt((1.0 - eta1_vec) * (1.0 - eta2_vec))
     max_gap_err = 0.0
     for r_db in r_dbs:
         r = r_from_db(r_db)
-        two_mode = _stacked(
+        # Closed forms over the whole eta mesh.  The independent radicand is
+        # the shared one minus the cross term, so the gap check below reads
+        # both off one evaluation.
+        q_shared = radicand("TMSV_real", r, eta1_vec, eta2_vec)
+        expected = q_shared if policy == "shared" else q_shared - cross
+        oracle = _stacked(
             lambda e1, e2: tmsv_chain_variance(r, e1, e2, policy), eta1_vec, eta2_vec
-        ).reshape(n, n)
-        one_mode = _stacked(lambda e: smsv_chain_variance(r, e, policy), eta_vec)
-        for i, eta1 in enumerate(etas):
-            for j, eta2 in enumerate(etas):
-                q_shared = q_factor(r, ChannelPair(eta1, eta2))
-                cross = math.sqrt((1.0 - eta1) * (1.0 - eta2))
-                expected = q_shared if policy == "shared" else q_shared - cross
-                oracle = float(two_mode[i, j]) / 2.0
-                err = _rel_err(oracle, expected)
-                report.two_mode_rows.append(
-                    {
-                        "r_db": r_db,
-                        "eta1": float(eta1),
-                        "eta2": float(eta2),
-                        "formula": expected,
-                        "oracle": oracle,
-                        "rel_err": err,
-                        "ok": err <= tolerance,
-                    }
-                )
-                if policy == "independent":
-                    max_gap_err = max(max_gap_err, abs((q_shared - oracle) - cross))
-        for eta, variance in zip(etas, one_mode):
-            expected = eta * math.exp(-2.0 * r) + (1.0 - eta)
-            oracle = float(variance)
-            err = _rel_err(oracle, expected)
+        ) / 2.0
+        err = _rel_errs(oracle, expected)
+        columns = (eta1_vec, eta2_vec, expected, oracle, err)
+        for e1, e2, f, o, e in zip(*(c.tolist() for c in columns)):
+            report.two_mode_rows.append(
+                {"r_db": r_db, "eta1": e1, "eta2": e2, "formula": f, "oracle": o,
+                 "rel_err": e, "ok": e <= tolerance}
+            )
+        if policy == "independent":
+            gap = np.abs((q_shared - oracle) - cross).max()
+            max_gap_err = max(max_gap_err, float(gap))
+        expected = radicand("SMSV_real", r, eta_vec)
+        oracle = _stacked(lambda e: smsv_chain_variance(r, e, policy), eta_vec)
+        err = _rel_errs(oracle, expected)
+        columns = (eta_vec, expected, oracle, err)
+        for eta, f, o, e in zip(*(c.tolist() for c in columns)):
             report.single_mode_rows.append(
-                {
-                    "r_db": r_db,
-                    "eta": float(eta),
-                    "formula": expected,
-                    "oracle": oracle,
-                    "rel_err": err,
-                    "ok": err <= tolerance,
-                }
+                {"r_db": r_db, "eta": eta, "formula": f, "oracle": o,
+                 "rel_err": e, "ok": e <= tolerance}
             )
     if policy == "independent":
         report.notes.append(

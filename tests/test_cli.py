@@ -224,3 +224,70 @@ def test_bad_config_json_exits_1(tmp_path, capsys):
     path.write_text("{not json")
     code, _, _ = run(["delta-u", "--config", str(path)], capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        (["delta-u", "--n-lo", "nan"], "n_lo"),
+        (["delta-u", "--n-in", "inf"], "n_in"),
+        (["delta-u", "--r-db", "nan"], "r_db"),
+        (["delta-u", "--delta-omega", "inf"], "delta_omega"),
+        (["delta-u", "--eta1", "nan"], "eta1"),
+        (["sweep", "--stop", "inf"], "stop"),
+        (["sweep", "--variable", "r_db", "--start", "nan"], "start"),
+    ],
+)
+def test_non_finite_inputs_exit_1_naming_the_field(args, field, tmp_path, capsys):
+    code, out, err = run([*args, "--out", str(tmp_path / "o.csv")], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {field} must be")
+
+
+def _delta_u_values(capsys, *extra):
+    args = ["delta-u", "--eta1", "0.4", "--eta2", "0.7", "--r-db", "5", *extra]
+    code, out, _ = run(args, capsys)
+    assert code == 0
+    return {k: float(v) for k, v in (line.split(",") for line in out.splitlines()[1:5])}
+
+
+def test_delta_u_honours_the_independent_policy(capsys):
+    shared = _delta_u_values(capsys)
+    independent = _delta_u_values(capsys, "--policy", "independent")
+    # independent ports drop the vacuum cross term, lowering both lossy offsets
+    assert independent["TMSV_real"] < shared["TMSV_real"]
+    assert independent["SQL"] < shared["SQL"]
+    # the lossless and single-mode schemes have no cross term
+    assert independent["TMSV_ideal"] == shared["TMSV_ideal"]
+    assert independent["SMSV_real"] == shared["SMSV_real"]
+
+
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+def test_sweep_and_compare_honour_the_policy(command, tmp_path, capsys):
+    texts = {}
+    for policy in ("shared", "independent"):
+        out = tmp_path / f"{policy}.csv"
+        args = [command, "--steps", "5", "--r-db", "5", "--policy", policy]
+        args += ["--out", str(out)]
+        assert run(args, capsys)[0] == 0
+        texts[policy] = out.read_text().splitlines()[2:]
+    assert texts["shared"] != texts["independent"]
+
+
+@pytest.mark.parametrize("command", ["grid", "fig2", "fig3", "fig4"])
+def test_fixed_channel_commands_reject_independent_policy(command, tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    args = [command, "--steps", "4", "--policy", "independent", "--out", str(out)]
+    code, _, err = run(args, capsys)
+    assert code == 1
+    assert "shared vacuum policy" in err
+    assert not out.exists()
+
+
+def test_fixed_channel_commands_reject_independent_policy_from_config(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"channel": {"policy": "independent"}}))
+    code, _, err = run(["fig3", "--config", str(path), "--steps", "4"], capsys)
+    assert code == 1
+    assert "shared vacuum policy" in err

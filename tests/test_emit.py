@@ -152,3 +152,48 @@ def test_write_result_files(tmp_path, small_fig2, small_fig3):
         path = tmp_path / f"out.{fmt}"
         write_result(result, fmt, str(path))
         assert path.stat().st_size > 0
+
+
+def _contour_every_cell(x, y, z, level):
+    # the marching-squares walk over every cell, as a reference for the
+    # classified scan
+    span = float(np.max(z) - np.min(z)) or 1.0
+    z = np.where(z == level, level + 1e-12 * span, z)
+    segments = []
+    for i in range(len(x) - 1):
+        for j in range(len(y) - 1):
+            corners = (
+                (x[i], y[j], z[i, j]),
+                (x[i + 1], y[j], z[i + 1, j]),
+                (x[i + 1], y[j + 1], z[i + 1, j + 1]),
+                (x[i], y[j + 1], z[i, j + 1]),
+            )
+            crossings = []
+            for k in range(4):
+                xa, ya, za = corners[k]
+                xb, yb, zb = corners[(k + 1) % 4]
+                if (za - level) * (zb - level) < 0.0:
+                    t = (level - za) / (zb - za)
+                    crossings.append((xa + t * (xb - xa), ya + t * (yb - ya)))
+            if len(crossings) == 2:
+                segments.append((crossings[0], crossings[1]))
+            elif len(crossings) == 4:
+                center = sum(c[2] for c in corners) / 4.0
+                if (center - level) * (corners[0][2] - level) >= 0.0:
+                    segments.append((crossings[0], crossings[3]))
+                    segments.append((crossings[1], crossings[2]))
+                else:
+                    segments.append((crossings[0], crossings[1]))
+                    segments.append((crossings[2], crossings[3]))
+    return segments
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_classified_contour_scan_equals_full_scan(seed):
+    rng = np.random.default_rng(seed)
+    x = np.linspace(0.0, 1.0, 23)
+    y = np.linspace(-1.0, 1.0, 19)
+    # a rough field full of saddles, with some corners exactly on the level
+    z = np.round(rng.normal(size=(23, 19)), 1)
+    for level in (0.0, 0.3, -0.5, 5.0):
+        assert contour_segments(x, y, z, level) == _contour_every_cell(x, y, z, level)

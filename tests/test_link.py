@@ -111,3 +111,13 @@ def test_geometry_validation():
         _geom(range_m=0.0)
     with pytest.raises(ValueError):
         _geom(pointing_jitter_rad=-1e-6)
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["range_m", "tx_waist_m", "rx_aperture_m", "wavelength_m", "pointing_jitter_rad"],
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_geometry_rejects_non_finite_fields(field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        _geom(**{field: bad})

@@ -340,3 +340,35 @@ def test_config_accepts_omega0_directly():
     cfg = SensingConfig(lambda0=None, omega0=2.31136e15)
     assert cfg.carrier_omega == 2.31136e15
     assert cfg.u0 == pytest.approx(4.32647e-16, rel=1e-5)
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["r_db", "n_in", "n_lo", "theta1", "theta2", "theta_lo", "lambda0",
+     "delta_omega", "split", "snr"],
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_fields(field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        SensingConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_config_rejects_non_finite_omega0(bad):
+    with pytest.raises(ValueError, match="omega0 must be finite"):
+        SensingConfig(lambda0=None, omega0=bad)
+
+
+@pytest.mark.parametrize("field", ["eta1", "eta2"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_channel_pair_rejects_non_finite_etas(field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be in"):
+        ChannelPair(**{"eta1": 0.5, "eta2": 0.5, field: bad})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+def test_r_from_db_rejects_bad_levels(bad):
+    with pytest.raises(ValueError, match="squeezing level"):
+        r_from_db(bad)
+    with pytest.raises(ValueError, match="squeezing level"):
+        r_from_db(np.array([1.0, bad]))

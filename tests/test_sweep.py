@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qtlink.sensing import ChannelPair, SensingConfig
+from qtlink.sensing import ChannelPair, SensingConfig, delta_u_tmsv_real
 from qtlink.sweep import (
     PAPER_SCALE_CONFIG,
     GridSpec,
@@ -98,6 +98,30 @@ def test_sweep_validation():
         Range(0.1, 0.5, 1)
 
 
+@pytest.mark.parametrize("field", ["start", "stop"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_range_rejects_non_finite_bounds(field, bad):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        Range(**{"start": 0.1, "stop": 0.5, "steps": 5, field: bad})
+
+
+def test_result_rows_are_a_2d_array_and_columns_are_slices():
+    result = preset_fig3(eta_range=Range(0.1, 1.0, 4))
+    assert isinstance(result.rows, np.ndarray)
+    assert result.rows.shape == (16, 4)
+    adv = result.column("advantage")
+    assert np.shares_memory(adv, result.rows)
+    assert np.array_equal(adv.reshape(result.grid_shape)[:, 0], result.rows[::4, 2])
+
+
+def test_independent_sweep_uses_the_independent_radicand():
+    ch = ChannelPair(0.6, 0.6, "independent")
+    result = run_sweep(SweepSpec("eta1", Range(0.2, 1.0, 5), PAPER_SCALE_CONFIG, ch))
+    for eta1, du in zip(result.column("eta1"), result.column("du_tmsv")):
+        pair = ChannelPair(float(eta1), 0.6, "independent")
+        assert du == delta_u_tmsv_real(PAPER_SCALE_CONFIG, pair).delta_u
+
+
 def test_grid_contour_points():
     result = run_grid(
         GridSpec(Range(0.585, 0.695, 2), Range(0.695, 0.825, 2), PAPER_SCALE_CONFIG)
@@ -175,7 +199,7 @@ def test_fig4_preset_columns():
 def test_results_deterministic():
     a = preset_fig2(eta_range=Range(0.01, 1.0, 30))
     b = preset_fig2(eta_range=Range(0.01, 1.0, 30))
-    assert a.rows == b.rows
+    assert np.array_equal(a.rows, b.rows)
     assert a.columns == b.columns
 
 
