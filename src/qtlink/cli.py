@@ -3,8 +3,9 @@
 Subcommands: delta-u, sweep, grid, compare, verify, tm-check, and the
 figure presets fig2/fig3/fig4.  Parameters come from an optional JSON
 config file (sections "sensing", "channel", "link", "sweep") with any flag
-overriding the file.  Exit codes: 0 success, 1 validation error, 2 verify
-failure, 3 I/O error.
+overriding the file.  Each subcommand accepts only the flags it reads; any
+other flag is a usage error.  Exit codes: 0 success, 1 validation error,
+2 verify failure, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -13,16 +14,12 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from . import emit, link, sensing, sweep, temporal, verify
 from .sensing import ChannelPair, SensingConfig
-
-
-class UsageError(ValueError):
-    pass
 
 
 class VerifyFailure(RuntimeError):
@@ -33,76 +30,47 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; keep 2 reserved for verify failures.
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise UsageError(f"argument error: {message}")
+        raise ValueError(f"argument error: {message}")
 
 
-def _add_common(parser: _Parser) -> None:
-    parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--r-db", type=float, help="squeezing level in dB")
-    parser.add_argument("--n-in", type=float, help="source photon budget")
-    parser.add_argument("--n-lo", type=float, help="local-oscillator photons")
-    parser.add_argument("--lambda0-nm", type=float, help="carrier wavelength in nm")
-    parser.add_argument("--delta-omega", type=float, help="spectral spread in rad/s")
-    parser.add_argument("--eta", type=float, help="symmetric transmissivity (both paths)")
-    parser.add_argument("--eta1", type=float, help="path-1 transmissivity")
-    parser.add_argument("--eta2", type=float, help="path-2 transmissivity")
-    parser.add_argument("--split", type=float, help="fraction of photons to path 1")
-    parser.add_argument(
-        "--policy", choices=("shared", "independent"), help="vacuum-port policy"
-    )
-    parser.add_argument("--snr", type=float, help="detection threshold (default 1)")
-    parser.add_argument("--steps", type=int, help="sweep/grid steps")
-    parser.add_argument(
-        "--format", choices=("csv", "json", "svg"), help="output format (default csv)"
-    )
-    parser.add_argument("--out", help="output path (default derived from command)")
+def _flag(*names, **kwargs):
+    return names, kwargs
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="qtlink", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+# Flag groups, declared once; each command takes the groups it reads.
+CONFIG = (_flag("--config", help="JSON config file"),)
+SENSING = (
+    _flag("--r-db", type=float, help="squeezing level in dB"),
+    _flag("--n-in", type=float, help="source photon budget"),
+    _flag("--n-lo", type=float, help="local-oscillator photons"),
+    _flag("--lambda0-nm", type=float, help="carrier wavelength in nm"),
+    _flag("--delta-omega", type=float, help="spectral spread in rad/s"),
+    _flag("--split", type=float, help="fraction of photons to path 1"),
+    _flag("--snr", type=float, help="detection threshold (default 1)"),
+)
+ETAS = (
+    _flag("--eta", type=float, help="symmetric transmissivity (both paths)"),
+    _flag("--eta1", type=float, help="path-1 transmissivity"),
+    _flag("--eta2", type=float, help="path-2 transmissivity"),
+)
+POLICY = (_flag("--policy", choices=("shared", "independent"), help="vacuum-port policy"),)
+TABLE = CONFIG + SENSING + POLICY + (
+    _flag("--steps", type=int, help="sweep/grid steps"),
+    _flag("--format", choices=("csv", "json", "svg"), default="csv",
+          help="output format (default csv)"),
+    _flag("--out", help="output path (default derived from command)"),
+)
+LEVELS = (_flag("--levels", help="comma list of iso-levels for SVG output"),)
 
-    p = sub.add_parser("delta-u", help="evaluate all schemes at one point")
-    _add_common(p)
-
-    p = sub.add_parser("sweep", help="sweep one variable")
-    _add_common(p)
-    p.add_argument("--variable", choices=sweep.SWEEP_VARIABLES)
-    p.add_argument("--start", type=float)
-    p.add_argument("--stop", type=float)
-    p.add_argument(
-        "--schemes", default="TMSV,SQL,SMSV", help="comma list from TMSV,SQL,SMSV"
-    )
-
-    p = sub.add_parser("grid", help="advantage over an (eta1, eta2) grid")
-    _add_common(p)
-    p.add_argument("--quantity", choices=("advantage", "delta_u"), default="advantage")
-    p.add_argument("--levels", help="comma list of iso-levels for SVG output")
-
-    p = sub.add_parser("compare", help="single-mode vs two-mode comparison sweep")
-    _add_common(p)
-
-    p = sub.add_parser("verify", help="cross-check closed forms against the oracle")
-    _add_common(p)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--eta-steps", type=int, help="refine the eta grid")
-
-    p = sub.add_parser("tm-check", help="temporal-mode diagnostics (natural units)")
-    p.add_argument("--omega0", type=float, default=10.0)
-    p.add_argument("--spread", type=float, default=1.0, help="spectral spread")
-    p.add_argument("--points", type=int, default=4096)
-    p.add_argument("--span", type=float, default=8.0)
-
-    for name in ("fig2", "fig3", "fig4"):
-        p = sub.add_parser(name, help=f"reproduce the {name} preset")
-        _add_common(p)
-        if name == "fig2":
-            p.add_argument(
-                "--r-dbs", default="3,7,11,15", help="comma list of squeezing levels"
-            )
-        if name == "fig3":
-            p.add_argument("--levels", help="comma list of iso-levels for SVG output")
-    return parser
+# flag -> the config fields it sets; a later flag overrides an earlier one
+_FLAG_FIELDS = {
+    "r_db": ("r_db",), "n_in": ("n_in",), "n_lo": ("n_lo",), "lambda0_nm": ("lambda0",),
+    "delta_omega": ("delta_omega",), "split": ("split",), "snr": ("snr",),
+    "eta": ("eta1", "eta2"), "eta1": ("eta1",), "eta2": ("eta2",), "policy": ("policy",),
+}
+_SENSING_FIELDS = {f.name for f in fields(SensingConfig)}
+# default ranges of the non-eta sweep variables; the eta ones sweep sweep.ETA_RANGE
+_SWEEP_RANGES = {"r_db": sweep.Range(0.0, 15.0, 100), "n_in": sweep.Range(1e2, 1e6, 100)}
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -133,24 +101,18 @@ def _budget_eta(entry: dict) -> float:
     return link.compose_eta(budget)
 
 
-def _resolve(args, file_cfg: dict):
-    """Merge config file and flags into a SensingConfig + ChannelPair."""
+def _resolve(args):
+    """Merge config file and flags into a SensingConfig + ChannelPair + sweep section."""
+    file_cfg = _load_config_file(args.config)
+    given = {}
+    for name, targets in _FLAG_FIELDS.items():
+        if getattr(args, name, None) is not None:
+            given.update(dict.fromkeys(targets, getattr(args, name)))
     sensing_cfg = dict(file_cfg.get("sensing", {}))
-    if args.r_db is not None:
-        sensing_cfg["r_db"] = args.r_db
-    if args.n_in is not None:
-        sensing_cfg["n_in"] = args.n_in
-    if args.n_lo is not None:
-        sensing_cfg["n_lo"] = args.n_lo
-    if args.lambda0_nm is not None:
-        sensing_cfg["lambda0"] = args.lambda0_nm * 1e-9
+    if "lambda0" in given:
+        given["lambda0"] *= 1e-9
         sensing_cfg.pop("omega0", None)
-    if args.delta_omega is not None:
-        sensing_cfg["delta_omega"] = args.delta_omega
-    if args.split is not None:
-        sensing_cfg["split"] = args.split
-    if args.snr is not None:
-        sensing_cfg["snr"] = args.snr
+    sensing_cfg.update((k, v) for k, v in given.items() if k in _SENSING_FIELDS)
     defaults = asdict(sweep.PAPER_SCALE_CONFIG)
     if "omega0" in sensing_cfg and sensing_cfg.get("omega0") is not None:
         defaults["lambda0"] = None
@@ -169,47 +131,110 @@ def _resolve(args, file_cfg: dict):
             eta = _budget_eta(link_cfg)
             channel_cfg.setdefault("eta1", eta)
             channel_cfg.setdefault("eta2", eta)
-    if args.eta is not None:
-        channel_cfg["eta1"] = args.eta
-        channel_cfg["eta2"] = args.eta
-    if args.eta1 is not None:
-        channel_cfg["eta1"] = args.eta1
-    if args.eta2 is not None:
-        channel_cfg["eta2"] = args.eta2
-    if args.policy is not None:
-        channel_cfg["policy"] = args.policy
+    channel_cfg.update((k, v) for k, v in given.items() if k not in _SENSING_FIELDS)
     channel_cfg.setdefault("eta1", 1.0)
     channel_cfg.setdefault("eta2", 1.0)
     ch = ChannelPair(**channel_cfg)
     return cfg, ch, file_cfg.get("sweep", {})
 
 
-def _emit_or_print(result, args, default_stem: str, levels=None) -> None:
-    fmt = args.format or "csv"
-    path = args.out or f"{default_stem}.{fmt}"
-    emit.write_result(result, fmt, path, levels=levels)
-    print(f"wrote {path}")
+def _comma_list(args, name: str, convert=float):
+    """The parts of comma-list flag ``name`` as a tuple; None when the flag is absent.
 
-
-def _parse_levels(text: str | None):
-    if not text:
+    An empty part, or with ``convert=float`` a part that is not a finite
+    number, is rejected naming the flag.
+    """
+    text = getattr(args, name, None)
+    if text is None:
         return None
-    return [float(part) for part in text.split(",") if part.strip()]
+    parts = [part.strip() for part in text.split(",")]
+    try:
+        values = tuple(map(convert, parts))
+        ok = all(parts) and (convert is not float or all(map(math.isfinite, values)))
+    except ValueError:
+        ok = False
+    if not ok:
+        flag = "--" + name.replace("_", "-")
+        raise ValueError(f"{flag} has an empty or non-finite part in {text!r}")
+    return values
 
 
-def _cmd_delta_u(args, cfg, ch) -> int:
-    rows = [
-        ["TMSV_ideal", sensing.delta_u_tmsv_ideal(cfg).delta_u],
-        ["TMSV_real", sensing.delta_u_tmsv_real(cfg, ch).delta_u],
-        ["SQL", sensing.delta_u_sql(cfg, ch).delta_u],
-        ["SMSV_real", sensing.delta_u_smsv_real(cfg, ch.eta1).delta_u],
+def _range(args, file_sweep: dict, default: sweep.Range = sweep.ETA_RANGE) -> sweep.Range:
+    """Each of start/stop/steps from its flag, else the file's sweep section, else ``default``."""
+    bounds = {}
+    for key in ("start", "stop", "steps"):
+        value = getattr(args, key, None)
+        bounds[key] = value if value is not None else file_sweep.get(key, getattr(default, key))
+    return sweep.Range(**bounds)
+
+
+def _sweep(args, cfg, ch, file_sweep) -> sweep.SweepResult:
+    variable = args.variable or file_sweep.get("variable", "eta_symmetric")
+    swept = {"eta_symmetric": {"eta1", "eta2"}}.get(variable, {variable})
+    clash = [
+        "--" + name.replace("_", "-")
+        for name, targets in _FLAG_FIELDS.items()
+        if getattr(args, name) is not None and swept & set(targets)
     ]
-    if (args.format or "csv") == "json":
-        print(json.dumps({name: value for name, value in rows}, sort_keys=True, indent=2))
+    if clash:
+        raise ValueError(f"{', '.join(clash)} sets {variable}, the swept variable")
+    rng = _range(args, file_sweep, _SWEEP_RANGES.get(variable, sweep.ETA_RANGE))
+    schemes = _comma_list(args, "schemes", str.upper)
+    return sweep.run_sweep(sweep.SweepSpec(variable, rng, cfg, ch, schemes))
+
+
+def _grid(args, cfg, ch, file_sweep) -> sweep.SweepResult:
+    rng = _range(args, file_sweep)
+    return sweep.run_grid(sweep.GridSpec(rng, rng, cfg, args.quantity))
+
+
+# table command -> builder of its SweepResult from (args, config, channel,
+# the config file's sweep section)
+_BUILDERS = {
+    "sweep": _sweep,
+    "grid": _grid,
+    "compare": lambda a, cfg, ch, fs: sweep.run_compare_smsv(
+        sweep.SweepSpec("eta_symmetric", _range(a, fs), cfg, ch)
+    ),
+    "fig2": lambda a, cfg, ch, fs: sweep.preset_fig2(cfg, _comma_list(a, "r_dbs"), _range(a, fs)),
+    "fig3": lambda a, cfg, ch, fs: sweep.preset_fig3(cfg, _range(a, fs)),
+    "fig4": lambda a, cfg, ch, fs: sweep.preset_fig4(cfg, _range(a, fs)),
+}
+# the grid and the figure presets fix their own channels to the shared model
+_SHARED_ONLY = ("grid", "fig2", "fig3", "fig4")
+
+
+def _cmd_table(args) -> int:
+    """Every table command: resolve, build its SweepResult, emit it."""
+    cfg, ch, file_sweep = _resolve(args)
+    if args.command in _SHARED_ONLY and ch.policy != "shared":
+        raise ValueError(
+            f"{args.command} supports only the shared vacuum policy, got {ch.policy!r}"
+        )
+    result = _BUILDERS[args.command](args, cfg, ch, file_sweep)
+    path = args.out or f"{args.command}.{args.format}"
+    emit.write_result(result, args.format, path, levels=_comma_list(args, "levels"))
+    print(f"wrote {path}")
+    return 0
+
+
+def _cmd_delta_u(args) -> int:
+    cfg, ch, _ = _resolve(args)
+    values = {
+        "TMSV_ideal": sensing.delta_u_tmsv_ideal(cfg).delta_u,
+        "TMSV_real": sensing.delta_u_tmsv_real(cfg, ch).delta_u,
+        "SQL": sensing.delta_u_sql(cfg, ch).delta_u,
+        "SMSV_real": sensing.delta_u_smsv_real(cfg, ch.eta1).delta_u,
+    }
+    if args.format == "json":
+        text = json.dumps(values, sort_keys=True, indent=2) + "\n"
     else:
-        print("scheme,delta_u_s")
-        for name, value in rows:
-            print(f"{name},{value:.8e}")
+        text = "scheme,delta_u_s\n" + "".join(f"{k},{v:.8e}\n" for k, v in values.items())
+    if args.out:
+        emit.write_text(text, args.format, args.out)
+        print(f"wrote {args.out}")
+    else:
+        sys.stdout.write(text)
     print(
         f"# advantage (SQL - TMSV): {sensing.quantum_advantage(cfg, ch):.8e} s",
         file=sys.stderr,
@@ -217,60 +242,9 @@ def _cmd_delta_u(args, cfg, ch) -> int:
     return 0
 
 
-def _range_from(args, file_sweep: dict, default: sweep.Range) -> sweep.Range:
-    start = getattr(args, "start", None)
-    stop = getattr(args, "stop", None)
-    return sweep.Range(
-        start if start is not None else file_sweep.get("start", default.start),
-        stop if stop is not None else file_sweep.get("stop", default.stop),
-        args.steps if args.steps is not None else file_sweep.get("steps", default.steps),
-    )
-
-
-def _cmd_sweep(args, cfg, ch, file_sweep) -> int:
-    variable = args.variable or file_sweep.get("variable", "eta_symmetric")
-    if variable.startswith("eta"):
-        default = sweep.Range(0.01, 1.0, 100)
-    elif variable == "r_db":
-        default = sweep.Range(0.0, 15.0, 100)
-    else:
-        default = sweep.Range(1e2, 1e6, 100)
-    rng = _range_from(args, file_sweep, default)
-    schemes = tuple(s.strip().upper() for s in args.schemes.split(",") if s.strip())
-    spec = sweep.SweepSpec(variable, rng, cfg, ch, schemes)
-    _emit_or_print(sweep.run_sweep(spec), args, "sweep")
-    return 0
-
-
-def _require_shared(ch: ChannelPair, command: str) -> None:
-    # the grid and the figure presets fix their own channels to the shared model
-    if ch.policy != "shared":
-        raise ValueError(
-            f"{command} supports only the shared vacuum policy, got {ch.policy!r}"
-        )
-
-
-def _cmd_grid(args, cfg, ch, file_sweep) -> int:
-    _require_shared(ch, "grid")
-    rng = _range_from(args, file_sweep, sweep.Range(0.01, 1.0, 100))
-    spec = sweep.GridSpec(rng, rng, cfg, args.quantity)
-    _emit_or_print(sweep.run_grid(spec), args, "grid", levels=_parse_levels(args.levels))
-    return 0
-
-
-def _cmd_compare(args, cfg, ch, file_sweep) -> int:
-    rng = _range_from(args, file_sweep, sweep.Range(0.01, 1.0, 100))
-    spec = sweep.SweepSpec("eta_symmetric", rng, cfg, ch)
-    _emit_or_print(sweep.run_compare_smsv(spec), args, "compare")
-    return 0
-
-
-def _cmd_verify(args, cfg, ch) -> int:
-    report = verify.run_verify(
-        tolerance=args.tol,
-        policy=ch.policy,
-        eta_steps=args.eta_steps,
-    )
+def _cmd_verify(args) -> int:
+    _, ch, _ = _resolve(args)
+    report = verify.run_verify(tolerance=args.tol, policy=ch.policy, eta_steps=args.eta_steps)
     for line in report.summary_lines():
         print(line)
     if not report.passed:
@@ -314,61 +288,60 @@ def _cmd_tm_check(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_fig2(args, cfg, ch, file_sweep) -> int:
-    _require_shared(ch, "fig2")
-    rng = _range_from(args, file_sweep, sweep.Range(0.01, 1.0, 100))
-    r_dbs = tuple(float(v) for v in args.r_dbs.split(","))
-    _emit_or_print(sweep.preset_fig2(cfg, r_dbs, rng), args, "fig2")
-    return 0
+# command -> (help, flags, handler of the parsed args)
+COMMANDS = {
+    "delta-u": ("evaluate all schemes at one point", CONFIG + SENSING + ETAS + POLICY + (
+        _flag("--format", choices=("csv", "json"), default="csv",
+              help="output format (default csv)"),
+        _flag("--out", help="write the table to this path instead of stdout"),
+    ), _cmd_delta_u),
+    "sweep": ("sweep one variable", TABLE + ETAS + (
+        _flag("--variable", choices=sweep.SWEEP_VARIABLES),
+        _flag("--start", type=float),
+        _flag("--stop", type=float),
+        _flag("--schemes", default="TMSV,SQL,SMSV", help="comma list from TMSV,SQL,SMSV"),
+    ), _cmd_table),
+    "grid": ("advantage over an (eta1, eta2) grid", TABLE + LEVELS + (
+        _flag("--quantity", choices=("advantage", "delta_u"), default="advantage"),
+    ), _cmd_table),
+    "compare": ("single-mode vs two-mode comparison sweep", TABLE, _cmd_table),
+    "verify": ("cross-check closed forms against the oracle", CONFIG + POLICY + (
+        _flag("--tol", type=float, default=1e-9),
+        _flag("--eta-steps", type=int, help="refine the eta grid"),
+    ), _cmd_verify),
+    "tm-check": ("temporal-mode diagnostics (natural units)", (
+        _flag("--omega0", type=float, default=10.0),
+        _flag("--spread", type=float, default=1.0, help="spectral spread"),
+        _flag("--points", type=int, default=4096),
+        _flag("--span", type=float, default=8.0),
+    ), _cmd_tm_check),
+    "fig2": ("reproduce the fig2 preset", TABLE + (
+        _flag("--r-dbs", default="3,7,11,15", help="comma list of squeezing levels"),
+    ), _cmd_table),
+    "fig3": ("reproduce the fig3 preset", TABLE + LEVELS, _cmd_table),
+    "fig4": ("reproduce the fig4 preset", TABLE, _cmd_table),
+}
 
 
-def _cmd_fig3(args, cfg, ch, file_sweep) -> int:
-    _require_shared(ch, "fig3")
-    rng = _range_from(args, file_sweep, sweep.Range(0.01, 1.0, 100))
-    _emit_or_print(
-        sweep.preset_fig3(cfg, rng), args, "fig3", levels=_parse_levels(args.levels)
-    )
-    return 0
-
-
-def _cmd_fig4(args, cfg, ch, file_sweep) -> int:
-    _require_shared(ch, "fig4")
-    rng = _range_from(args, file_sweep, sweep.Range(0.01, 1.0, 100))
-    _emit_or_print(sweep.preset_fig4(cfg, rng), args, "fig4")
-    return 0
+def build_parser() -> _Parser:
+    # no prefix matching: verify --eta would otherwise set --eta-steps
+    parser = _Parser(prog="qtlink", description=__doc__, allow_abbrev=False)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, flags, run) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        for names, kwargs in flags:
+            p.add_argument(*names, **kwargs)
+        p.set_defaults(run=run)
+    return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "tm-check":
-            return _cmd_tm_check(args)
-        cfg, ch, file_sweep = _resolve(args, _load_config_file(args.config))
-        if args.command == "delta-u":
-            return _cmd_delta_u(args, cfg, ch)
-        if args.command == "sweep":
-            return _cmd_sweep(args, cfg, ch, file_sweep)
-        if args.command == "grid":
-            return _cmd_grid(args, cfg, ch, file_sweep)
-        if args.command == "compare":
-            return _cmd_compare(args, cfg, ch, file_sweep)
-        if args.command == "verify":
-            return _cmd_verify(args, cfg, ch)
-        if args.command == "fig2":
-            return _cmd_fig2(args, cfg, ch, file_sweep)
-        if args.command == "fig3":
-            return _cmd_fig3(args, cfg, ch, file_sweep)
-        return _cmd_fig4(args, cfg, ch, file_sweep)
-    except VerifyFailure as err:
+        args = build_parser().parse_args(argv)
+        return args.run(args)
+    except (VerifyFailure, ValueError, TypeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(err, VerifyFailure) else 3 if isinstance(err, OSError) else 1
 
 
 if __name__ == "__main__":

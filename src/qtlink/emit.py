@@ -21,6 +21,7 @@ __all__ = [
     "render_json",
     "render_svg",
     "write_result",
+    "write_text",
     "contour_segments",
 ]
 
@@ -65,6 +66,11 @@ def write_result(result: SweepResult, fmt: str, path: str, levels=None) -> None:
         text = render_json(result)
     else:
         text = render_svg(result, levels=levels)
+    write_text(text, fmt, path)
+
+
+def write_text(text: str, fmt: str, path: str) -> None:
+    """Write already-rendered ``fmt`` output to ``path``, naming the path on failure."""
     try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)

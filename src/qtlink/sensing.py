@@ -293,11 +293,18 @@ def delta_u(
     * SMSV_real:  (1/2)*sqrt((eta1*e^-2r + 1-eta1) / (eta1*(n1+n2))) / omega_rss,
       the whole budget n1 + n2 in one mode through channel 1.
 
-    Each value is scaled by ``snr``.  Every eta and the result are checked
-    element by element, NaN included.
+    Each value is scaled by ``snr``.  Every argument and the result are
+    checked element by element, NaN included: n1 and n2 finite and >= 0,
+    omega_rss and snr finite and > 0.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
+    for name, value in (("n1", n1), ("n2", n2)):
+        value = np.asarray(value, dtype=float)
+        _check(name, value, np.isfinite(value) & (value >= 0.0), "finite and >= 0")
+    for name, value in (("omega_rss", omega_rss), ("snr", snr)):
+        value = np.asarray(value, dtype=float)
+        _check(name, value, np.isfinite(value) & (value > 0.0), "finite and > 0")
     if scheme == "TMSV_ideal":
         denom = math.sqrt(2.0) * (np.sqrt(n1) + np.sqrt(n2)) * omega_rss
         value = _math(math.exp, -_squeezing(r)) / denom

@@ -27,6 +27,7 @@ __all__ = [
     "preset_fig3",
     "preset_fig4",
     "PAPER_SCALE_CONFIG",
+    "ETA_RANGE",
 ]
 
 SWEEP_VARIABLES = ("eta_symmetric", "eta1", "eta2", "r_db", "n_in")
@@ -57,6 +58,10 @@ class Range:
 
     def values(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.steps)
+
+
+# Default transmissivity axis of the eta sweeps, the grid and the presets.
+ETA_RANGE = Range(0.01, 1.0, 100)
 
 
 @dataclass(frozen=True)
@@ -210,6 +215,9 @@ def run_compare_smsv(spec: SweepSpec) -> SweepResult:
     du = {s: _mesh(s, spec.config, spec.channel, eta1=eta, eta2=eta) for s in SCHEMES}
     rows = _table(eta, du["TMSV"], du["SMSV"], du["SQL"], du["SMSV"] / du["TMSV"])
     meta = _echo(spec.config)
+    # the etas are swept: echo the policy alone, and only when not the default
+    if spec.channel.policy != "shared":
+        meta["channel"] = {"policy": spec.channel.policy}
     meta["sweep"] = {"variable": spec.variable, **asdict(spec.range)}
     return SweepResult(["eta", "du_tmsv", "du_smsv", "du_sql", "ratio"], rows, meta)
 
@@ -221,7 +229,7 @@ def _label_db(r_db: float) -> str:
 def preset_fig2(
     config: SensingConfig | None = None,
     r_dbs: tuple = (3.0, 7.0, 11.0, 15.0),
-    eta_range: Range = Range(0.01, 1.0, 100),
+    eta_range: Range = ETA_RANGE,
 ) -> SweepResult:
     """Offset-vs-transmissivity curves for several squeezing levels plus the baseline."""
     cfg, ch = config or PAPER_SCALE_CONFIG, ChannelPair(1.0, 1.0)
@@ -239,7 +247,7 @@ def preset_fig2(
 
 def preset_fig3(
     config: SensingConfig | None = None,
-    eta_range: Range = Range(0.01, 1.0, 100),
+    eta_range: Range = ETA_RANGE,
 ) -> SweepResult:
     """Advantage surface over asymmetric (eta1, eta2) at fixed 5 dB squeezing."""
     cfg = config or PAPER_SCALE_CONFIG
@@ -250,7 +258,7 @@ def preset_fig3(
 
 def preset_fig4(
     config: SensingConfig | None = None,
-    eta_range: Range = Range(0.01, 1.0, 100),
+    eta_range: Range = ETA_RANGE,
 ) -> SweepResult:
     """Single-mode vs two-mode offset curves over symmetric loss at 5 dB."""
     cfg = config or PAPER_SCALE_CONFIG

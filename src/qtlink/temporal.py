@@ -58,6 +58,9 @@ class SpectralProfile:
     grid_span: float = 8.0
 
     def __post_init__(self):
+        for name in ("omega0", "delta_omega", "grid_span"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.omega0 <= 0:
             raise ValueError(f"omega0 must be > 0, got {self.omega0}")
         if self.delta_omega <= 0:

@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from qtlink.cli import main
+from qtlink.cli import build_parser, main
 
 FIG2_HEADER = "eta,du_sql,du_tmsv_3db,du_tmsv_7db,du_tmsv_11db,du_tmsv_15db"
 
@@ -291,3 +292,129 @@ def test_fixed_channel_commands_reject_independent_policy_from_config(tmp_path, 
     code, _, err = run(["fig3", "--config", str(path), "--steps", "4"], capsys)
     assert code == 1
     assert "shared vacuum policy" in err
+
+
+# A value each flag accepts, so a rejection is about the flag, not its value.
+FLAG_VALUES = {
+    "--r-db": "5", "--n-in": "1000", "--n-lo": "1", "--lambda0-nm": "815",
+    "--delta-omega": "6e6", "--split": "0.5", "--snr": "1", "--eta": "0.5",
+    "--eta1": "0.5", "--eta2": "0.5", "--steps": "5", "--format": "csv", "--out": "o.csv",
+}
+# (command, flag) pairs that were accepted but read by nothing
+DROPPED = [
+    *(("verify", flag) for flag in FLAG_VALUES),
+    *((command, flag) for command in ("grid", "compare", "fig2", "fig3", "fig4")
+      for flag in ("--eta", "--eta1", "--eta2")),
+    ("delta-u", "--steps"),
+]
+
+
+def command_flags():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {a.option_strings[-1] for a in p._actions if not isinstance(a, argparse._HelpAction)}
+        for name, p in sub.choices.items()
+    }
+
+
+def test_each_command_declares_only_the_flags_it_reads():
+    flags = command_flags()
+    assert sum(map(len, flags.values())) <= 105
+    assert flags["verify"] == {"--config", "--policy", "--tol", "--eta-steps"}
+    assert len(DROPPED) == 29
+    assert not any(flag in flags[command] for command, flag in DROPPED)
+
+
+@pytest.mark.parametrize("command, flag", DROPPED)
+def test_dropped_flag_exits_1_writing_nothing(command, flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run([command, flag, FLAG_VALUES[flag]], capsys)
+    assert code == 1
+    assert out == ""
+    assert f"unrecognized arguments: {flag}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_delta_u_rejects_svg(capsys):
+    code, out, err = run(["delta-u", "--format", "svg"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "invalid choice: 'svg'" in err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_delta_u_out_writes_the_bytes_it_would_print(fmt, tmp_path, capsys):
+    args = ["delta-u", "--eta1", "0.4", "--eta2", "0.7", "--format", fmt]
+    code, printed, err = run(args, capsys)
+    path = tmp_path / f"d.{fmt}"
+    assert code == 0
+    assert run([*args, "--out", str(path)], capsys) == (0, f"wrote {path}\n", err)
+    assert path.read_bytes() == printed.encode()
+
+
+@pytest.mark.parametrize(
+    "variable, flag",
+    [
+        ("eta_symmetric", "--eta"),
+        ("eta_symmetric", "--eta2"),
+        ("eta1", "--eta1"),
+        ("eta1", "--eta"),
+        ("eta2", "--eta2"),
+        ("r_db", "--r-db"),
+        ("n_in", "--n-in"),
+    ],
+)
+def test_sweep_rejects_a_flag_that_sets_the_swept_variable(variable, flag, tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    args = ["sweep", "--variable", variable, flag, FLAG_VALUES[flag], "--out", str(out)]
+    code, stdout, err = run(args, capsys)
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith(f"error: {flag} sets {variable}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["fig3", "--levels", "nan"], "--levels"),
+        (["grid", "--levels", "1e-18,inf"], "--levels"),
+        (["grid", "--levels", "1e-18,"], "--levels"),
+        (["fig2", "--r-dbs", "3,,7"], "--r-dbs"),
+        (["fig2", "--r-dbs", "3,x"], "--r-dbs"),
+        (["sweep", "--schemes", "TMSV,"], "--schemes"),
+    ],
+)
+def test_comma_lists_reject_empty_or_non_finite_parts(args, flag, tmp_path, capsys):
+    out = tmp_path / "o.svg"
+    code, stdout, err = run([*args, "--steps", "4", "--out", str(out)], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith(f"error: {flag} has an empty or non-finite part")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--omega0", "nan", "omega0"),
+        ("--spread", "inf", "delta_omega"),
+        ("--span", "nan", "grid_span"),
+    ],
+)
+def test_tm_check_rejects_non_finite_profile(flag, value, field, capsys):
+    code, out, err = run(["tm-check", flag, value], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {field} must be finite")
+
+
+def test_compare_echoes_a_non_shared_policy(tmp_path, capsys):
+    metas = {}
+    for policy in ("shared", "independent"):
+        out = tmp_path / f"{policy}.json"
+        args = ["compare", "--steps", "5", "--policy", policy, "--format", "json"]
+        assert run([*args, "--out", str(out)], capsys)[0] == 0
+        metas[policy] = json.loads(out.read_text())["meta"]
+    assert "channel" not in metas["shared"]
+    assert metas["independent"] == {**metas["shared"], "channel": {"policy": "independent"}}

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.strategies import floats
 
 from qtlink.gaussian import (
     GaussianState,
@@ -14,6 +16,7 @@ from qtlink.gaussian import (
     symplectic_form,
     vacuum,
 )
+from qtlink.sensing import r_from_db
 
 R_5DB = 5.0 * np.log(10.0) / 20.0
 SUM_X = HomodynePattern([1.0, 1.0], 0.0)
@@ -251,6 +254,16 @@ def test_physicality_under_random_unitaries_and_independent_loss():
                     independent_vacuum(),
                 )
         assert min_physicality_eigenvalue(st) >= -1e-9
+
+
+@settings(deadline=None, max_examples=60)
+@given(r_db=floats(0.0, 20.0), eta1=floats(0.0, 1.0), eta2=floats(0.0, 1.0))
+def test_independent_ports_keep_the_lossy_pair_physical(r_db, eta1, eta2):
+    # the two-mode chain verify runs, at random (r, eta1, eta2)
+    state = tmsv(r_from_db(r_db))
+    state = pure_loss(state, 0, eta1, independent_vacuum())
+    state = pure_loss(state, 1, eta2, independent_vacuum())
+    assert min_physicality_eigenvalue(state) >= -1e-9
 
 
 def test_shared_policy_is_not_a_physical_map():

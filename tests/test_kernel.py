@@ -3,6 +3,7 @@ paper's limit identities and advantage boundary as properties, and
 element-wise validation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -155,8 +156,32 @@ def test_kernel_checks_every_result():
     with pytest.raises(ValueError, match="diverges"):
         evaluate("SMSV_real", LEO, np.array([0.5, 0.0]))
     with pytest.raises(ValueError, match="delta_u must be finite and > 0"):
-        delta_u("TMSV_real", 0.5, 0.5, 0.5, 500.0, 500.0, np.array([1e15, np.inf]), 1.0)
+        # valid arguments whose second offset underflows to 0
+        delta_u("TMSV_real", 0.5, 0.5, 0.5, 500.0, 500.0, np.array([1e15, 1e300]), 1e-30)
     with pytest.raises(ValueError, match="unknown scheme"):
         delta_u("TMSV", 0.5, 0.5, 0.5, 500.0, 500.0, 1e15, 1.0)
     with pytest.raises(ValueError, match="policy"):
         radicand("TMSV_real", 0.5, 0.5, 0.5, "other")
+
+
+@pytest.mark.parametrize(
+    "name, bad, requirement",
+    [
+        ("n1", -1.0, ">= 0"),
+        ("n1", float("nan"), ">= 0"),
+        ("n2", float("inf"), ">= 0"),
+        ("n2", np.array([500.0, -1.0]), ">= 0"),
+        ("omega_rss", 0.0, "> 0"),
+        ("omega_rss", float("inf"), "> 0"),
+        ("snr", -2.0, "> 0"),
+        ("snr", float("nan"), "> 0"),
+    ],
+)
+@pytest.mark.parametrize("scheme", ["TMSV_ideal", "TMSV_real", "SQL", "SMSV_real"])
+def test_kernel_rejects_bad_photon_counts_and_scales(scheme, name, bad, requirement):
+    args = dict(n1=500.0, n2=500.0, omega_rss=1e15, snr=1.0)
+    args[name] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} must be finite and {requirement}"):
+            delta_u(scheme, 0.5, 0.5, 0.5, **args)
