@@ -10,13 +10,10 @@ from .constants import FIELD_SCALE, HBAR, SPEED_OF_LIGHT
 from .gaussian import (
     GaussianState,
     HomodynePattern,
-    LossPolicy,
     beam_splitter,
     homodyne_variance,
-    independent_vacuum,
     min_physicality_eigenvalue,
     pure_loss,
-    shared_vacuum,
     squeeze_single,
     symplectic_form,
     vacuum,

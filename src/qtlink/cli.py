@@ -243,8 +243,12 @@ def _cmd_delta_u(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _, ch, _ = _resolve(args)
-    report = verify.run_verify(tolerance=args.tol, policy=ch.policy, eta_steps=args.eta_steps)
+    # the oracle reads only the vacuum policy: the flag, else the file's channel section
+    channel = _load_config_file(args.config).get("channel", {})
+    if not isinstance(channel, dict):
+        raise ValueError("config section 'channel' must be a JSON object")
+    policy = args.policy or channel.get("policy", "shared")
+    report = verify.run_verify(tolerance=args.tol, policy=policy, eta_steps=args.eta_steps)
     for line in report.summary_lines():
         print(line)
     if not report.passed:

@@ -17,16 +17,13 @@ algebra, read the homodyne variance off the covariance matrix, and compare.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "GaussianState",
     "HomodynePattern",
-    "LossPolicy",
-    "independent_vacuum",
-    "shared_vacuum",
     "vacuum",
     "squeeze_single",
     "beam_splitter",
@@ -46,18 +43,22 @@ class GaussianState:
         mean: quadrature expectations (x1, p1, x2, p2, ...), shape (..., 2n).
         cov: real symmetric covariance matrices, shape (..., 2n, 2n); identity
             for vacuum.  Leading axes are batch axes and must match ``mean``'s.
-        shared_ancillas: map from loss-channel tag to the mode index of the
-            vacuum ancilla that all losses with that tag read (see pure_loss).
+        shared_port: index of the vacuum mode that every shared-policy loss
+            reads (see pure_loss), or None before the first such loss.
     """
 
     n_modes: int
     mean: np.ndarray
     cov: np.ndarray
-    shared_ancillas: dict = field(default_factory=dict)
+    shared_port: int | None = None
 
     def __post_init__(self):
         if self.n_modes < 1:
             raise ValueError(f"n_modes must be >= 1, got {self.n_modes}")
+        if self.shared_port is not None and not 0 <= self.shared_port < self.n_modes:
+            raise ValueError(
+                f"shared_port {self.shared_port} out of range for {self.n_modes}-mode state"
+            )
         mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
         d = 2 * self.n_modes
@@ -123,36 +124,6 @@ class HomodynePattern:
         return v
 
 
-@dataclass(frozen=True)
-class LossPolicy:
-    """Vacuum-port policy for pure_loss.
-
-    ``independent``: every loss event couples to its own fresh vacuum mode
-    (a genuine beam-splitter unitary).
-
-    ``shared``: every loss event carrying the same tag reads one common
-    vacuum mode, and reads it in its *original* vacuum state (the ancilla is
-    never written back).  This reproduces closed forms in which distinct
-    channels' vacuum contributions add coherently; it is not a unitary map
-    and the resulting global state may violate the uncertainty relation.
-    """
-
-    kind: str
-    tag: str = "common"
-
-    def __post_init__(self):
-        if self.kind not in ("independent", "shared"):
-            raise ValueError(f"unknown loss policy kind {self.kind!r}")
-
-
-def independent_vacuum() -> LossPolicy:
-    return LossPolicy("independent")
-
-
-def shared_vacuum(tag: str = "common") -> LossPolicy:
-    return LossPolicy("shared", tag)
-
-
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Standard symplectic form Omega for (x1, p1, x2, p2, ...) ordering."""
     j = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -202,7 +173,7 @@ def _apply_linear(state: GaussianState, m: np.ndarray) -> GaussianState:
         state.n_modes,
         (m @ state.mean[..., None])[..., 0],
         m @ state.cov @ np.swapaxes(m, -1, -2),
-        dict(state.shared_ancillas),
+        state.shared_port,
     )
 
 
@@ -263,20 +234,19 @@ def beam_splitter(
     return _apply_linear(state, _bs_rows(state.n_modes, m1, m2, eta))
 
 
-def _append_vacuum(state: GaussianState) -> GaussianState:
+def _append_vacuum(state: GaussianState, as_port: bool) -> GaussianState:
+    """Add one vacuum mode; with ``as_port`` it becomes the state's shared port."""
     d = 2 * state.n_modes
     batch = state.batch_shape
     mean = np.concatenate([state.mean, np.zeros(batch + (2,))], axis=-1)
     cov = _identity(batch, d + 2)
     cov[..., :d, :d] = state.cov
-    return GaussianState(state.n_modes + 1, mean, cov, dict(state.shared_ancillas))
+    port = state.n_modes if as_port else state.shared_port
+    return GaussianState(state.n_modes + 1, mean, cov, port)
 
 
 def pure_loss(
-    state: GaussianState,
-    mode: int,
-    eta: float | np.ndarray,
-    policy: LossPolicy = LossPolicy("shared"),
+    state: GaussianState, mode: int, eta: float | np.ndarray, policy: str = "shared"
 ) -> GaussianState:
     """Attenuate one mode to transmissivity eta against a vacuum port.
 
@@ -285,53 +255,46 @@ def pure_loss(
     input uncorrelated with the port, the mode variance maps to
     eta*Var + (1 - eta).
 
-    With the independent policy this is a plain two-mode beam splitter
-    against a fresh vacuum.  With the shared policy, every loss carrying the
-    same tag reads one tagged ancilla without writing it back, so all tagged
-    channels see the identical, still-vacuum port.  A chain of true beam
-    splitters through one ancilla would feed the second channel the
-    *already-mixed* port and produce different cross terms; the read-only
-    coupling is what the shared closed forms assume.
+    ``"independent"``: every loss couples to its own fresh vacuum mode, a
+    genuine two-mode beam-splitter unitary.
+
+    ``"shared"``: every shared loss reads the state's one shared port
+    (``state.shared_port``, appended by the first such loss) without writing
+    it back, so all shared channels see the identical, still-vacuum port.
+    A chain of true beam splitters through one ancilla would feed the second
+    channel the *already-mixed* port and produce different cross terms; the
+    read-only coupling is what the shared closed forms assume, so distinct
+    channels' vacuum contributions add coherently.  It is not a unitary map,
+    and the resulting global state may violate the uncertainty relation.
 
     Args:
         state: input state.
         mode: index of the lossy mode.
         eta: transmissivity in [0, 1], or an array of them acting on a stack.
-        policy: vacuum-port policy; defaults to shared (tag "common").
+        policy: vacuum-port policy, ``"shared"`` (default) or ``"independent"``.
 
     Returns:
-        New state with one more mode the first time a given port is used.
-        Only when every eta is 1 is the state returned unchanged, without
-        an ancilla; a stack mixing eta = 1 with eta < 1 grows for all.
+        New state with one more mode for every independent loss and for the
+        first shared one.  Only when every eta is 1 is the state returned
+        unchanged, without an ancilla; a stack mixing eta = 1 with eta < 1
+        grows for all.
     """
     state._check_mode(mode)
+    if policy not in ("shared", "independent"):
+        raise ValueError(f"unknown vacuum policy {policy!r}")
     eta = _transmissivity(eta)
     if np.all(eta == 1.0):
         return state
 
-    if policy.kind == "independent":
-        grown = _append_vacuum(state)
-        return beam_splitter(grown, mode, grown.n_modes - 1, eta)
-
-    ancilla = state.shared_ancillas.get(policy.tag)
-    if ancilla is None:
-        grown = _append_vacuum(state)
-        ancilla = grown.n_modes - 1
-        grown.shared_ancillas[policy.tag] = ancilla
-    else:
-        if not 0 <= ancilla < state.n_modes:
-            raise ValueError(
-                f"shared tag {policy.tag!r} points at mode {ancilla}, "
-                f"outside this {state.n_modes}-mode state"
-            )
-        grown = state
-    # Read-only coupling: the lossy mode picks up the port with beam-splitter
-    # weights, the port row stays the identity.
-    m = _identity(eta.shape, 2 * grown.n_modes)
-    for off in (0, 1):
-        a, b = 2 * mode + off, 2 * ancilla + off
-        m[..., a, a] = np.sqrt(eta)
-        m[..., a, b] = -np.sqrt(1.0 - eta)
+    shared = policy == "shared"
+    grown = state if shared and state.shared_port is not None else _append_vacuum(state, shared)
+    port = grown.shared_port if shared else grown.n_modes - 1
+    m = _bs_rows(grown.n_modes, mode, port, eta)
+    if shared:
+        # Read-only coupling: the lossy mode picks up the port with
+        # beam-splitter weights, the port's own rows stay the identity.
+        i = 2 * port
+        m[..., i : i + 2, :] = np.eye(2 * grown.n_modes)[i : i + 2]
     return _apply_linear(grown, m)
 
 

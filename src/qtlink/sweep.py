@@ -231,7 +231,15 @@ def preset_fig2(
     r_dbs: tuple = (3.0, 7.0, 11.0, 15.0),
     eta_range: Range = ETA_RANGE,
 ) -> SweepResult:
-    """Offset-vs-transmissivity curves for several squeezing levels plus the baseline."""
+    """Offset-vs-transmissivity curves for several squeezing levels plus the baseline.
+
+    Each level labels its column ``du_tmsv_{r_db:g}db``; levels whose labels
+    repeat (3 and 3.0, or 3 and 3.0000001) are rejected.
+    """
+    columns = ["eta"] + ["du_sql"] + [_label_db(r) for r in r_dbs]
+    repeated = [c for c in columns if columns.count(c) > 1]
+    if repeated:
+        raise ValueError(f"r_dbs repeat the column label {repeated[0]}")
     cfg, ch = config or PAPER_SCALE_CONFIG, ChannelPair(1.0, 1.0)
     eta = eta_range.values()
     du_sql = _mesh("SQL", cfg, ch, eta1=eta, eta2=eta)
@@ -239,7 +247,6 @@ def preset_fig2(
     levels = np.array(r_dbs, dtype=float)[:, None]
     du_tmsv = _mesh("TMSV", cfg, ch, eta1=eta, eta2=eta, r_db=levels)
     rows = _table(eta, du_sql, *du_tmsv)
-    columns = ["eta"] + ["du_sql"] + [_label_db(r) for r in r_dbs]
     meta = _echo(cfg)
     meta["preset"] = {"name": "fig2", "r_dbs": list(r_dbs), **asdict(eta_range)}
     return SweepResult(columns, rows, meta)

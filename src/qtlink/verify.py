@@ -24,9 +24,7 @@ from .gaussian import (
     HomodynePattern,
     beam_splitter,
     homodyne_variance,
-    independent_vacuum,
     pure_loss,
-    shared_vacuum,
     squeeze_single,
     vacuum,
 )
@@ -52,14 +50,6 @@ _SUM_X = HomodynePattern([1.0, 1.0], 0.0)
 _SINGLE_X = HomodynePattern([1.0], 0.0)
 
 
-def _policy(policy: str):
-    if policy == "shared":
-        return shared_vacuum("link")
-    if policy == "independent":
-        return independent_vacuum()
-    raise ValueError(f"unknown vacuum policy {policy!r}")
-
-
 def tmsv_chain_variance(
     r: float, eta1: float | np.ndarray, eta2: float | np.ndarray, policy: str = "shared"
 ) -> float | np.ndarray:
@@ -68,13 +58,12 @@ def tmsv_chain_variance(
     ``eta1`` and ``eta2`` may be arrays; they broadcast against each other
     and the result holds one variance per point.
     """
-    pol = _policy(policy)
     state = vacuum(2)
     state = squeeze_single(state, 0, r, 0.0)
     state = squeeze_single(state, 1, r, np.pi / 2.0)
     state = beam_splitter(state, 0, 1, 0.5)
-    state = pure_loss(state, 0, eta1, pol)
-    state = pure_loss(state, 1, eta2, pol)
+    state = pure_loss(state, 0, eta1, policy)
+    state = pure_loss(state, 1, eta2, policy)
     return homodyne_variance(state, _SUM_X)
 
 
@@ -84,7 +73,7 @@ def smsv_chain_variance(
     """X variance of a lossy squeezed mode, by explicit matrix algebra (eta may be an array)."""
     state = vacuum(1)
     state = squeeze_single(state, 0, r, 0.0)
-    state = pure_loss(state, 0, eta, _policy(policy))
+    state = pure_loss(state, 0, eta, policy)
     return homodyne_variance(state, _SINGLE_X)
 
 
@@ -135,10 +124,6 @@ class VerifyReport:
         yield f"verify: max_rel_err={self.max_rel_err:.3e} passed={self.passed}"
 
 
-def _rel_errs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.abs(a - b) / np.maximum(np.abs(b), 1e-300)
-
-
 def _stacked(chain, *etas: np.ndarray) -> np.ndarray:
     """Run ``chain`` over aligned eta vectors, at most _MAX_STACK points per stack."""
     out = np.empty(len(etas[0]))
@@ -149,34 +134,44 @@ def _stacked(chain, *etas: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rows(
+    r_db: float, etas: dict, formula: np.ndarray, oracle: np.ndarray, tolerance: float
+) -> list:
+    """One row dict per point: r_db, the named eta columns, formula, oracle, rel_err, ok."""
+    err = np.abs(oracle - formula) / np.maximum(np.abs(formula), 1e-300)
+    keys = ("r_db", *etas, "formula", "oracle", "rel_err")
+    columns = (*etas.values(), formula, oracle, err)
+    return [
+        dict(zip(keys, (r_db, *point)), ok=point[-1] <= tolerance)
+        for point in zip(*(c.tolist() for c in columns))
+    ]
+
+
 def run_verify(
-    tolerance: float = 1e-9,
-    r_dbs: tuple = DEFAULT_R_DBS,
-    etas: tuple = DEFAULT_ETAS,
-    policy: str = "shared",
-    eta_steps: int | None = None,
+    tolerance: float = 1e-9, policy: str = "shared", eta_steps: int | None = None
 ) -> VerifyReport:
     """Sweep the cross-check grid and report per-point pass/fail.
 
-    With the independent policy the oracle is compared against the
-    independent-port radicand; the gap to the shared closed form is checked
-    against its predicted value and recorded as a diagnostic note rather
-    than a failure.
+    The grid is DEFAULT_R_DBS by DEFAULT_ETAS, or by ``eta_steps`` etas
+    evenly spaced over the same span.  With the independent policy the
+    oracle is compared against the independent-port radicand; the gap to
+    the shared closed form is checked against its predicted value and
+    recorded as a diagnostic note rather than a failure.
     """
     if not (math.isfinite(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
+    eta_vec = np.asarray(DEFAULT_ETAS, dtype=float)
     if eta_steps is not None:
         if eta_steps < 2:
             raise ValueError("eta_steps must be >= 2")
-        etas = tuple(np.linspace(min(etas), max(etas), eta_steps))
+        eta_vec = np.linspace(eta_vec.min(), eta_vec.max(), eta_steps)
     report = VerifyReport(policy=policy, tolerance=tolerance)
 
-    eta_vec = np.asarray(etas, dtype=float)
     n = len(eta_vec)
     eta1_vec, eta2_vec = np.repeat(eta_vec, n), np.tile(eta_vec, n)
     cross = np.sqrt((1.0 - eta1_vec) * (1.0 - eta2_vec))
     max_gap_err = 0.0
-    for r_db in r_dbs:
+    for r_db in DEFAULT_R_DBS:
         r = r_from_db(r_db)
         # Closed forms over the whole eta mesh.  The independent radicand is
         # the shared one minus the cross term, so the gap check below reads
@@ -186,25 +181,16 @@ def run_verify(
         oracle = _stacked(
             lambda e1, e2: tmsv_chain_variance(r, e1, e2, policy), eta1_vec, eta2_vec
         ) / 2.0
-        err = _rel_errs(oracle, expected)
-        columns = (eta1_vec, eta2_vec, expected, oracle, err)
-        for e1, e2, f, o, e in zip(*(c.tolist() for c in columns)):
-            report.two_mode_rows.append(
-                {"r_db": r_db, "eta1": e1, "eta2": e2, "formula": f, "oracle": o,
-                 "rel_err": e, "ok": e <= tolerance}
-            )
+        report.two_mode_rows += _rows(
+            r_db, {"eta1": eta1_vec, "eta2": eta2_vec}, expected, oracle, tolerance
+        )
         if policy == "independent":
             gap = np.abs((q_shared - oracle) - cross).max()
             max_gap_err = max(max_gap_err, float(gap))
-        expected = radicand("SMSV_real", r, eta_vec)
         oracle = _stacked(lambda e: smsv_chain_variance(r, e, policy), eta_vec)
-        err = _rel_errs(oracle, expected)
-        columns = (eta_vec, expected, oracle, err)
-        for eta, f, o, e in zip(*(c.tolist() for c in columns)):
-            report.single_mode_rows.append(
-                {"r_db": r_db, "eta": eta, "formula": f, "oracle": o,
-                 "rel_err": e, "ok": e <= tolerance}
-            )
+        report.single_mode_rows += _rows(
+            r_db, {"eta": eta_vec}, radicand("SMSV_real", r, eta_vec), oracle, tolerance
+        )
     if policy == "independent":
         report.notes.append(
             "independent ports sit below the shared closed form by exactly "

@@ -418,3 +418,59 @@ def test_compare_echoes_a_non_shared_policy(tmp_path, capsys):
         metas[policy] = json.loads(out.read_text())["meta"]
     assert "channel" not in metas["shared"]
     assert metas["independent"] == {**metas["shared"], "channel": {"policy": "independent"}}
+
+
+def _verify_with_config(tmp_path, capsys, config, *flags):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    return run(["verify", "--config", str(path), *flags], capsys)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"sensing": {"r_db": -1}},
+        {"sensing": {"no_such_field": 1.0}},
+        {"link": {"eta_detector": 2.0}},
+        {"channel": {"eta1": 7.0}},
+        {"channel": {"eta1": "x", "policy": "shared"}, "sweep": {"steps": -3}},
+    ],
+)
+def test_verify_reads_only_the_policy_from_config(config, tmp_path, capsys):
+    plain = run(["verify"], capsys)
+    assert _verify_with_config(tmp_path, capsys, config) == plain
+
+
+def test_verify_takes_the_policy_from_config(tmp_path, capsys):
+    config = {"channel": {"policy": "independent"}}
+    flagged = run(["verify", "--policy", "independent"], capsys)
+    assert _verify_with_config(tmp_path, capsys, config) == flagged
+    # the flag overrides the file
+    plain = run(["verify"], capsys)
+    assert _verify_with_config(tmp_path, capsys, config, "--policy", "shared") == plain
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"channel": {"policy": "bogus"}}, "unknown vacuum policy 'bogus'"),
+        ({"channel": ["policy", "independent"]}, "'channel' must be a JSON object"),
+        ({"channel": "independent"}, "'channel' must be a JSON object"),
+    ],
+)
+def test_verify_rejects_a_bad_channel_policy(config, message, tmp_path, capsys):
+    code, out, err = _verify_with_config(tmp_path, capsys, config)
+    assert code == 1
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("r_dbs", ["3,3.0", "3,3.0000001", "7,3,7"])
+def test_fig2_rejects_repeated_column_labels(r_dbs, tmp_path, capsys):
+    out_path = tmp_path / "fig2.csv"
+    code, out, err = run(["fig2", "--r-dbs", r_dbs, "--out", str(out_path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert "r_dbs repeat the column label du_tmsv_" in err
+    assert not out_path.exists()
+

@@ -8,10 +8,8 @@ from qtlink.gaussian import (
     HomodynePattern,
     beam_splitter,
     homodyne_variance,
-    independent_vacuum,
     min_physicality_eigenvalue,
     pure_loss,
-    shared_vacuum,
     squeeze_single,
     symplectic_form,
     vacuum,
@@ -138,14 +136,14 @@ def test_pure_loss_eta_one_unchanged():
 
 def test_pure_loss_mixes_in_vacuum():
     st = squeeze_single(vacuum(1), 0, R_5DB, 0.0)
-    out = pure_loss(st, 0, 0.5, independent_vacuum())
+    out = pure_loss(st, 0, 0.5, "independent")
     assert out.cov[0, 0] == pytest.approx(0.658113883008419, rel=1e-12)
     assert out.n_modes == 2  # ancilla retained
 
 
 def test_pure_loss_variance_rule_any_policy():
     st = squeeze_single(vacuum(1), 0, 0.7, 0.0)
-    for policy in (independent_vacuum(), shared_vacuum("t")):
+    for policy in ("independent", "shared"):
         out = pure_loss(st, 0, 0.3, policy)
         assert out.cov[0, 0] == pytest.approx(
             0.3 * np.exp(-1.4) + 0.7, rel=1e-12
@@ -156,7 +154,7 @@ def test_shared_policy_reproduces_summed_variance_closed_form():
     # the key cross-check: summed-X variance after shared-port losses
     r, eta1, eta2 = R_5DB, 0.7, 0.4
     st = tmsv(r)
-    policy = shared_vacuum("link")
+    policy = "shared"
     st = pure_loss(st, 0, eta1, policy)
     st = pure_loss(st, 1, eta2, policy)
     q = (
@@ -172,8 +170,8 @@ def test_shared_policy_reproduces_summed_variance_closed_form():
 def test_independent_policy_drops_cross_term():
     r, eta1, eta2 = R_5DB, 0.7, 0.4
     st = tmsv(r)
-    st = pure_loss(st, 0, eta1, independent_vacuum())
-    st = pure_loss(st, 1, eta2, independent_vacuum())
+    st = pure_loss(st, 0, eta1, "independent")
+    st = pure_loss(st, 1, eta2, "independent")
     q_indep = (
         (eta1 + eta2) * np.sinh(r) ** 2 + 1.0 - np.sqrt(eta1 * eta2) * np.sinh(2 * r)
     )
@@ -187,7 +185,7 @@ def test_independent_policy_drops_cross_term():
 def test_oracle_formula_equivalence_grid(r_db, eta1, eta2):
     r = r_db * np.log(10.0) / 20.0
     st = tmsv(r)
-    policy = shared_vacuum("link")
+    policy = "shared"
     st = pure_loss(st, 0, eta1, policy)
     st = pure_loss(st, 1, eta2, policy)
     q = (
@@ -201,7 +199,7 @@ def test_oracle_formula_equivalence_grid(r_db, eta1, eta2):
 
 def test_lossless_chain_reproduces_ideal_variance():
     st = tmsv(R_5DB)
-    policy = shared_vacuum("link")
+    policy = "shared"
     st = pure_loss(st, 0, 1.0, policy)
     st = pure_loss(st, 1, 1.0, policy)
     assert homodyne_variance(st, SUM_X) == pytest.approx(
@@ -251,7 +249,7 @@ def test_physicality_under_random_unitaries_and_independent_loss():
             else:
                 st = pure_loss(
                     st, int(rng.integers(0, st.n_modes)), rng.uniform(0, 1),
-                    independent_vacuum(),
+                    "independent",
                 )
         assert min_physicality_eigenvalue(st) >= -1e-9
 
@@ -261,8 +259,8 @@ def test_physicality_under_random_unitaries_and_independent_loss():
 def test_independent_ports_keep_the_lossy_pair_physical(r_db, eta1, eta2):
     # the two-mode chain verify runs, at random (r, eta1, eta2)
     state = tmsv(r_from_db(r_db))
-    state = pure_loss(state, 0, eta1, independent_vacuum())
-    state = pure_loss(state, 1, eta2, independent_vacuum())
+    state = pure_loss(state, 0, eta1, "independent")
+    state = pure_loss(state, 1, eta2, "independent")
     assert min_physicality_eigenvalue(state) >= -1e-9
 
 
@@ -270,20 +268,10 @@ def test_shared_policy_is_not_a_physical_map():
     # both channels reading one vacuum port is exactly the idealization the
     # closed forms assume; the resulting joint state can violate cov + i*Omega >= 0
     st = tmsv(0.0)
-    policy = shared_vacuum("link")
+    policy = "shared"
     st = pure_loss(st, 0, 0.5, policy)
     st = pure_loss(st, 1, 0.5, policy)
     assert min_physicality_eigenvalue(st) < -1e-6
-
-
-def test_shared_tag_isolated_per_tag():
-    st = tmsv(R_5DB)
-    st = pure_loss(st, 0, 0.5, shared_vacuum("a"))
-    st = pure_loss(st, 1, 0.5, shared_vacuum("b"))
-    # distinct tags behave like independent ports
-    q_indep = 2 * (2 * 0.5 * np.sinh(R_5DB) ** 2 + 1.0 - 0.5 * np.sinh(2 * R_5DB))
-    assert homodyne_variance(st, SUM_X) == pytest.approx(q_indep, rel=1e-12)
-    assert st.n_modes == 4
 
 
 # Stacked states: every op broadcasts over leading batch axes.
@@ -291,7 +279,7 @@ def test_shared_tag_isolated_per_tag():
 STACK_ETAS = np.array([0.0, 0.2, 0.55, 0.9, 1.0])
 
 
-@pytest.mark.parametrize("policy", [independent_vacuum(), shared_vacuum("link")])
+@pytest.mark.parametrize("policy", ["independent", "shared"])
 def test_stacked_chain_matches_per_point_chains(policy):
     eta1 = np.repeat(STACK_ETAS, len(STACK_ETAS))
     eta2 = np.tile(STACK_ETAS, len(STACK_ETAS))
@@ -319,13 +307,13 @@ def test_stacked_squeeze_and_splitter_match_scalar_calls():
 def test_stacked_pure_loss_grows_all_points_when_any_eta_below_one():
     st = squeeze_single(vacuum(1), 0, R_5DB, 0.0)
     assert pure_loss(st, 0, np.ones(3)) is st
-    grown = pure_loss(st, 0, np.array([1.0, 0.5]), independent_vacuum())
+    grown = pure_loss(st, 0, np.array([1.0, 0.5]), "independent")
     assert grown.n_modes == 2
     assert np.array_equal(grown.cov[0, :2, :2], st.cov)
 
 
 def test_stacked_physicality_spans_the_stack():
-    policy = shared_vacuum("link")
+    policy = "shared"
     st = pure_loss(pure_loss(tmsv(0.0), 0, np.array([1.0, 0.5]), policy), 1, 0.5, policy)
     assert min_physicality_eigenvalue(st) < -1e-6
 
@@ -334,9 +322,9 @@ def test_stacked_physicality_spans_the_stack():
 def test_stacked_eta_with_one_bad_element_rejected(bad):
     etas = np.array([0.2, 0.7, bad, 1.0])
     with pytest.raises(ValueError, match="transmissivity"):
-        pure_loss(vacuum(1), 0, etas, independent_vacuum())
+        pure_loss(vacuum(1), 0, etas, "independent")
     with pytest.raises(ValueError, match="transmissivity"):
-        pure_loss(vacuum(1), 0, etas, shared_vacuum())
+        pure_loss(vacuum(1), 0, etas, "shared")
     with pytest.raises(ValueError, match="transmissivity"):
         beam_splitter(vacuum(2), 0, 1, etas)
 
@@ -358,3 +346,43 @@ def test_state_symmetry_check_covers_whole_stack():
     cov[3, 0, 1] = 0.5
     with pytest.raises(ValueError, match="symmetric"):
         GaussianState(1, np.zeros((4, 2)), cov)
+
+
+# The vacuum-port policy is the same string the closed forms take.
+
+
+@pytest.mark.parametrize("eta", [1.0, np.ones(3), 0.5, np.array([1.0, 0.5])])
+def test_pure_loss_rejects_unknown_policy_at_any_eta(eta):
+    # checked before the all-eta-1 early return, so a typo never passes silently
+    with pytest.raises(ValueError, match="unknown vacuum policy 'bogus'"):
+        pure_loss(vacuum(1), 0, eta, "bogus")
+
+
+@pytest.mark.parametrize("port", [-1, 2, 5])
+def test_state_rejects_out_of_range_shared_port(port):
+    with pytest.raises(ValueError, match="shared_port"):
+        GaussianState(2, np.zeros(4), np.eye(4), port)
+
+
+def test_shared_loss_after_independent_loss_reuses_the_first_port():
+    r, eta1, eta2, eta3 = R_5DB, 0.7, 0.4, 0.6
+    st = pure_loss(tmsv(r), 0, eta1, "shared")
+    st = pure_loss(st, 1, eta2, "independent")
+    st = pure_loss(st, 1, eta3, "shared")
+    assert st.n_modes == 4
+    assert st.shared_port == 2
+    # the port is read, never written: it is still vacuum
+    assert np.array_equal(st.mode_block(2), np.eye(2))
+    # X0 = sqrt(eta1) a - sqrt(1-eta1) v, and
+    # X1 = sqrt(eta3 eta2) b - sqrt(eta3 (1-eta2)) w - sqrt(1-eta3) v,
+    # with v the original vacuum port and w the independent one
+    c, s, e23 = np.cosh(2 * r), np.sinh(2 * r), eta2 * eta3
+    var = (
+        (eta1 + e23) * c
+        - 2 * np.sqrt(eta1 * e23) * s
+        + (1 - eta1)
+        + eta3 * (1 - eta2)
+        + (1 - eta3)
+        + 2 * np.sqrt((1 - eta1) * (1 - eta3))
+    )
+    assert homodyne_variance(st, SUM_X) == pytest.approx(var, rel=1e-12)

@@ -61,3 +61,17 @@ def test_chunked_run_matches_single_stack(policy, monkeypatch):
 def test_run_verify_rejects_bad_tolerance(tol):
     with pytest.raises(ValueError, match="tolerance"):
         verify.run_verify(tolerance=tol)
+
+
+@pytest.mark.parametrize("grid", [{"r_dbs": (3.0,)}, {"etas": (0.5, 1.0)}])
+def test_run_verify_grid_is_fixed(grid):
+    # the grid is DEFAULT_R_DBS x DEFAULT_ETAS, refined only by eta_steps
+    with pytest.raises(TypeError):
+        verify.run_verify(**grid)
+
+
+def test_chain_variances_reject_unknown_policy():
+    with pytest.raises(ValueError, match="unknown vacuum policy"):
+        verify.tmsv_chain_variance(0.4, 0.5, 0.5, "bogus")
+    with pytest.raises(ValueError, match="unknown vacuum policy"):
+        verify.smsv_chain_variance(0.4, 1.0, "bogus")
