@@ -88,9 +88,22 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-def _budget_eta(entry: dict) -> float:
+def _section(parent: dict, key: str, name: str | None = None) -> dict:
+    """``parent[key]`` (an empty dict when absent), which must be a JSON object.
+
+    ``name`` is how an error names the entry; it defaults to ``key``.
+    """
+    value = parent.get(key, {})
+    if not isinstance(value, dict):
+        raise ValueError(f"config section {name or key!r} must be a JSON object")
+    return value
+
+
+def _budget_eta(parent: dict, key: str, name: str) -> float:
+    """Composed eta of the link entry ``parent[key]``, called ``name`` in errors."""
+    entry = _section(parent, key, name)
     if "geometry" in entry:
-        geom = link.LinkGeometry(**entry["geometry"])
+        geom = link.LinkGeometry(**_section(entry, "geometry", f"{name}.geometry"))
         budget = link.budget_from_geometry(
             geom, entry.get("eta_detector", 1.0)
         )
@@ -108,7 +121,7 @@ def _resolve(args):
     for name, targets in _FLAG_FIELDS.items():
         if getattr(args, name, None) is not None:
             given.update(dict.fromkeys(targets, getattr(args, name)))
-    sensing_cfg = dict(file_cfg.get("sensing", {}))
+    sensing_cfg = dict(_section(file_cfg, "sensing"))
     if "lambda0" in given:
         given["lambda0"] *= 1e-9
         sensing_cfg.pop("omega0", None)
@@ -119,23 +132,23 @@ def _resolve(args):
     defaults.update(sensing_cfg)
     cfg = SensingConfig(**defaults)
 
-    channel_cfg = dict(file_cfg.get("channel", {}))
-    link_cfg = file_cfg.get("link", {})
+    channel_cfg = dict(_section(file_cfg, "channel"))
+    link_cfg = _section(file_cfg, "link")
     if link_cfg:
         if "path1" in link_cfg or "path2" in link_cfg:
             if "path1" in link_cfg:
-                channel_cfg.setdefault("eta1", _budget_eta(link_cfg["path1"]))
+                channel_cfg.setdefault("eta1", _budget_eta(link_cfg, "path1", "link.path1"))
             if "path2" in link_cfg:
-                channel_cfg.setdefault("eta2", _budget_eta(link_cfg["path2"]))
+                channel_cfg.setdefault("eta2", _budget_eta(link_cfg, "path2", "link.path2"))
         else:
-            eta = _budget_eta(link_cfg)
+            eta = _budget_eta(file_cfg, "link", "link")
             channel_cfg.setdefault("eta1", eta)
             channel_cfg.setdefault("eta2", eta)
     channel_cfg.update((k, v) for k, v in given.items() if k not in _SENSING_FIELDS)
     channel_cfg.setdefault("eta1", 1.0)
     channel_cfg.setdefault("eta2", 1.0)
     ch = ChannelPair(**channel_cfg)
-    return cfg, ch, file_cfg.get("sweep", {})
+    return cfg, ch, _section(file_cfg, "sweep")
 
 
 def _comma_list(args, name: str, convert=float):
@@ -244,9 +257,7 @@ def _cmd_delta_u(args) -> int:
 
 def _cmd_verify(args) -> int:
     # the oracle reads only the vacuum policy: the flag, else the file's channel section
-    channel = _load_config_file(args.config).get("channel", {})
-    if not isinstance(channel, dict):
-        raise ValueError("config section 'channel' must be a JSON object")
+    channel = _section(_load_config_file(args.config), "channel")
     policy = args.policy or channel.get("policy", "shared")
     report = verify.run_verify(tolerance=args.tol, policy=policy, eta_steps=args.eta_steps)
     for line in report.summary_lines():

@@ -28,30 +28,43 @@ __all__ = [
 _FORMATS = ("csv", "json", "svg")
 
 
-def _fmt(value: float, column: str = "") -> str:
-    if column == "sign":
-        return str(int(value))
-    return f"{value:.8e}"
-
-
 def render_csv(result: SweepResult) -> str:
-    """Header, one comment line echoing the config, 9-significant-digit rows."""
-    lines = [f"# config: {json.dumps(result.meta, sort_keys=True)}"]
-    lines.append(",".join(result.columns))
-    for row in result.rows.tolist():
-        lines.append(",".join(_fmt(v, c) for v, c in zip(row, result.columns)))
-    return "\n".join(lines) + "\n"
+    """Header, one comment line echoing the config, 9-significant-digit rows.
+
+    The ``sign`` column prints as an integer.  Every row comes from one
+    %-format template, applied to the whole table in one call.
+    """
+    row = ",".join("%d" if c == "sign" else "%.8e" for c in result.columns) + "\n"
+    head = f"# config: {json.dumps(result.meta, sort_keys=True)}\n{','.join(result.columns)}\n"
+    return head + "".join([row] * len(result.rows)) % tuple(result.rows.ravel().tolist())
 
 
 def render_json(result: SweepResult) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2)`` of the result, plus a newline.
+
+    With an indent, json falls back to its pure-Python encoder, so only the
+    small part of the payload goes through it.  The rows are formatted with
+    one %-format of a row template, at json's indentation, and spliced in at
+    the "rows" key; a finite float prints as its repr, as json prints it.
+    """
+    rows = result.rows
     payload = {
         "columns": result.columns,
-        "rows": result.rows.tolist(),
+        # an empty table is small enough for json.dumps itself
+        "rows": rows.tolist() if rows.size == 0 else None,
         "meta": result.meta,
     }
     if result.grid_shape is not None:
         payload["grid_shape"] = list(result.grid_shape)
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if rows.size == 0:
+        return text
+    # a row is at depth 2 and its values at depth 3; a raw newline cannot sit
+    # inside a JSON string, so the top-level key is the only match
+    row = "[\n      " + ",\n      ".join(["%r"] * rows.shape[1]) + "\n    ]"
+    body = ",\n    ".join([row] * rows.shape[0]) % tuple(rows.ravel().tolist())
+    head, _, tail = text.partition('\n  "rows": null')
+    return head + '\n  "rows": [\n    ' + body + "\n  ]" + tail
 
 
 def write_result(result: SweepResult, fmt: str, path: str, levels=None) -> None:
@@ -228,15 +241,19 @@ def contour_segments(x: np.ndarray, y: np.ndarray, z: np.ndarray, level: float):
     return segments
 
 
+_HEX = tuple(f"{i:02x}" for i in range(256))
+
+
 def _cell_colors(z: np.ndarray, vmax: float) -> list:
     """Fill of each cell, by row: grey where z <= 0, else a blue ramp up to vmax."""
-    frac = np.minimum(z / vmax, 1.0) if vmax > 0 else np.zeros_like(z)
+    # grey cells ignore the ramp, so clipping them to it keeps every channel a byte
+    frac = np.clip(z / vmax, 0.0, 1.0) if vmax > 0 else np.zeros_like(z)
     # rint rounds half to even, as round() does
     red = np.rint(235 - 185 * frac).astype(int).tolist()
     green = np.rint(242 - 130 * frac).astype(int).tolist()
     grey = (z <= 0.0).tolist()
     return [
-        ["#d9d9d9" if g else f"#{r:02x}{gr:02x}f0" for r, gr, g in zip(*cols)]
+        ["#d9d9d9" if g else "#" + _HEX[r] + _HEX[gr] + "f0" for r, gr, g in zip(*cols)]
         for cols in zip(red, green, grey)
     ]
 

@@ -228,6 +228,32 @@ def test_bad_config_json_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "args, config, name",
+    [
+        (["fig4", "--steps", "3"], {"sweep": [1, 2]}, "sweep"),
+        (["sweep", "--steps", "3"], {"sweep": None}, "sweep"),
+        (["delta-u"], {"link": {"path1": 5}}, "link.path1"),
+        (["delta-u"], {"link": {"path2": [0.5]}}, "link.path2"),
+        (["delta-u"], {"link": [0.5]}, "link"),
+        (["delta-u"], {"link": {"geometry": [1.0, 1.0]}}, "link.geometry"),
+        (["delta-u"], {"link": {"path1": {"geometry": "x"}}}, "link.path1.geometry"),
+        (["delta-u"], {"channel": [["eta1", 0.5], ["eta2", 0.5]]}, "channel"),
+        (["delta-u"], {"sensing": [["r_db", 3]]}, "sensing"),
+        (["grid", "--steps", "3"], {"sensing": "r_db"}, "sensing"),
+    ],
+)
+def test_non_object_config_section_exits_1_naming_it(args, config, name, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out_path = tmp_path / "out.csv"
+    code, out, err = run([*args, "--config", str(path), "--out", str(out_path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: config section {name!r} must be a JSON object\n"
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
     "args, field",
     [
         (["delta-u", "--n-lo", "nan"], "n_lo"),

@@ -3,6 +3,8 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qtlink.emit import (
     contour_segments,
@@ -197,3 +199,64 @@ def test_classified_contour_scan_equals_full_scan(seed):
     z = np.round(rng.normal(size=(23, 19)), 1)
     for level in (0.0, 0.3, -0.5, 5.0):
         assert contour_segments(x, y, z, level) == _contour_every_cell(x, y, z, level)
+
+
+# Reference renderers: json.dumps with an indent (the pure-Python encoder) and
+# one format call per CSV value.  The emitters must match them byte for byte.
+def _json_reference(result):
+    payload = {"columns": result.columns, "rows": result.rows.tolist(), "meta": result.meta}
+    if result.grid_shape is not None:
+        payload["grid_shape"] = list(result.grid_shape)
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _csv_reference(result):
+    def fmt(value, column):
+        return str(int(value)) if column == "sign" else f"{value:.8e}"
+
+    lines = [f"# config: {json.dumps(result.meta, sort_keys=True)}", ",".join(result.columns)]
+    for row in result.rows.tolist():
+        lines.append(",".join(fmt(v, c) for v, c in zip(row, result.columns)))
+    return "\n".join(lines) + "\n"
+
+
+# finite doubles of every magnitude and sign, subnormals and -0.0 included
+_values = st.floats(allow_nan=False, allow_infinity=False)
+_json_leaves = st.none() | st.booleans() | st.integers() | _values | st.text(max_size=8)
+# meta may nest a "rows" key of its own, and strings with newlines and quotes
+_meta = st.dictionaries(
+    st.sampled_from(["rows", "preset", "sensing", "a\nb", 'q"k']) | st.text(max_size=6),
+    st.recursive(
+        _json_leaves,
+        lambda inner: (
+            st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3)
+        ),
+        max_leaves=8,
+    ),
+    max_size=4,
+)
+
+
+@st.composite
+def sweep_results(draw):
+    names = draw(st.lists(st.sampled_from(["eta1", "eta2", "du_tmsv", "advantage", "ratio"]),
+                          min_size=1, max_size=4, unique=True))
+    columns = names + ["sign"] if draw(st.booleans()) else names
+    if draw(st.booleans()):
+        grid_shape = (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+        n_rows = grid_shape[0] * grid_shape[1]
+    else:
+        grid_shape, n_rows = None, draw(st.integers(0, 12))
+    cell = {c: st.sampled_from([-1.0, 0.0, -0.0, 1.0]) if c == "sign" else _values for c in columns}
+    rows = draw(st.lists(st.tuples(*(cell[c] for c in columns)), min_size=n_rows, max_size=n_rows))
+    return SweepResult(columns, np.array(rows, dtype=float).reshape(n_rows, len(columns)),
+                       draw(_meta), grid_shape)
+
+
+@settings(deadline=None, max_examples=200)
+@given(result=sweep_results())
+@example(result=SweepResult(["eta1", "sign"], [[5e-324, -1.0]], {"rows": [1]}, (1, 1)))
+@example(result=SweepResult(["du_sql"], [[-1.7976931348623157e308], [1e16], [-0.0]], {}))
+def test_renderers_match_the_reference_renderers(result):
+    assert render_json(result) == _json_reference(result)
+    assert render_csv(result) == _csv_reference(result)
