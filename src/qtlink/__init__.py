@@ -31,7 +31,7 @@ _EXPORTS = {
         "ChannelPair", "OffsetResult", "SensingConfig", "advantage_boundary_eta1", "delta_u",
         "delta_u_smsv_real", "delta_u_sql", "delta_u_tmsv_ideal", "delta_u_tmsv_real",
         "photocurrent_mean_single", "photocurrent_variance_single", "post_variance_ideal",
-        "q_factor", "quantum_advantage", "r_from_db", "radicand"
+        "quantum_advantage", "r_from_db", "radicand"
     ),
     "sweep": (
         "GridSpec", "Range", "SweepResult", "SweepSpec", "preset_fig2", "preset_fig3",

@@ -260,8 +260,7 @@ def _cmd_verify(args) -> int:
     channel = _section(_load_config_file(args.config), "channel")
     policy = args.policy or channel.get("policy", "shared")
     report = verify.run_verify(tolerance=args.tol, policy=policy, eta_steps=args.eta_steps)
-    for line in report.summary_lines():
-        print(line)
+    sys.stdout.write(report.text())
     if not report.passed:
         raise VerifyFailure(
             f"oracle cross-check failed: max relative error {report.max_rel_err:.3e}"
@@ -338,11 +337,20 @@ COMMANDS = {
 }
 
 
-def build_parser() -> _Parser:
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser of every command, or of ``command`` alone when it names one.
+
+    Parsing a command's argv needs only its own subparser; usage lines, help
+    and errors read the same either way.
+    """
     # no prefix matching: verify --eta would otherwise set --eta-steps
     parser = _Parser(prog="qtlink", description=__doc__, allow_abbrev=False)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, flags, run) in COMMANDS.items():
+    built = [command] if command in COMMANDS else list(COMMANDS)
+    # the usage line lists every command even when one subparser is built
+    metavar = "{" + ",".join(COMMANDS) + "}" if len(built) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in built:
+        help_text, flags, run = COMMANDS[name]
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for names, kwargs in flags:
             p.add_argument(*names, **kwargs)
@@ -351,8 +359,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         return args.run(args)
     except (VerifyFailure, ValueError, TypeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

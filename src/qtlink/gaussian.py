@@ -70,7 +70,7 @@ class GaussianState:
             raise ValueError(
                 f"mean and cov batch shapes differ: {mean.shape[:-1]} vs {cov.shape[:-2]}"
             )
-        if not np.allclose(cov, np.swapaxes(cov, -1, -2), rtol=1e-12, atol=1e-12):
+        if not _symmetric(cov):
             raise ValueError("covariance matrix must be symmetric")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
@@ -89,6 +89,22 @@ class GaussianState:
         if not 0 <= mode < self.n_modes:
             raise ValueError(f"mode {mode} out of range for {self.n_modes}-mode state")
         return mode
+
+
+def _symmetric(cov: np.ndarray) -> bool:
+    """``np.allclose(cov, swapped, rtol=1e-12, atol=1e-12)``, swapped the transpose.
+
+    isclose(a, b) is |a - b| <= atol + rtol*|b| with b finite, or a == b
+    (NaN never passes, equal infinities do).  Over a whole matrix, testing
+    every entry against its own magnitude instead of its transpose's is the
+    same test, as the gap |a - b| is symmetric; that keeps the tolerance off
+    the strided transpose and skips isclose's generic set-up.
+    """
+    swapped = np.swapaxes(cov, -1, -2)
+    with np.errstate(invalid="ignore"):  # inf - inf, ignored as isclose ignores it
+        gap = np.abs(cov - swapped)
+    close = (gap <= 1e-12 + 1e-12 * np.abs(cov)) & np.isfinite(cov)
+    return bool(close.all() or (close | (cov == swapped)).all())
 
 
 @dataclass(frozen=True)

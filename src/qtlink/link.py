@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+from .sensing import require_real
+
 __all__ = [
     "LinkGeometry",
     "LinkBudget",
@@ -36,6 +38,7 @@ class LinkGeometry:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
+            require_real(f.name, value)
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         for name in ("range_m", "tx_waist_m", "rx_aperture_m", "wavelength_m"):
@@ -59,6 +62,7 @@ class LinkBudget:
     def __post_init__(self):
         for name in ("eta_diffraction", "eta_pointing", "eta_detector"):
             value = getattr(self, name)
+            require_real(name, value)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
 

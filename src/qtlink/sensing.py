@@ -22,7 +22,8 @@ every delta_u.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,7 +42,6 @@ __all__ = [
     "photocurrent_variance_single",
     "post_variance_ideal",
     "delta_u_tmsv_ideal",
-    "q_factor",
     "delta_u_tmsv_real",
     "delta_u_sql",
     "delta_u_smsv_real",
@@ -51,6 +51,12 @@ __all__ = [
 
 
 SCHEMES = ("TMSV_ideal", "TMSV_real", "SQL", "SMSV_real")
+
+
+def require_real(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a real number; a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 def r_from_db(r_db):
@@ -84,7 +90,10 @@ class SensingConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if value is not None and not math.isfinite(value):
+            if value is None and f.name in ("lambda0", "omega0"):
+                continue
+            require_real(f.name, value)
+            if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         if self.r_db < 0:
             raise ValueError(f"r_db must be >= 0, got {self.r_db}")
@@ -136,9 +145,6 @@ class SensingConfig:
     def n2(self) -> float:
         return (1.0 - self.split) * self.n_in
 
-    def with_(self, **changes) -> "SensingConfig":
-        return replace(self, **changes)
-
 
 @dataclass(frozen=True)
 class ChannelPair:
@@ -150,6 +156,7 @@ class ChannelPair:
 
     def __post_init__(self):
         for name, eta in (("eta1", self.eta1), ("eta2", self.eta2)):
+            require_real(name, eta)
             if not 0.0 <= eta <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {eta}")
         if self.policy not in ("shared", "independent"):
@@ -354,11 +361,6 @@ def delta_u_tmsv_ideal(cfg: SensingConfig) -> OffsetResult:
     """Minimum offset of the lossless entangled scheme (reduces to
     e^-r/(2*sqrt(N_in)*sqrt(omega0^2+delta_omega^2)) at the even split)."""
     return _offset("TMSV_ideal", cfg)
-
-
-def q_factor(r: float, ch: ChannelPair) -> float:
-    """Noise radicand of the lossy entangled scheme under ``ch.policy``."""
-    return float(radicand("TMSV_real", r, ch.eta1, ch.eta2, ch.policy))
 
 
 def delta_u_tmsv_real(cfg: SensingConfig, ch: ChannelPair) -> OffsetResult:

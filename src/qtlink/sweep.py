@@ -8,12 +8,13 @@ byte-stable and can be golden-tested.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import sensing
-from .sensing import ChannelPair, SensingConfig
+from .sensing import ChannelPair, SensingConfig, require_real
 
 __all__ = [
     "Range",
@@ -49,8 +50,11 @@ class Range:
     def __post_init__(self):
         for name in ("start", "stop"):
             value = getattr(self, name)
+            require_real(name, value)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral):
+            raise ValueError(f"steps must be an integer, got {self.steps!r}")
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
         if not self.start < self.stop:

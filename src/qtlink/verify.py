@@ -15,6 +15,7 @@ rather than a chain of validated states per (r, eta1, eta2) point.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -77,51 +78,77 @@ def smsv_chain_variance(
     return homodyne_variance(state, _SINGLE_X)
 
 
+# One report line per point, filled from a chain's columns in order plus its verdict.
+_LINES = {
+    "two_mode": "  two-mode  r_db=%-4g eta1=%-4g eta2=%-4g "
+    "formula=%.12e oracle=%.12e rel_err=%.3e %s\n",
+    "single_mode": "  one-mode  r_db=%-4g eta=%-4g "
+    "formula=%.12e oracle=%.12e rel_err=%.3e %s\n",
+}
+
+
 @dataclass
 class VerifyReport:
-    """Point-by-point comparison of oracle variances with the closed forms."""
+    """Oracle variances against the closed forms, one array per column per chain.
+
+    ``two_mode`` maps r_db, eta1, eta2, formula, oracle and rel_err, in that
+    order, to aligned 1-d arrays with one element per point; ``single_mode``
+    does the same with one eta column.  A point passes when its rel_err is
+    at most ``tolerance``.
+    """
 
     policy: str
     tolerance: float
-    two_mode_rows: list = field(default_factory=list)
-    single_mode_rows: list = field(default_factory=list)
+    two_mode: dict
+    single_mode: dict
     notes: list = field(default_factory=list)
 
     @property
     def max_rel_err(self) -> float:
-        errs = [row["rel_err"] for row in self.two_mode_rows + self.single_mode_rows]
-        return max(errs) if errs else 0.0
+        errs = np.concatenate([self.two_mode["rel_err"], self.single_mode["rel_err"]])
+        return float(errs.max()) if errs.size else 0.0
 
     @property
     def passed(self) -> bool:
-        return all(
-            row["ok"] for row in self.two_mode_rows + self.single_mode_rows
+        return bool(
+            np.all(self.two_mode["rel_err"] <= self.tolerance)
+            and np.all(self.single_mode["rel_err"] <= self.tolerance)
         )
 
-    def summary_lines(self):
-        yield (
+    @property
+    def two_mode_rows(self) -> list:
+        """One dict per two-mode point: its columns and ``ok``, built on each read."""
+        return self._rows(self.two_mode)
+
+    @property
+    def single_mode_rows(self) -> list:
+        """One dict per one-mode point: its columns and ``ok``, built on each read."""
+        return self._rows(self.single_mode)
+
+    def _rows(self, columns: dict) -> list:
+        points = zip(*(c.tolist() for c in columns.values()))
+        # rel_err is the last column
+        return [dict(zip(columns, point), ok=point[-1] <= self.tolerance) for point in points]
+
+    def text(self) -> str:
+        """The whole report: a header, one line per point, the notes, a verdict line.
+
+        Each chain's lines come from one %-format of its line template over
+        the whole chain.
+        """
+        parts = [
             f"verify: policy={self.policy} tolerance={self.tolerance:g} "
-            f"points={len(self.two_mode_rows)}+{len(self.single_mode_rows)}"
-        )
-        for row in self.two_mode_rows:
-            yield (
-                "  two-mode  r_db={r_db:<4g} eta1={eta1:<4g} eta2={eta2:<4g} "
-                "formula={formula:.12e} oracle={oracle:.12e} "
-                "rel_err={rel_err:.3e} {verdict}".format(
-                    verdict="ok" if row["ok"] else "FAIL", **row
-                )
-            )
-        for row in self.single_mode_rows:
-            yield (
-                "  one-mode  r_db={r_db:<4g} eta={eta:<4g} "
-                "formula={formula:.12e} oracle={oracle:.12e} "
-                "rel_err={rel_err:.3e} {verdict}".format(
-                    verdict="ok" if row["ok"] else "FAIL", **row
-                )
-            )
-        for note in self.notes:
-            yield f"  note: {note}"
-        yield f"verify: max_rel_err={self.max_rel_err:.3e} passed={self.passed}"
+            f"points={self.two_mode['rel_err'].size}+{self.single_mode['rel_err'].size}\n"
+        ]
+        for name in ("two_mode", "single_mode"):
+            columns = getattr(self, name)
+            verdicts = np.where(columns["rel_err"] <= self.tolerance, "ok", "FAIL").tolist()
+            cells = zip(*(c.tolist() for c in columns.values()), verdicts)
+            values = tuple(itertools.chain.from_iterable(cells))
+            parts.append("".join([_LINES[name]] * len(verdicts)) % values)
+        parts += [f"  note: {note}\n" for note in self.notes]
+        parts.append(f"verify: max_rel_err={self.max_rel_err:.3e} passed={self.passed}\n")
+        return "".join(parts)
 
 
 def _stacked(chain, *etas: np.ndarray) -> np.ndarray:
@@ -134,17 +161,12 @@ def _stacked(chain, *etas: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rows(
-    r_db: float, etas: dict, formula: np.ndarray, oracle: np.ndarray, tolerance: float
-) -> list:
-    """One row dict per point: r_db, the named eta columns, formula, oracle, rel_err, ok."""
-    err = np.abs(oracle - formula) / np.maximum(np.abs(formula), 1e-300)
-    keys = ("r_db", *etas, "formula", "oracle", "rel_err")
-    columns = (*etas.values(), formula, oracle, err)
-    return [
-        dict(zip(keys, (r_db, *point)), ok=point[-1] <= tolerance)
-        for point in zip(*(c.tolist() for c in columns))
-    ]
+def _columns(levels: list) -> dict:
+    """Concatenate per-level column dicts (r_db, etas, formula, oracle) and add rel_err."""
+    columns = {key: np.concatenate([level[key] for level in levels]) for key in levels[0]}
+    formula = columns["formula"]
+    columns["rel_err"] = np.abs(columns["oracle"] - formula) / np.maximum(np.abs(formula), 1e-300)
+    return columns
 
 
 def run_verify(
@@ -165,36 +187,37 @@ def run_verify(
         if eta_steps < 2:
             raise ValueError("eta_steps must be >= 2")
         eta_vec = np.linspace(eta_vec.min(), eta_vec.max(), eta_steps)
-    report = VerifyReport(policy=policy, tolerance=tolerance)
-
     n = len(eta_vec)
     eta1_vec, eta2_vec = np.repeat(eta_vec, n), np.tile(eta_vec, n)
     cross = np.sqrt((1.0 - eta1_vec) * (1.0 - eta2_vec))
     max_gap_err = 0.0
+    two_mode, single_mode = [], []
     for r_db in DEFAULT_R_DBS:
         r = r_from_db(r_db)
         # Closed forms over the whole eta mesh.  The independent radicand is
         # the shared one minus the cross term, so the gap check below reads
         # both off one evaluation.
         q_shared = radicand("TMSV_real", r, eta1_vec, eta2_vec)
-        expected = q_shared if policy == "shared" else q_shared - cross
         oracle = _stacked(
             lambda e1, e2: tmsv_chain_variance(r, e1, e2, policy), eta1_vec, eta2_vec
         ) / 2.0
-        report.two_mode_rows += _rows(
-            r_db, {"eta1": eta1_vec, "eta2": eta2_vec}, expected, oracle, tolerance
-        )
+        two_mode.append({
+            "r_db": np.full(n * n, r_db), "eta1": eta1_vec, "eta2": eta2_vec,
+            "formula": q_shared if policy == "shared" else q_shared - cross, "oracle": oracle,
+        })
         if policy == "independent":
             gap = np.abs((q_shared - oracle) - cross).max()
             max_gap_err = max(max_gap_err, float(gap))
-        oracle = _stacked(lambda e: smsv_chain_variance(r, e, policy), eta_vec)
-        report.single_mode_rows += _rows(
-            r_db, {"eta": eta_vec}, radicand("SMSV_real", r, eta_vec), oracle, tolerance
-        )
+        single_mode.append({
+            "r_db": np.full(n, r_db), "eta": eta_vec,
+            "formula": radicand("SMSV_real", r, eta_vec),
+            "oracle": _stacked(lambda e: smsv_chain_variance(r, e, policy), eta_vec),
+        })
+    notes = []
     if policy == "independent":
-        report.notes.append(
+        notes.append(
             "independent ports sit below the shared closed form by exactly "
             "sqrt((1-eta1)(1-eta2)) in the radicand; max deviation from that "
             f"prediction {max_gap_err:.3e}"
         )
-    return report
+    return VerifyReport(policy, tolerance, _columns(two_mode), _columns(single_mode), notes)

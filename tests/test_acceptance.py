@@ -7,6 +7,7 @@ report.  Tolerances are fixed here, not tuned elsewhere.
 import contextlib
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,9 +22,9 @@ from qtlink.sensing import (
     delta_u_sql,
     delta_u_tmsv_ideal,
     delta_u_tmsv_real,
-    q_factor,
     quantum_advantage,
     r_from_db,
+    radicand,
 )
 from qtlink.sweep import preset_fig2, preset_fig3, preset_fig4
 from qtlink.temporal import (
@@ -72,7 +73,7 @@ def test_criterion_1_limit_identities():
         worst = max(worst, abs(lossless - ideal) / ideal)
         ch = ChannelPair(rng.uniform(0.01, 1.0), rng.uniform(0.01, 1.0))
         sql = delta_u_sql(cfg, ch).delta_u
-        unsqueezed = delta_u_tmsv_real(cfg.with_(r_db=0.0), ch).delta_u
+        unsqueezed = delta_u_tmsv_real(replace(cfg, r_db=0.0), ch).delta_u
         worst = max(worst, abs(unsqueezed - sql) / sql)
     report(1, worst < 1e-12, f"limit identities over 100 random configs, max rel err {worst:.2e}")
 
@@ -80,7 +81,7 @@ def test_criterion_1_limit_identities():
 def test_criterion_2_ideal_equivalence_single_vs_two_mode():
     worst = 0.0
     for r_db in R_DB_GRID:
-        cfg = LEO.with_(r_db=r_db)
+        cfg = replace(LEO, r_db=r_db)
         ideal = delta_u_tmsv_ideal(cfg).delta_u
         smsv = delta_u_smsv_real(cfg, 1.0).delta_u
         worst = max(worst, abs(smsv - ideal) / ideal)
@@ -93,7 +94,7 @@ def test_criterion_3_oracle_equivalence():
         r = r_from_db(r_db)
         for eta1 in ETA_GRID:
             for eta2 in ETA_GRID:
-                formula = q_factor(r, ChannelPair(eta1, eta2))
+                formula = radicand("TMSV_real", r, eta1, eta2)
                 oracle = tmsv_chain_variance(r, eta1, eta2, "shared") / 2.0
                 worst = max(worst, abs(oracle - formula) / formula)
             single = eta1 * math.exp(-2.0 * r) + (1.0 - eta1)
@@ -157,7 +158,7 @@ def test_criterion_7_curve_shape_and_endpoints():
         du = result.column(name)
         monotone = monotone and bool(np.all(np.diff(du) < 0.0))
 
-    cfg3 = LEO.with_(r_db=3.0)
+    cfg3 = replace(LEO, r_db=3.0)
     rel_04 = 1.0 - (
         delta_u_tmsv_real(cfg3, ChannelPair(0.4, 0.4)).delta_u
         / delta_u_sql(cfg3, ChannelPair(0.4, 0.4)).delta_u
@@ -171,7 +172,7 @@ def test_criterion_7_curve_shape_and_endpoints():
     endpoint_err = abs(end["du_sql"] - delta_u_sql(LEO, ChannelPair(1, 1)).delta_u) / end["du_sql"]
     literal_err = 0.0
     for r_db in (3.0, 7.0, 11.0, 15.0):
-        ideal = delta_u_tmsv_ideal(LEO.with_(r_db=r_db)).delta_u
+        ideal = delta_u_tmsv_ideal(replace(LEO, r_db=r_db)).delta_u
         value = end[f"du_tmsv_{r_db:g}db"]
         endpoint_err = max(endpoint_err, abs(value - ideal) / ideal)
         literal = 6.841e-18 * math.exp(-r_from_db(r_db))
@@ -196,7 +197,7 @@ def test_criterion_8_photon_scaling():
     worst = 0.0
     ch = ChannelPair(0.6, 0.8)
     for k in (4.0, 100.0):
-        scaled = LEO.with_(n_in=k * LEO.n_in)
+        scaled = replace(LEO, n_in=k * LEO.n_in)
         pairs = (
             (delta_u_tmsv_ideal(LEO).delta_u, delta_u_tmsv_ideal(scaled).delta_u),
             (

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from qtlink.cli import build_parser, main
+from qtlink import cli
+from qtlink.cli import COMMANDS, build_parser, main
 
 FIG2_HEADER = "eta,du_sql,du_tmsv_3db,du_tmsv_7db,du_tmsv_11db,du_tmsv_15db"
 
@@ -254,6 +255,25 @@ def test_non_object_config_section_exits_1_naming_it(args, config, name, tmp_pat
 
 
 @pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"sensing": {"r_db": "x"}}, "r_db must be a real number, got 'x'"),
+        ({"sweep": {"steps": 2.5}}, "steps must be an integer, got 2.5"),
+        ({"link": {"eta_detector": "x"}}, "eta_detector must be a real number, got 'x'"),
+    ],
+)
+def test_config_field_of_the_wrong_type_exits_1_naming_it(config, message, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out_path = tmp_path / "out.csv"
+    code, out, err = run(["fig4", "--config", str(path), "--out", str(out_path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
     "args, field",
     [
         (["delta-u", "--n-lo", "nan"], "n_lo"),
@@ -341,6 +361,43 @@ def command_flags():
         name: {a.option_strings[-1] for a in p._actions if not isinstance(a, argparse._HelpAction)}
         for name, p in sub.choices.items()
     }
+
+
+def _exit(argv, capsys):
+    """Exit code, stdout and stderr of ``qtlink ARGV``, --help's SystemExit included."""
+    try:
+        code = main(argv)
+    except SystemExit as exit_:
+        code = exit_.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_one_command_parser_reads_as_the_full_parser(command, monkeypatch, capsys):
+    argvs = ([command, "--help"], [command, "--bogus", "1"], [command, "fig2"])
+    one = [_exit(argv, capsys) for argv in argvs]
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+    assert [_exit(argv, capsys) for argv in argvs] == one
+    assert one[0][0] == 0 and one[0][1].startswith(f"usage: qtlink {command} [-h]")
+    assert one[1][0] == 1 and "unrecognized arguments: --bogus 1" in one[1][2]
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        ([], 1, "error: argument error: the following arguments are required: command\n"),
+        (["--help"], 0, ""),
+        (["bogus"], 1, "error: argument error: argument command: invalid choice: 'bogus'"),
+    ],
+)
+def test_top_level_usage_lists_every_command(argv, code, message, capsys):
+    assert len(COMMANDS) == 9
+    got, out, err = _exit(argv, capsys)
+    assert got == code
+    assert "{" + ",".join(COMMANDS) + "}" in out + err
+    assert message in err
 
 
 def test_each_command_declares_only_the_flags_it_reads():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis.strategies import floats
+from hypothesis.strategies import composite, floats, integers, sampled_from
 
 from qtlink.gaussian import (
     GaussianState,
@@ -346,6 +346,54 @@ def test_state_symmetry_check_covers_whole_stack():
     cov[3, 0, 1] = 0.5
     with pytest.raises(ValueError, match="symmetric"):
         GaussianState(1, np.zeros((4, 2)), cov)
+
+
+# (entry, its transpose) pairs that sit at the symmetry tolerance's edges or
+# are not finite; "inside"/"edge"/"outside" scale the tolerance 1e-12 + 1e-12*|b|,
+# and "exact edge" puts 1e-12 against 0, a gap equal to the tolerance
+_ENTRY_EDITS = ("inside", "edge", "outside", "exact edge", "nan", "inf", "-inf", "matching inf",
+                "opposite inf")
+
+
+@composite
+def _covariances(draw):
+    """A symmetric matrix or stack with a few entries edited, one stack member or more."""
+    d = 2 * draw(integers(1, 3))
+    batch = draw(sampled_from([(), (1,), (3,), (2, 2)]))
+    rng = np.random.default_rng(draw(integers(0, 2**32 - 1)))
+    base = rng.normal(scale=10.0 ** draw(integers(-3, 6)), size=batch + (d, d))
+    cov = base + np.swapaxes(base, -1, -2)  # exactly symmetric: a + b == b + a
+    for _ in range(draw(integers(0, 3))):
+        member = tuple(draw(integers(0, n - 1)) for n in batch)
+        i, j = draw(integers(0, d - 1)), draw(integers(0, d - 1))
+        kind = draw(sampled_from(_ENTRY_EDITS))
+        b = float(cov[member + (j, i)])  # Python floats: inf - inf warns nowhere
+        if kind in ("inside", "edge", "outside"):
+            scale = {"inside": 0.999, "edge": 1.0, "outside": 1.001}[kind]
+            value = b + draw(sampled_from([1.0, -1.0])) * scale * (1e-12 + 1e-12 * abs(b))
+        elif kind == "exact edge":
+            cov[member + (j, i)] = 0.0
+            value = draw(sampled_from([1e-12, -1e-12]))
+        elif kind in ("matching inf", "opposite inf"):
+            value = draw(sampled_from([np.inf, -np.inf]))
+            cov[member + (j, i)] = value if kind == "matching inf" else -value
+        else:
+            value = float(kind)
+        cov[member + (i, j)] = value
+    return cov
+
+
+@settings(deadline=None, max_examples=300)
+@given(cov=_covariances())
+def test_symmetry_check_accepts_exactly_what_allclose_accepts(cov):
+    expected = np.allclose(cov, np.swapaxes(cov, -1, -2), rtol=1e-12, atol=1e-12)
+    mean = np.zeros(cov.shape[:-1])
+    n_modes = cov.shape[-1] // 2
+    if expected:
+        GaussianState(n_modes, mean, cov)
+    else:
+        with pytest.raises(ValueError, match="^covariance matrix must be symmetric$"):
+            GaussianState(n_modes, mean, cov)
 
 
 # The vacuum-port policy is the same string the closed forms take.

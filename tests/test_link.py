@@ -121,3 +121,15 @@ def test_geometry_validation():
 def test_geometry_rejects_non_finite_fields(field, bad):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         _geom(**{field: bad})
+
+
+@pytest.mark.parametrize("bad", ["0.5", False, None])
+@pytest.mark.parametrize(
+    "build, field",
+    [(LinkBudget, "eta_diffraction"), (LinkBudget, "eta_detector"), (_geom, "range_m"),
+     (_geom, "pointing_jitter_rad")],
+)
+def test_budget_and_geometry_reject_a_wrong_type_naming_the_field(build, field, bad):
+    with pytest.raises(ValueError) as err:
+        build(**{field: bad})
+    assert str(err.value) == f"{field} must be a real number, got {bad!r}"

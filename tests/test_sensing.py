@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,9 +15,9 @@ from qtlink.sensing import (
     photocurrent_mean_single,
     photocurrent_variance_single,
     post_variance_ideal,
-    q_factor,
     quantum_advantage,
     r_from_db,
+    radicand,
 )
 from qtlink.verify import tmsv_chain_variance
 
@@ -46,13 +47,13 @@ def test_photocurrent_mean_vanishes_at_matched_phase_zero_offset():
 
 
 def test_photocurrent_mean_plugin():
-    cfg = LEO.with_(n_in=1e3, n_lo=1e6)
+    cfg = replace(LEO, n_in=1e3, n_lo=1e6)
     mean = photocurrent_mean_single(cfg, 1, 1e-3 * cfg.u0)
     assert mean == pytest.approx(2 * math.sqrt(500 * 1e6) * 1e-3, rel=1e-9)
 
 
 def test_photocurrent_mean_quadrature_phase_saturates():
-    cfg = LEO.with_(theta1=math.pi / 2.0, n_lo=1e6)
+    cfg = replace(LEO, theta1=math.pi / 2.0, n_lo=1e6)
     mean = photocurrent_mean_single(cfg, 1, 0.0)
     assert mean == pytest.approx(2 * math.sqrt(cfg.n1 * cfg.n_lo), rel=1e-9)
 
@@ -63,11 +64,11 @@ def test_photocurrent_mean_rejects_bad_path():
 
 
 def test_photocurrent_variance_unsqueezed():
-    assert photocurrent_variance_single(LEO.with_(r_db=0.0, n_lo=7.0)) == 7.0
+    assert photocurrent_variance_single(replace(LEO, r_db=0.0, n_lo=7.0)) == 7.0
 
 
 def test_photocurrent_variance_5db():
-    assert photocurrent_variance_single(LEO.with_(n_lo=1.0)) == pytest.approx(
+    assert photocurrent_variance_single(replace(LEO, n_lo=1.0)) == pytest.approx(
         1.739254, rel=1e-6
     )
 
@@ -88,38 +89,38 @@ def test_photocurrent_variance_matches_oracle_arm():
     st = squeeze_single(st, 1, r, np.pi / 2.0)
     st = beam_splitter(st, 0, 1, 0.5)
     arm = homodyne_variance(st, HomodynePattern([1.0], 0.0))
-    assert photocurrent_variance_single(LEO.with_(n_lo=1.0)) == pytest.approx(
+    assert photocurrent_variance_single(replace(LEO, n_lo=1.0)) == pytest.approx(
         arm, rel=1e-9
     )
 
 
 def test_post_variance_unsqueezed_is_phase_insensitive():
     for theta in (0.0, 0.4, math.pi / 4.0):
-        cfg = LEO.with_(r_db=0.0, n_lo=3.0, theta_lo=theta)
+        cfg = replace(LEO, r_db=0.0, n_lo=3.0, theta_lo=theta)
         assert post_variance_ideal(cfg) == pytest.approx(6.0, rel=1e-12)
 
 
 def test_post_variance_minimized_at_x_quadrature():
-    cfg = LEO.with_(n_lo=1.0, theta_lo=0.0)
+    cfg = replace(LEO, n_lo=1.0, theta_lo=0.0)
     assert post_variance_ideal(cfg) == pytest.approx(
         2 * 0.31622776601683794, rel=1e-7
     )
 
 
 def test_post_variance_diagonal_phase():
-    cfg = LEO.with_(n_lo=1.0, theta_lo=math.pi / 4.0)
+    cfg = replace(LEO, n_lo=1.0, theta_lo=math.pi / 4.0)
     assert post_variance_ideal(cfg) == pytest.approx(3.478508, rel=1e-6)
 
 
 def test_delta_u_ideal_values():
-    assert delta_u_tmsv_ideal(LEO.with_(r_db=0.0)).delta_u == pytest.approx(
+    assert delta_u_tmsv_ideal(replace(LEO, r_db=0.0)).delta_u == pytest.approx(
         6.841117374800159e-18, rel=1e-12
     )
     assert delta_u_tmsv_ideal(LEO).delta_u == pytest.approx(
         3.8470430103278435e-18, rel=1e-12
     )
     # agreement with the 4-digit quoted numbers
-    assert delta_u_tmsv_ideal(LEO.with_(r_db=0.0)).delta_u == pytest.approx(
+    assert delta_u_tmsv_ideal(replace(LEO, r_db=0.0)).delta_u == pytest.approx(
         6.841e-18, rel=1e-3
     )
     assert delta_u_tmsv_ideal(LEO).delta_u == pytest.approx(3.847e-18, rel=1e-3)
@@ -127,20 +128,20 @@ def test_delta_u_ideal_values():
 
 def test_delta_u_ideal_photon_scaling():
     base = delta_u_tmsv_ideal(LEO).delta_u
-    assert delta_u_tmsv_ideal(LEO.with_(n_in=4e3)).delta_u == pytest.approx(
+    assert delta_u_tmsv_ideal(replace(LEO, n_in=4e3)).delta_u == pytest.approx(
         base / 2.0, rel=1e-12
     )
 
 
 def test_q_factor_limits():
     r = r_from_db(5.0)
-    assert q_factor(r, ChannelPair(1.0, 1.0)) == pytest.approx(
+    assert radicand("TMSV_real", r, 1.0, 1.0) == pytest.approx(
         math.exp(-2 * r), rel=1e-12
     )
-    assert q_factor(0.0, ChannelPair(0.3, 0.8)) == pytest.approx(
+    assert radicand("TMSV_real", 0.0, 0.3, 0.8) == pytest.approx(
         1.0 + math.sqrt(0.7 * 0.2), rel=1e-12
     )
-    assert q_factor(r, ChannelPair(0.5, 0.5)) == pytest.approx(
+    assert radicand("TMSV_real", r, 0.5, 0.5) == pytest.approx(
         1.158113883008419, rel=1e-12
     )
 
@@ -150,7 +151,7 @@ def test_q_factor_positive_on_grid():
         r = r_from_db(r_db)
         for eta1 in np.linspace(0.0, 1.0, 11):
             for eta2 in np.linspace(0.0, 1.0, 11):
-                assert q_factor(r, ChannelPair(eta1, eta2)) > 0.0
+                assert radicand("TMSV_real", r, eta1, eta2) > 0.0
 
 
 def test_q_factor_matches_textbook_expansion():
@@ -164,7 +165,7 @@ def test_q_factor_matches_textbook_expansion():
             + math.sqrt((1 - e1) * (1 - e2))
             - math.sqrt(e1 * e2) * math.sinh(2 * r)
         )
-        assert q_factor(r, ChannelPair(e1, e2)) == pytest.approx(direct, rel=1e-12)
+        assert radicand("TMSV_real", r, e1, e2) == pytest.approx(direct, rel=1e-12)
 
 
 def test_delta_u_real_reduces_to_ideal():
@@ -197,7 +198,7 @@ def test_delta_u_sql_is_unsqueezed_offset():
     for _ in range(20):
         ch = ChannelPair(rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0))
         sql = delta_u_sql(LEO, ch).delta_u
-        tmsv_r0 = delta_u_tmsv_real(LEO.with_(r_db=0.0), ch).delta_u
+        tmsv_r0 = delta_u_tmsv_real(replace(LEO, r_db=0.0), ch).delta_u
         assert sql == tmsv_r0
 
 
@@ -208,7 +209,7 @@ def test_delta_u_smsv_values():
     assert delta_u_smsv_real(LEO, 0.5).delta_u == pytest.approx(
         7.84860668266062e-18, rel=1e-12
     )
-    assert delta_u_smsv_real(LEO.with_(r_db=0.0), 1.0).delta_u == pytest.approx(
+    assert delta_u_smsv_real(replace(LEO, r_db=0.0), 1.0).delta_u == pytest.approx(
         6.841117374800159e-18, rel=1e-12
     )
 
@@ -219,7 +220,7 @@ def test_delta_u_smsv_rejects_opaque_channel():
 
 
 def test_quantum_advantage_zero_without_squeezing():
-    assert quantum_advantage(LEO.with_(r_db=0.0), ChannelPair(0.6, 0.8)) == 0.0
+    assert quantum_advantage(replace(LEO, r_db=0.0), ChannelPair(0.6, 0.8)) == 0.0
 
 
 def test_quantum_advantage_contour_points():
@@ -261,7 +262,7 @@ def test_boundary_symmetric_channels_always_gain():
     # equal transmissivities put 2*sqrt(e1*e2)/(e1+e2) at its maximum of 1,
     # so any squeezing beats the baseline at any symmetric eta > threshold*eta
     for r_db in (1.0, 3.0, 5.0, 15.0):
-        cfg = LEO.with_(r_db=r_db)
+        cfg = replace(LEO, r_db=r_db)
         for eta in (0.05, 0.2, 0.5, 0.9):
             assert quantum_advantage(cfg, ChannelPair(eta, eta)) > 0.0
 
@@ -276,7 +277,7 @@ def test_boundary_validation():
 def test_offsets_independent_of_lo_strength():
     ch = ChannelPair(0.4, 0.9)
     for n_lo in (1.0, 1e6):
-        cfg = LEO.with_(n_lo=n_lo)
+        cfg = replace(LEO, n_lo=n_lo)
         assert delta_u_tmsv_real(cfg, ch).delta_u == pytest.approx(
             delta_u_tmsv_real(LEO, ch).delta_u, rel=1e-12
         )
@@ -298,12 +299,12 @@ def test_offset_monotonic_in_eta_and_photons():
     assert all(a > b for a, b in zip(offsets, offsets[1:]))
     base = delta_u_tmsv_real(LEO, ChannelPair(0.7, 0.7)).delta_u
     for k in (4.0, 100.0):
-        scaled = delta_u_tmsv_real(LEO.with_(n_in=k * 1e3), ChannelPair(0.7, 0.7))
+        scaled = delta_u_tmsv_real(replace(LEO, n_in=k * 1e3), ChannelPair(0.7, 0.7))
         assert scaled.delta_u * math.sqrt(k) == pytest.approx(base, rel=1e-12)
 
 
 def test_snr_threshold_scales_linearly():
-    assert delta_u_tmsv_real(LEO.with_(snr=3.0), ChannelPair(0.5, 0.5)).delta_u == (
+    assert delta_u_tmsv_real(replace(LEO, snr=3.0), ChannelPair(0.5, 0.5)).delta_u == (
         pytest.approx(3 * delta_u_tmsv_real(LEO, ChannelPair(0.5, 0.5)).delta_u, rel=1e-12)
     )
 
@@ -314,7 +315,7 @@ def test_radicand_matches_oracle_grid():
         for eta1 in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
             for eta2 in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
                 oracle = tmsv_chain_variance(r, eta1, eta2, "shared") / 2.0
-                assert q_factor(r, ChannelPair(eta1, eta2)) == pytest.approx(
+                assert radicand("TMSV_real", r, eta1, eta2) == pytest.approx(
                     oracle, rel=1e-9
                 )
 
@@ -364,6 +365,19 @@ def test_config_rejects_non_finite_omega0(bad):
 def test_channel_pair_rejects_non_finite_etas(field, bad):
     with pytest.raises(ValueError, match=f"{field} must be in"):
         ChannelPair(**{"eta1": 0.5, "eta2": 0.5, field: bad})
+
+
+@pytest.mark.parametrize("bad", ["x", True, None, [1.0]])
+@pytest.mark.parametrize("field", ["r_db", "n_in", "snr", "lambda0", "eta1", "eta2"])
+def test_config_and_channel_reject_a_wrong_type_naming_the_field(field, bad):
+    build = ChannelPair if field.startswith("eta") else SensingConfig
+    args = {"eta1": 0.5, "eta2": 0.5} if build is ChannelPair else {}
+    if bad is None and field == "lambda0":
+        args["omega0"] = "x"  # lambda0 may be None when omega0 is given
+        field, bad = "omega0", "x"
+    with pytest.raises(ValueError) as err:
+        build(**{**args, field: bad})
+    assert str(err.value) == f"{field} must be a real number, got {bad!r}"
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])

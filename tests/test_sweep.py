@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ def test_sweep_r_zero_tmsv_equals_sql():
     spec = SweepSpec(
         "eta_symmetric",
         Range(0.05, 1.0, 25),
-        PAPER_SCALE_CONFIG.with_(r_db=0.0),
+        replace(PAPER_SCALE_CONFIG, r_db=0.0),
         ChannelPair(1.0, 1.0),
         ("TMSV", "SQL"),
     )
@@ -67,7 +68,7 @@ def test_sweep_photon_scaling_law():
         SweepSpec(
             "eta_symmetric",
             Range(0.1, 1.0, 10),
-            PAPER_SCALE_CONFIG.with_(n_in=1e5),
+            replace(PAPER_SCALE_CONFIG, n_in=1e5),
             ChannelPair(1, 1),
         )
     )
@@ -103,6 +104,19 @@ def test_sweep_validation():
 def test_range_rejects_non_finite_bounds(field, bad):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         Range(**{"start": 0.1, "stop": 0.5, "steps": 5, field: bad})
+
+
+@pytest.mark.parametrize(
+    "field, bad, kind",
+    [("start", "0.1", "a real number"), ("stop", True, "a real number"),
+     ("steps", 2.5, "an integer"), ("steps", 5.0, "an integer"), ("steps", True, "an integer"),
+     ("steps", "5", "an integer")],
+)
+def test_range_rejects_a_wrong_type_naming_the_field(field, bad, kind):
+    with pytest.raises(ValueError) as err:
+        Range(**{"start": 0.1, "stop": 0.5, "steps": 5, field: bad})
+    assert str(err.value) == f"{field} must be {kind}, got {bad!r}"
+    assert Range(0.1, 0.5, np.int64(5)).steps == 5
 
 
 def test_result_rows_are_a_2d_array_and_columns_are_slices():
