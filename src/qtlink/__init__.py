@@ -6,10 +6,11 @@ budget, cross-checks every closed form against a Gaussian covariance-matrix
 engine, and ships a sweep/plotting CLI.
 
 Layers load on first use, so a command pays only for the layers it runs:
-``emit``, ``gaussian``, ``link``, ``temporal`` and ``verify`` are registered
-in ``sys.modules`` at import but compiled and run only when one of their
-attributes is first read, and each re-exported name is looked up in its
-module on first access (PEP 562).
+``emit``, ``gaussian``, ``link``, ``sensing``, ``sweep``, ``temporal`` and
+``verify`` are registered in ``sys.modules`` at import but compiled and run
+only when one of their attributes is first read, and each re-exported name
+is looked up in its module on first access (PEP 562).  Importing the CLI
+runs only this package, ``constants`` and ``cli`` itself.
 """
 
 import importlib.util
@@ -28,7 +29,7 @@ _EXPORTS = {
         "diffraction_eta", "pointing_eta"
     ),
     "sensing": (
-        "ChannelPair", "OffsetResult", "SensingConfig", "advantage_boundary_eta1", "delta_u",
+        "ChannelPair", "SensingConfig", "advantage_boundary_eta1", "delta_u",
         "delta_u_smsv_real", "delta_u_sql", "delta_u_tmsv_ideal", "delta_u_tmsv_real",
         "photocurrent_mean_single", "photocurrent_variance_single", "post_variance_ideal",
         "quantum_advantage", "r_from_db", "radicand"
@@ -44,8 +45,7 @@ _EXPORTS = {
     "verify": ("run_verify", "smsv_chain_variance", "tmsv_chain_variance"),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
-# cli imports sensing and sweep when it is defined, so only these can wait
-_LAZY = ("emit", "gaussian", "link", "temporal", "verify")
+_LAZY = ("emit", "gaussian", "link", "sensing", "sweep", "temporal", "verify")
 
 __all__ = list(_ORIGIN)
 __version__ = "0.1.0"

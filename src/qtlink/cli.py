@@ -11,15 +11,15 @@ other flag is a usage error.  Exit codes: 0 success, 1 validation error,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import asdict, fields
 
 import numpy as np
 
+# every layer is registered lazily by the package: binding one here loads nothing
 from . import emit, link, sensing, sweep, temporal, verify
-from .sensing import ChannelPair, SensingConfig
+from .constants import SWEEP_VARIABLES
 
 
 class VerifyFailure(RuntimeError):
@@ -68,14 +68,15 @@ _FLAG_FIELDS = {
     "delta_omega": ("delta_omega",), "split": ("split",), "snr": ("snr",),
     "eta": ("eta1", "eta2"), "eta1": ("eta1",), "eta2": ("eta2",), "policy": ("policy",),
 }
-_SENSING_FIELDS = {f.name for f in fields(SensingConfig)}
-# default ranges of the non-eta sweep variables; the eta ones sweep sweep.ETA_RANGE
-_SWEEP_RANGES = {"r_db": sweep.Range(0.0, 15.0, 100), "n_in": sweep.Range(1e2, 1e6, 100)}
+# (start, stop, steps) of the non-eta sweep variables; the eta ones sweep sweep.ETA_RANGE
+_SWEEP_RANGES = {"r_db": (0.0, 15.0, 100), "n_in": (1e2, 1e6, 100)}
 
 
 def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
+    import json
+
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
@@ -117,6 +118,7 @@ def _budget_eta(parent: dict, key: str, name: str) -> float:
 def _resolve(args):
     """Merge config file and flags into a SensingConfig + ChannelPair + sweep section."""
     file_cfg = _load_config_file(args.config)
+    sensing_fields = {f.name for f in fields(sensing.SensingConfig)}
     given = {}
     for name, targets in _FLAG_FIELDS.items():
         if getattr(args, name, None) is not None:
@@ -125,12 +127,12 @@ def _resolve(args):
     if "lambda0" in given:
         given["lambda0"] *= 1e-9
         sensing_cfg.pop("omega0", None)
-    sensing_cfg.update((k, v) for k, v in given.items() if k in _SENSING_FIELDS)
-    defaults = asdict(sweep.PAPER_SCALE_CONFIG)
+    sensing_cfg.update((k, v) for k, v in given.items() if k in sensing_fields)
+    defaults = asdict(sensing.PAPER_SCALE_CONFIG)
     if "omega0" in sensing_cfg and sensing_cfg.get("omega0") is not None:
         defaults["lambda0"] = None
     defaults.update(sensing_cfg)
-    cfg = SensingConfig(**defaults)
+    cfg = sensing.SensingConfig(**defaults)
 
     channel_cfg = dict(_section(file_cfg, "channel"))
     link_cfg = _section(file_cfg, "link")
@@ -144,10 +146,10 @@ def _resolve(args):
             eta = _budget_eta(file_cfg, "link", "link")
             channel_cfg.setdefault("eta1", eta)
             channel_cfg.setdefault("eta2", eta)
-    channel_cfg.update((k, v) for k, v in given.items() if k not in _SENSING_FIELDS)
+    channel_cfg.update((k, v) for k, v in given.items() if k not in sensing_fields)
     channel_cfg.setdefault("eta1", 1.0)
     channel_cfg.setdefault("eta2", 1.0)
-    ch = ChannelPair(**channel_cfg)
+    ch = sensing.ChannelPair(**channel_cfg)
     return cfg, ch, _section(file_cfg, "sweep")
 
 
@@ -172,8 +174,12 @@ def _comma_list(args, name: str, convert=float):
     return values
 
 
-def _range(args, file_sweep: dict, default: sweep.Range = sweep.ETA_RANGE) -> sweep.Range:
-    """Each of start/stop/steps from its flag, else the file's sweep section, else ``default``."""
+def _range(args, file_sweep: dict, default: sweep.Range | None = None) -> sweep.Range:
+    """Each of start/stop/steps from its flag, else the file's sweep section, else ``default``.
+
+    ``default`` is ``sweep.ETA_RANGE`` when None.
+    """
+    default = default or sweep.ETA_RANGE
     bounds = {}
     for key in ("start", "stop", "steps"):
         value = getattr(args, key, None)
@@ -183,6 +189,7 @@ def _range(args, file_sweep: dict, default: sweep.Range = sweep.ETA_RANGE) -> sw
 
 def _sweep(args, cfg, ch, file_sweep) -> sweep.SweepResult:
     variable = args.variable or file_sweep.get("variable", "eta_symmetric")
+    sweep.require_variable(variable)
     swept = {"eta_symmetric": {"eta1", "eta2"}}.get(variable, {variable})
     clash = [
         "--" + name.replace("_", "-")
@@ -191,7 +198,8 @@ def _sweep(args, cfg, ch, file_sweep) -> sweep.SweepResult:
     ]
     if clash:
         raise ValueError(f"{', '.join(clash)} sets {variable}, the swept variable")
-    rng = _range(args, file_sweep, _SWEEP_RANGES.get(variable, sweep.ETA_RANGE))
+    default = _SWEEP_RANGES.get(variable)
+    rng = _range(args, file_sweep, default and sweep.Range(*default))
     schemes = _comma_list(args, "schemes", str.upper)
     return sweep.run_sweep(sweep.SweepSpec(variable, rng, cfg, ch, schemes))
 
@@ -234,12 +242,14 @@ def _cmd_table(args) -> int:
 def _cmd_delta_u(args) -> int:
     cfg, ch, _ = _resolve(args)
     values = {
-        "TMSV_ideal": sensing.delta_u_tmsv_ideal(cfg).delta_u,
-        "TMSV_real": sensing.delta_u_tmsv_real(cfg, ch).delta_u,
-        "SQL": sensing.delta_u_sql(cfg, ch).delta_u,
-        "SMSV_real": sensing.delta_u_smsv_real(cfg, ch.eta1).delta_u,
+        "TMSV_ideal": sensing.delta_u_tmsv_ideal(cfg),
+        "TMSV_real": sensing.delta_u_tmsv_real(cfg, ch),
+        "SQL": sensing.delta_u_sql(cfg, ch),
+        "SMSV_real": sensing.delta_u_smsv_real(cfg, ch.eta1),
     }
     if args.format == "json":
+        import json
+
         text = json.dumps(values, sort_keys=True, indent=2) + "\n"
     else:
         text = "scheme,delta_u_s\n" + "".join(f"{k},{v:.8e}\n" for k, v in values.items())
@@ -310,7 +320,7 @@ COMMANDS = {
         _flag("--out", help="write the table to this path instead of stdout"),
     ), _cmd_delta_u),
     "sweep": ("sweep one variable", TABLE + ETAS + (
-        _flag("--variable", choices=sweep.SWEEP_VARIABLES),
+        _flag("--variable", choices=SWEEP_VARIABLES),
         _flag("--start", type=float),
         _flag("--stop", type=float),
         _flag("--schemes", default="TMSV,SQL,SMSV", help="comma list from TMSV,SQL,SMSV"),

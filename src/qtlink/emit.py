@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import json
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .sweep import SweepResult
+if TYPE_CHECKING:  # annotations only: delta-u --out writes through emit without sweep
+    from .sweep import SweepResult
 
 __all__ = [
     "render_csv",

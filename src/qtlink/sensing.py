@@ -32,7 +32,8 @@ from .constants import SPEED_OF_LIGHT
 __all__ = [
     "SensingConfig",
     "ChannelPair",
-    "OffsetResult",
+    "PAPER_SCALE_CONFIG",
+    "MAX_R_DB",
     "r_from_db",
     "SCHEMES",
     "radicand",
@@ -52,6 +53,12 @@ __all__ = [
 
 SCHEMES = ("TMSV_ideal", "TMSV_real", "SQL", "SMSV_real")
 
+# The largest squeezing level accepted, in dB.  sinh and cosh of the
+# squeezing magnitude overflow a double above r ~ 710.48 (~6171 dB); this
+# round bound (r ~ 709.77) keeps every level the kernel sees below that.
+MAX_R_DB = 6165.0
+_MAX_R = MAX_R_DB * math.log(10.0) / 20.0
+
 
 def require_real(name: str, value) -> None:
     """Raise ValueError naming ``name`` unless ``value`` is a real number; a bool is not."""
@@ -60,9 +67,13 @@ def require_real(name: str, value) -> None:
 
 
 def r_from_db(r_db):
-    """Squeezing magnitude from decibels: r_db = -10*log10(e^-2r), elementwise."""
+    """Squeezing magnitude from decibels: r_db = -10*log10(e^-2r), elementwise.
+
+    Each level must be finite and in [0, MAX_R_DB].
+    """
     ok = np.isfinite(r_db) & (np.asarray(r_db) >= 0.0)
     _check("squeezing level in dB", r_db, ok, "finite and >= 0")
+    _check("squeezing level in dB", r_db, np.asarray(r_db) <= MAX_R_DB, f"at most {MAX_R_DB:g}")
     return r_db * math.log(10.0) / 20.0
 
 
@@ -163,18 +174,11 @@ class ChannelPair:
             raise ValueError(f"unknown vacuum policy {self.policy!r}")
 
 
-@dataclass(frozen=True)
-class OffsetResult:
-    """Minimum measurable offset for one scheme, with the inputs that produced it."""
-
-    delta_u: float
-    scheme: str
-    config: SensingConfig
-    channel: ChannelPair | None = None
-
-    def __post_init__(self):
-        if not math.isfinite(self.delta_u) or self.delta_u <= 0:
-            raise ValueError(f"delta_u must be finite and > 0, got {self.delta_u}")
+# LEO-link scale used by the CLI defaults and all figure presets: 815 nm
+# carrier, 2*pi MHz spectral spread, a 1000-photon budget.
+PAPER_SCALE_CONFIG = SensingConfig(
+    r_db=5.0, n_in=1e3, lambda0=815e-9, delta_omega=2.0 * math.pi * 1e6
+)
 
 
 def photocurrent_mean_single(
@@ -239,6 +243,8 @@ def _unit(name: str, eta) -> np.ndarray:
 def _squeezing(r):
     ok = np.isfinite(r) & (np.asarray(r) >= 0.0)
     _check("squeezing magnitude", r, ok, "finite and >= 0")
+    _check("squeezing magnitude", r, np.asarray(r) <= _MAX_R,
+           f"at most {_MAX_R} ({MAX_R_DB:g} dB)")
     return r
 
 
@@ -352,28 +358,28 @@ def evaluate(
     return delta_u(scheme, r, eta1, eta2, n1, n2, cfg.omega_rss, cfg.snr, policy)
 
 
-def _offset(scheme: str, cfg: SensingConfig, ch: ChannelPair | None = None):
+def _offset(scheme: str, cfg: SensingConfig, ch: ChannelPair | None = None) -> float:
     channel = () if ch is None else (ch.eta1, ch.eta2, ch.policy)
-    return OffsetResult(float(evaluate(scheme, cfg, *channel)), scheme, cfg, ch)
+    return float(evaluate(scheme, cfg, *channel))
 
 
-def delta_u_tmsv_ideal(cfg: SensingConfig) -> OffsetResult:
+def delta_u_tmsv_ideal(cfg: SensingConfig) -> float:
     """Minimum offset of the lossless entangled scheme (reduces to
     e^-r/(2*sqrt(N_in)*sqrt(omega0^2+delta_omega^2)) at the even split)."""
     return _offset("TMSV_ideal", cfg)
 
 
-def delta_u_tmsv_real(cfg: SensingConfig, ch: ChannelPair) -> OffsetResult:
+def delta_u_tmsv_real(cfg: SensingConfig, ch: ChannelPair) -> float:
     """Minimum offset of the entangled scheme through lossy channels."""
     return _offset("TMSV_real", cfg, ch)
 
 
-def delta_u_sql(cfg: SensingConfig, ch: ChannelPair) -> OffsetResult:
+def delta_u_sql(cfg: SensingConfig, ch: ChannelPair) -> float:
     """Unentangled baseline: the lossy-scheme offset at r = 0."""
     return _offset("SQL", cfg, ch)
 
 
-def delta_u_smsv_real(cfg: SensingConfig, eta1: float) -> OffsetResult:
+def delta_u_smsv_real(cfg: SensingConfig, eta1: float) -> float:
     """Minimum offset of a single squeezed mode through one lossy channel.
 
     Equals the ideal entangled value at eta1 = 1.
@@ -383,7 +389,7 @@ def delta_u_smsv_real(cfg: SensingConfig, eta1: float) -> OffsetResult:
 
 def quantum_advantage(cfg: SensingConfig, ch: ChannelPair) -> float:
     """Offset gained over the unentangled baseline: du_SQL - du_TMSV (can be <= 0)."""
-    return delta_u_sql(cfg, ch).delta_u - delta_u_tmsv_real(cfg, ch).delta_u
+    return delta_u_sql(cfg, ch) - delta_u_tmsv_real(cfg, ch)
 
 
 def advantage_boundary_eta1(r: float, eta2: float) -> float:

@@ -14,7 +14,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import sensing
-from .sensing import ChannelPair, SensingConfig, require_real
+from .constants import SWEEP_VARIABLES
+from .sensing import PAPER_SCALE_CONFIG, ChannelPair, SensingConfig, require_real
 
 __all__ = [
     "Range",
@@ -31,14 +32,17 @@ __all__ = [
     "ETA_RANGE",
 ]
 
-SWEEP_VARIABLES = ("eta_symmetric", "eta1", "eta2", "r_db", "n_in")
 SCHEMES = ("TMSV", "SQL", "SMSV")
 
-# LEO-link scale used by all figure presets: 815 nm carrier, 2*pi MHz
-# spectral spread, a 1000-photon budget.
-PAPER_SCALE_CONFIG = SensingConfig(
-    r_db=5.0, n_in=1e3, lambda0=815e-9, delta_omega=2.0 * math.pi * 1e6
-)
+
+def require_variable(variable) -> None:
+    """Raise ValueError unless ``variable`` names a sweep variable.
+
+    Membership compares by equality, so a value that cannot be hashed (a
+    JSON list, say) is rejected here rather than failing as a dict key.
+    """
+    if variable not in SWEEP_VARIABLES:
+        raise ValueError(f"unknown sweep variable {variable!r}; pick one of {SWEEP_VARIABLES}")
 
 
 @dataclass(frozen=True)
@@ -79,10 +83,7 @@ class SweepSpec:
     schemes: tuple = SCHEMES
 
     def __post_init__(self):
-        if self.variable not in SWEEP_VARIABLES:
-            raise ValueError(
-                f"unknown sweep variable {self.variable!r}; pick one of {SWEEP_VARIABLES}"
-            )
+        require_variable(self.variable)
         unknown = set(self.schemes) - set(SCHEMES)
         if unknown or not self.schemes:
             raise ValueError(f"schemes must be a nonempty subset of {SCHEMES}")

@@ -68,12 +68,12 @@ def test_criterion_1_limit_identities():
     configs, rng = random_configs(100)
     worst = 0.0
     for cfg in configs:
-        ideal = delta_u_tmsv_ideal(cfg).delta_u
-        lossless = delta_u_tmsv_real(cfg, ChannelPair(1.0, 1.0)).delta_u
+        ideal = delta_u_tmsv_ideal(cfg)
+        lossless = delta_u_tmsv_real(cfg, ChannelPair(1.0, 1.0))
         worst = max(worst, abs(lossless - ideal) / ideal)
         ch = ChannelPair(rng.uniform(0.01, 1.0), rng.uniform(0.01, 1.0))
-        sql = delta_u_sql(cfg, ch).delta_u
-        unsqueezed = delta_u_tmsv_real(replace(cfg, r_db=0.0), ch).delta_u
+        sql = delta_u_sql(cfg, ch)
+        unsqueezed = delta_u_tmsv_real(replace(cfg, r_db=0.0), ch)
         worst = max(worst, abs(unsqueezed - sql) / sql)
     report(1, worst < 1e-12, f"limit identities over 100 random configs, max rel err {worst:.2e}")
 
@@ -82,8 +82,8 @@ def test_criterion_2_ideal_equivalence_single_vs_two_mode():
     worst = 0.0
     for r_db in R_DB_GRID:
         cfg = replace(LEO, r_db=r_db)
-        ideal = delta_u_tmsv_ideal(cfg).delta_u
-        smsv = delta_u_smsv_real(cfg, 1.0).delta_u
+        ideal = delta_u_tmsv_ideal(cfg)
+        smsv = delta_u_smsv_real(cfg, 1.0)
         worst = max(worst, abs(smsv - ideal) / ideal)
     report(2, worst < 1e-12, f"lossless single-mode equals two-mode, max rel err {worst:.2e}")
 
@@ -134,17 +134,17 @@ def test_criterion_5_asymmetric_boundary():
 def test_criterion_6_single_mode_ordering():
     etas = np.round(np.arange(0.05, 0.951, 0.05), 10)
     strict = all(
-        delta_u_smsv_real(LEO, float(e)).delta_u
-        < delta_u_tmsv_real(LEO, ChannelPair(float(e), float(e))).delta_u
+        delta_u_smsv_real(LEO, float(e))
+        < delta_u_tmsv_real(LEO, ChannelPair(float(e), float(e)))
         for e in etas
     )
     eq_err = abs(
-        delta_u_smsv_real(LEO, 1.0).delta_u
-        - delta_u_tmsv_real(LEO, ChannelPair(1.0, 1.0)).delta_u
-    ) / delta_u_tmsv_real(LEO, ChannelPair(1.0, 1.0)).delta_u
+        delta_u_smsv_real(LEO, 1.0)
+        - delta_u_tmsv_real(LEO, ChannelPair(1.0, 1.0))
+    ) / delta_u_tmsv_real(LEO, ChannelPair(1.0, 1.0))
     ratio = (
-        delta_u_smsv_real(LEO, 0.5).delta_u
-        / delta_u_tmsv_real(LEO, ChannelPair(0.5, 0.5)).delta_u
+        delta_u_smsv_real(LEO, 0.5)
+        / delta_u_tmsv_real(LEO, ChannelPair(0.5, 0.5))
     )
     ok = strict and eq_err < 1e-12 and abs(ratio - 0.7538) <= 1e-3
     report(6, ok, f"single-mode strictly finer on eta in [0.05, 0.95], ratio(0.5) = {ratio:.4f}")
@@ -160,19 +160,19 @@ def test_criterion_7_curve_shape_and_endpoints():
 
     cfg3 = replace(LEO, r_db=3.0)
     rel_04 = 1.0 - (
-        delta_u_tmsv_real(cfg3, ChannelPair(0.4, 0.4)).delta_u
-        / delta_u_sql(cfg3, ChannelPair(0.4, 0.4)).delta_u
+        delta_u_tmsv_real(cfg3, ChannelPair(0.4, 0.4))
+        / delta_u_sql(cfg3, ChannelPair(0.4, 0.4))
     )
     rel_03 = 1.0 - (
-        delta_u_tmsv_real(cfg3, ChannelPair(0.3, 0.3)).delta_u
-        / delta_u_sql(cfg3, ChannelPair(0.3, 0.3)).delta_u
+        delta_u_tmsv_real(cfg3, ChannelPair(0.3, 0.3))
+        / delta_u_sql(cfg3, ChannelPair(0.3, 0.3))
     )
 
     end = {name: result.column(name)[-1] for name in result.columns[1:]}
-    endpoint_err = abs(end["du_sql"] - delta_u_sql(LEO, ChannelPair(1, 1)).delta_u) / end["du_sql"]
+    endpoint_err = abs(end["du_sql"] - delta_u_sql(LEO, ChannelPair(1, 1))) / end["du_sql"]
     literal_err = 0.0
     for r_db in (3.0, 7.0, 11.0, 15.0):
-        ideal = delta_u_tmsv_ideal(replace(LEO, r_db=r_db)).delta_u
+        ideal = delta_u_tmsv_ideal(replace(LEO, r_db=r_db))
         value = end[f"du_tmsv_{r_db:g}db"]
         endpoint_err = max(endpoint_err, abs(value - ideal) / ideal)
         literal = 6.841e-18 * math.exp(-r_from_db(r_db))
@@ -199,15 +199,15 @@ def test_criterion_8_photon_scaling():
     for k in (4.0, 100.0):
         scaled = replace(LEO, n_in=k * LEO.n_in)
         pairs = (
-            (delta_u_tmsv_ideal(LEO).delta_u, delta_u_tmsv_ideal(scaled).delta_u),
+            (delta_u_tmsv_ideal(LEO), delta_u_tmsv_ideal(scaled)),
             (
-                delta_u_tmsv_real(LEO, ch).delta_u,
-                delta_u_tmsv_real(scaled, ch).delta_u,
+                delta_u_tmsv_real(LEO, ch),
+                delta_u_tmsv_real(scaled, ch),
             ),
-            (delta_u_sql(LEO, ch).delta_u, delta_u_sql(scaled, ch).delta_u),
+            (delta_u_sql(LEO, ch), delta_u_sql(scaled, ch)),
             (
-                delta_u_smsv_real(LEO, 0.6).delta_u,
-                delta_u_smsv_real(scaled, 0.6).delta_u,
+                delta_u_smsv_real(LEO, 0.6),
+                delta_u_smsv_real(scaled, 0.6),
             ),
         )
         for base, small in pairs:

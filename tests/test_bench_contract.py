@@ -15,14 +15,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_tracer_runs_fig3_and_counts_points_and_cells(tmp_path):
+def _trace(tmp_path, *argv):
+    """Run ``argv`` under bench/tracer.py and return its trace record."""
     trace = tmp_path / "trace.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    argv = ["fig3", "--steps", "12", "--format", "svg"]
-    argv += ["--out", str(tmp_path / "fig3.svg")]
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "tracer.py"), str(trace), *argv],
         cwd=ROOT,
@@ -32,8 +31,27 @@ def test_tracer_runs_fig3_and_counts_points_and_cells(tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    record = json.loads(trace.read_text())
+    return json.loads(trace.read_text())
+
+
+def test_tracer_runs_fig3_and_counts_points_and_cells(tmp_path):
+    argv = ["fig3", "--steps", "12", "--format", "svg"]
+    record = _trace(tmp_path, *argv, "--out", str(tmp_path / "fig3.svg"))
     assert record["rc"] == 0
     assert record["sweep_points"] == 144
     assert record["contour_cells"] > 0
     assert record["contour_hits"] > 0
+
+
+def test_tracer_counts_the_scalar_calls_of_delta_u(tmp_path):
+    # four delta_u_* wrappers plus quantum_advantage, whose inner calls are not recounted
+    record = _trace(tmp_path, "delta-u", "--r-db", "5", "--eta", "0.5")
+    assert record["rc"] == 0
+    assert record["counts"]["sensing"] == 5
+
+
+def test_tracer_counts_the_oracle_ops_and_points_of_verify(tmp_path):
+    record = _trace(tmp_path, "verify")
+    assert record["rc"] == 0
+    assert record["counts"]["gaussian"] == 36
+    assert record["verify_points"] == 168

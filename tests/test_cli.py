@@ -557,3 +557,32 @@ def test_fig2_rejects_repeated_column_labels(r_dbs, tmp_path, capsys):
     assert "r_dbs repeat the column label du_tmsv_" in err
     assert not out_path.exists()
 
+
+
+@pytest.mark.parametrize(
+    "args, bad",
+    [
+        (["fig2", "--r-dbs", "7000"], "7000.0"),
+        (["compare", "--r-db", "7000"], "7000.0"),
+        (["sweep", "--variable", "r_db", "--stop", "1e9"], "10101010.1010101"),
+    ],
+)
+def test_squeezing_past_the_overflow_bound_exits_1_naming_it(args, bad, tmp_path, capsys):
+    # sinh and cosh of these levels overflow a double; they used to traceback
+    out_path = tmp_path / "out.csv"
+    code, out, err = run([*args, "--out", str(out_path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: squeezing level in dB must be at most 6165, got {bad}\n"
+    assert not out_path.exists()
+
+
+def test_sweep_rejects_a_non_string_variable_from_config(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"sweep": {"variable": ["a"]}}))
+    out_path = tmp_path / "out.csv"
+    code, out, err = run(["sweep", "--config", str(path), "--out", str(out_path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: unknown sweep variable ['a']; pick one of (")
+    assert not out_path.exists()

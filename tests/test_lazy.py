@@ -1,9 +1,9 @@
 """Layers load on first use.
 
-Importing the CLI, and running a figure command, leaves the oracle,
-Gaussian, temporal and link modules registered but never executed, while
-every name the package re-exports still resolves.  Each check runs in a
-fresh interpreter, since this test process has long since loaded them all.
+Importing the CLI executes no layer, and each command executes only the
+layers it runs: the others stay registered but never executed, while every
+name the package re-exports still resolves.  Each check runs in a fresh
+interpreter, since this test process has long since loaded them all.
 """
 
 import json
@@ -11,6 +11,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -22,7 +24,7 @@ EXPORTED = {
                  "symplectic_form", "vacuum"],
     "link": ["LinkBudget", "LinkGeometry", "beam_radius", "budget_from_geometry",
              "compose_eta", "diffraction_eta", "pointing_eta"],
-    "sensing": ["ChannelPair", "OffsetResult", "SensingConfig", "advantage_boundary_eta1",
+    "sensing": ["ChannelPair", "SensingConfig", "advantage_boundary_eta1",
                 "delta_u", "delta_u_smsv_real", "delta_u_sql", "delta_u_tmsv_ideal",
                 "delta_u_tmsv_real", "photocurrent_mean_single", "photocurrent_variance_single",
                 "post_variance_ideal", "quantum_advantage", "r_from_db", "radicand"],
@@ -35,6 +37,13 @@ EXPORTED = {
 }
 
 UNUSED_BY_FIG3 = ("verify", "gaussian", "temporal", "link")
+LAYERS = ("sensing", "sweep", "emit", "gaussian", "link", "temporal", "verify")
+# command -> the layers it never executes
+UNUSED_BY = {
+    "delta-u": ("sweep", "emit", "gaussian", "link", "temporal", "verify"),
+    "verify": ("sweep", "emit", "link", "temporal"),
+    "tm-check": ("sensing", "sweep", "emit", "gaussian", "link", "verify"),
+}
 
 # type() reads no attribute, so it does not trigger a lazy module's load
 PROBE_CLI = """
@@ -49,6 +58,16 @@ def unloaded():
 after_import = unloaded()
 rc = qtlink.cli.main(sys.argv[2:])
 print(json.dumps({"import": after_import, "main": unloaded(), "rc": rc}))
+"""
+
+# json is left out of this probe's own imports, so it shows whether qtlink loaded it
+PROBE_JSON = """
+import sys
+import qtlink.cli
+
+after_import = "json" in sys.modules
+rc = qtlink.cli.main(sys.argv[1:])
+print('{"import": %d, "main": %d, "rc": %d}' % (after_import, "json" in sys.modules, rc))
 """
 
 PROBE_NAMES = """
@@ -103,6 +122,30 @@ def test_cli_leaves_the_layers_it_does_not_run_unloaded(tmp_path):
     expected = dict.fromkeys(UNUSED_BY_FIG3, True)
     assert record["import"] == expected
     assert record["main"] == expected
+
+
+@pytest.mark.parametrize("command", list(UNUSED_BY))
+def test_each_command_executes_only_the_layers_it_runs(command):
+    record = _python(PROBE_CLI, json.dumps(LAYERS), command)
+    assert record["rc"] == 0
+    assert record["import"] == dict.fromkeys(LAYERS, True)
+    assert record["main"] == {name: name in UNUSED_BY[command] for name in LAYERS}
+
+
+def test_delta_u_out_writes_through_emit_without_the_sweep_layer(tmp_path):
+    out = tmp_path / "du.csv"
+    record = _python(PROBE_CLI, json.dumps(LAYERS), "delta-u", "--out", str(out))
+    assert record["rc"] == 0
+    assert out.exists()
+    assert record["main"] == {name: name not in ("sensing", "emit") for name in LAYERS}
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [(["delta-u"], 0), (["delta-u", "--format", "json"], 1), (["tm-check"], 0), (["verify"], 0)],
+)
+def test_json_loads_only_to_read_a_config_file_or_write_json(argv, loaded):
+    assert _python(PROBE_JSON, *argv) == {"import": 0, "main": loaded, "rc": 0}
 
 
 def test_every_exported_name_resolves():

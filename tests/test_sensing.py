@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from qtlink.sensing import (
+    MAX_R_DB,
     ChannelPair,
     SensingConfig,
     advantage_boundary_eta1,
+    delta_u,
     delta_u_smsv_real,
     delta_u_sql,
     delta_u_tmsv_ideal,
@@ -113,22 +115,22 @@ def test_post_variance_diagonal_phase():
 
 
 def test_delta_u_ideal_values():
-    assert delta_u_tmsv_ideal(replace(LEO, r_db=0.0)).delta_u == pytest.approx(
+    assert delta_u_tmsv_ideal(replace(LEO, r_db=0.0)) == pytest.approx(
         6.841117374800159e-18, rel=1e-12
     )
-    assert delta_u_tmsv_ideal(LEO).delta_u == pytest.approx(
+    assert delta_u_tmsv_ideal(LEO) == pytest.approx(
         3.8470430103278435e-18, rel=1e-12
     )
     # agreement with the 4-digit quoted numbers
-    assert delta_u_tmsv_ideal(replace(LEO, r_db=0.0)).delta_u == pytest.approx(
+    assert delta_u_tmsv_ideal(replace(LEO, r_db=0.0)) == pytest.approx(
         6.841e-18, rel=1e-3
     )
-    assert delta_u_tmsv_ideal(LEO).delta_u == pytest.approx(3.847e-18, rel=1e-3)
+    assert delta_u_tmsv_ideal(LEO) == pytest.approx(3.847e-18, rel=1e-3)
 
 
 def test_delta_u_ideal_photon_scaling():
-    base = delta_u_tmsv_ideal(LEO).delta_u
-    assert delta_u_tmsv_ideal(replace(LEO, n_in=4e3)).delta_u == pytest.approx(
+    base = delta_u_tmsv_ideal(LEO)
+    assert delta_u_tmsv_ideal(replace(LEO, n_in=4e3)) == pytest.approx(
         base / 2.0, rel=1e-12
     )
 
@@ -170,11 +172,11 @@ def test_q_factor_matches_textbook_expansion():
 
 def test_delta_u_real_reduces_to_ideal():
     res = delta_u_tmsv_real(LEO, ChannelPair(1.0, 1.0))
-    assert res.delta_u == pytest.approx(delta_u_tmsv_ideal(LEO).delta_u, rel=1e-12)
+    assert res == pytest.approx(delta_u_tmsv_ideal(LEO), rel=1e-12)
 
 
 def test_delta_u_real_symmetric_half():
-    assert delta_u_tmsv_real(LEO, ChannelPair(0.5, 0.5)).delta_u == pytest.approx(
+    assert delta_u_tmsv_real(LEO, ChannelPair(0.5, 0.5)) == pytest.approx(
         1.0411604765591977e-17, rel=1e-12
     )
 
@@ -185,10 +187,10 @@ def test_delta_u_real_rejects_opaque_channels():
 
 
 def test_delta_u_sql_values():
-    assert delta_u_sql(LEO, ChannelPair(1.0, 1.0)).delta_u == pytest.approx(
+    assert delta_u_sql(LEO, ChannelPair(1.0, 1.0)) == pytest.approx(
         6.841117374800159e-18, rel=1e-12
     )
-    assert delta_u_sql(LEO, ChannelPair(0.5, 0.5)).delta_u == pytest.approx(
+    assert delta_u_sql(LEO, ChannelPair(0.5, 0.5)) == pytest.approx(
         1.1849162873696092e-17, rel=1e-12
     )
 
@@ -197,19 +199,19 @@ def test_delta_u_sql_is_unsqueezed_offset():
     rng = np.random.default_rng(5)
     for _ in range(20):
         ch = ChannelPair(rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0))
-        sql = delta_u_sql(LEO, ch).delta_u
-        tmsv_r0 = delta_u_tmsv_real(replace(LEO, r_db=0.0), ch).delta_u
+        sql = delta_u_sql(LEO, ch)
+        tmsv_r0 = delta_u_tmsv_real(replace(LEO, r_db=0.0), ch)
         assert sql == tmsv_r0
 
 
 def test_delta_u_smsv_values():
-    assert delta_u_smsv_real(LEO, 1.0).delta_u == pytest.approx(
-        delta_u_tmsv_ideal(LEO).delta_u, rel=1e-12
+    assert delta_u_smsv_real(LEO, 1.0) == pytest.approx(
+        delta_u_tmsv_ideal(LEO), rel=1e-12
     )
-    assert delta_u_smsv_real(LEO, 0.5).delta_u == pytest.approx(
+    assert delta_u_smsv_real(LEO, 0.5) == pytest.approx(
         7.84860668266062e-18, rel=1e-12
     )
-    assert delta_u_smsv_real(replace(LEO, r_db=0.0), 1.0).delta_u == pytest.approx(
+    assert delta_u_smsv_real(replace(LEO, r_db=0.0), 1.0) == pytest.approx(
         6.841117374800159e-18, rel=1e-12
     )
 
@@ -278,34 +280,34 @@ def test_offsets_independent_of_lo_strength():
     ch = ChannelPair(0.4, 0.9)
     for n_lo in (1.0, 1e6):
         cfg = replace(LEO, n_lo=n_lo)
-        assert delta_u_tmsv_real(cfg, ch).delta_u == pytest.approx(
-            delta_u_tmsv_real(LEO, ch).delta_u, rel=1e-12
+        assert delta_u_tmsv_real(cfg, ch) == pytest.approx(
+            delta_u_tmsv_real(LEO, ch), rel=1e-12
         )
-        assert delta_u_smsv_real(cfg, 0.4).delta_u == pytest.approx(
-            delta_u_smsv_real(LEO, 0.4).delta_u, rel=1e-12
+        assert delta_u_smsv_real(cfg, 0.4) == pytest.approx(
+            delta_u_smsv_real(LEO, 0.4), rel=1e-12
         )
 
 
 def test_single_mode_beats_two_mode_under_symmetric_loss():
     for eta in np.arange(0.1, 0.95, 0.1):
-        du_smsv = delta_u_smsv_real(LEO, eta).delta_u
-        du_tmsv = delta_u_tmsv_real(LEO, ChannelPair(eta, eta)).delta_u
+        du_smsv = delta_u_smsv_real(LEO, eta)
+        du_tmsv = delta_u_tmsv_real(LEO, ChannelPair(eta, eta))
         assert du_smsv < du_tmsv
 
 
 def test_offset_monotonic_in_eta_and_photons():
     etas = np.linspace(0.05, 1.0, 40)
-    offsets = [delta_u_tmsv_real(LEO, ChannelPair(e, e)).delta_u for e in etas]
+    offsets = [delta_u_tmsv_real(LEO, ChannelPair(e, e)) for e in etas]
     assert all(a > b for a, b in zip(offsets, offsets[1:]))
-    base = delta_u_tmsv_real(LEO, ChannelPair(0.7, 0.7)).delta_u
+    base = delta_u_tmsv_real(LEO, ChannelPair(0.7, 0.7))
     for k in (4.0, 100.0):
         scaled = delta_u_tmsv_real(replace(LEO, n_in=k * 1e3), ChannelPair(0.7, 0.7))
-        assert scaled.delta_u * math.sqrt(k) == pytest.approx(base, rel=1e-12)
+        assert scaled * math.sqrt(k) == pytest.approx(base, rel=1e-12)
 
 
 def test_snr_threshold_scales_linearly():
-    assert delta_u_tmsv_real(replace(LEO, snr=3.0), ChannelPair(0.5, 0.5)).delta_u == (
-        pytest.approx(3 * delta_u_tmsv_real(LEO, ChannelPair(0.5, 0.5)).delta_u, rel=1e-12)
+    assert delta_u_tmsv_real(replace(LEO, snr=3.0), ChannelPair(0.5, 0.5)) == (
+        pytest.approx(3 * delta_u_tmsv_real(LEO, ChannelPair(0.5, 0.5)), rel=1e-12)
     )
 
 
@@ -380,9 +382,18 @@ def test_config_and_channel_reject_a_wrong_type_naming_the_field(field, bad):
     assert str(err.value) == f"{field} must be a real number, got {bad!r}"
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 7000.0])
 def test_r_from_db_rejects_bad_levels(bad):
     with pytest.raises(ValueError, match="squeezing level"):
         r_from_db(bad)
     with pytest.raises(ValueError, match="squeezing level"):
         r_from_db(np.array([1.0, bad]))
+
+
+def test_squeezing_past_the_overflow_bound_is_rejected():
+    # at the bound every scheme's math stays finite; past it sinh/cosh would overflow
+    r_max = r_from_db(MAX_R_DB)
+    for scheme in ("TMSV_real", "SMSV_real"):
+        assert math.isfinite(radicand(scheme, r_max, 0.5, 0.5))
+    with pytest.raises(ValueError, match="squeezing magnitude must be at most .*, got 800.0"):
+        delta_u("TMSV_real", 800.0, 0.5, 0.5, 500.0, 500.0, 1.0, 1.0)

@@ -133,7 +133,7 @@ def test_independent_sweep_uses_the_independent_radicand():
     result = run_sweep(SweepSpec("eta1", Range(0.2, 1.0, 5), PAPER_SCALE_CONFIG, ch))
     for eta1, du in zip(result.column("eta1"), result.column("du_tmsv")):
         pair = ChannelPair(float(eta1), 0.6, "independent")
-        assert du == delta_u_tmsv_real(PAPER_SCALE_CONFIG, pair).delta_u
+        assert du == delta_u_tmsv_real(PAPER_SCALE_CONFIG, pair)
 
 
 def test_grid_contour_points():
