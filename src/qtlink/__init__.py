@@ -35,8 +35,8 @@ _EXPORTS = {
         "quantum_advantage", "r_from_db", "radicand"
     ),
     "sweep": (
-        "GridSpec", "Range", "SweepResult", "SweepSpec", "preset_fig2", "preset_fig3",
-        "preset_fig4", "run_compare_smsv", "run_grid", "run_sweep"
+        "Range", "SweepResult", "preset_fig2", "preset_fig3", "preset_fig4",
+        "run_compare_smsv", "run_grid", "run_sweep"
     ),
     "temporal": (
         "ModeFunction", "SpectralProfile", "TimingModeParams", "inner_product",

@@ -68,8 +68,6 @@ _FLAG_FIELDS = {
     "delta_omega": ("delta_omega",), "split": ("split",), "snr": ("snr",),
     "eta": ("eta1", "eta2"), "eta1": ("eta1",), "eta2": ("eta2",), "policy": ("policy",),
 }
-# (start, stop, steps) of the non-eta sweep variables; the eta ones sweep sweep.ETA_RANGE
-_SWEEP_RANGES = {"r_db": (0.0, 15.0, 100), "n_in": (1e2, 1e6, 100)}
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -190,23 +188,22 @@ def _range(args, file_sweep: dict, default: sweep.Range | None = None) -> sweep.
 def _sweep(args, cfg, ch, file_sweep) -> sweep.SweepResult:
     variable = args.variable or file_sweep.get("variable", "eta_symmetric")
     sweep.require_variable(variable)
-    swept = {"eta_symmetric": {"eta1", "eta2"}}.get(variable, {variable})
+    swept, default = sweep.VARIABLES[variable]
     clash = [
         "--" + name.replace("_", "-")
         for name, targets in _FLAG_FIELDS.items()
-        if getattr(args, name) is not None and swept & set(targets)
+        if getattr(args, name) is not None and set(swept) & set(targets)
     ]
     if clash:
         raise ValueError(f"{', '.join(clash)} sets {variable}, the swept variable")
-    default = _SWEEP_RANGES.get(variable)
-    rng = _range(args, file_sweep, default and sweep.Range(*default))
+    rng = _range(args, file_sweep, default)
     schemes = _comma_list(args, "schemes", str.upper)
-    return sweep.run_sweep(sweep.SweepSpec(variable, rng, cfg, ch, schemes))
+    return sweep.run_sweep(variable, rng, cfg, ch, schemes)
 
 
 def _grid(args, cfg, ch, file_sweep) -> sweep.SweepResult:
     rng = _range(args, file_sweep)
-    return sweep.run_grid(sweep.GridSpec(rng, rng, cfg, args.quantity))
+    return sweep.run_grid(rng, rng, cfg, args.quantity)
 
 
 # table command -> builder of its SweepResult from (args, config, channel,
@@ -214,9 +211,7 @@ def _grid(args, cfg, ch, file_sweep) -> sweep.SweepResult:
 _BUILDERS = {
     "sweep": _sweep,
     "grid": _grid,
-    "compare": lambda a, cfg, ch, fs: sweep.run_compare_smsv(
-        sweep.SweepSpec("eta_symmetric", _range(a, fs), cfg, ch)
-    ),
+    "compare": lambda a, cfg, ch, fs: sweep.run_compare_smsv(_range(a, fs), cfg, ch),
     "fig2": lambda a, cfg, ch, fs: sweep.preset_fig2(cfg, _comma_list(a, "r_dbs"), _range(a, fs)),
     "fig3": lambda a, cfg, ch, fs: sweep.preset_fig3(cfg, _range(a, fs)),
     "fig4": lambda a, cfg, ch, fs: sweep.preset_fig4(cfg, _range(a, fs)),

@@ -57,7 +57,6 @@ class LinkBudget:
     eta_diffraction: float = 1.0
     eta_pointing: float = 1.0
     eta_detector: float = 1.0
-    geometry: LinkGeometry | None = None
 
     def __post_init__(self):
         for name in ("eta_diffraction", "eta_pointing", "eta_detector"):
@@ -106,5 +105,4 @@ def budget_from_geometry(
         eta_diffraction=diffraction_eta(geometry),
         eta_pointing=pointing_eta(geometry),
         eta_detector=eta_detector,
-        geometry=geometry,
     )

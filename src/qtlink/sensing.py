@@ -318,23 +318,25 @@ def delta_u(
     for name, value in (("omega_rss", omega_rss), ("snr", snr)):
         value = np.asarray(value, dtype=float)
         _check(name, value, np.isfinite(value) & (value > 0.0), "finite and > 0")
-    if scheme == "TMSV_ideal":
-        denom = math.sqrt(2.0) * (np.sqrt(n1) + np.sqrt(n2)) * omega_rss
-        value = _math(math.exp, -_squeezing(r)) / denom
-    elif scheme == "SMSV_real":
-        noise = radicand(scheme, r, eta1)
-        e1 = np.asarray(eta1, dtype=float)
-        if np.any(e1 == 0.0):
-            raise ValueError("delta_u diverges with the channel fully opaque")
-        value = 0.5 * np.sqrt(noise / (e1 * (n1 + n2))) / omega_rss
-    else:
-        q = radicand(scheme, r, eta1, eta2, policy)
-        e1, e2 = np.asarray(eta1, dtype=float), np.asarray(eta2, dtype=float)
-        if np.any(e1 + e2 <= 0.0):
-            raise ValueError("delta_u diverges with both channels fully opaque")
-        denom = math.sqrt(2.0) * (np.sqrt(e1 * n1) + np.sqrt(e2 * n2)) * omega_rss
-        value = np.sqrt(q) / denom
-    out = snr * value
+    # an overflow reaches the final check as inf or nan instead of a warning
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if scheme == "TMSV_ideal":
+            denom = math.sqrt(2.0) * (np.sqrt(n1) + np.sqrt(n2)) * omega_rss
+            value = _math(math.exp, -_squeezing(r)) / denom
+        elif scheme == "SMSV_real":
+            noise = radicand(scheme, r, eta1)
+            e1 = np.asarray(eta1, dtype=float)
+            if np.any(e1 == 0.0):
+                raise ValueError("delta_u diverges with the channel fully opaque")
+            value = 0.5 * np.sqrt(noise / (e1 * (n1 + n2))) / omega_rss
+        else:
+            q = radicand(scheme, r, eta1, eta2, policy)
+            e1, e2 = np.asarray(eta1, dtype=float), np.asarray(eta2, dtype=float)
+            if np.any(e1 + e2 <= 0.0):
+                raise ValueError("delta_u diverges with both channels fully opaque")
+            denom = math.sqrt(2.0) * (np.sqrt(e1 * n1) + np.sqrt(e2 * n2)) * omega_rss
+            value = np.sqrt(q) / denom
+        out = snr * value
     _check("delta_u", out, np.isfinite(out) & (out > 0.0), "finite and > 0")
     return out
 

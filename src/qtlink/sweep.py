@@ -1,7 +1,7 @@
 """Parameter sweeps, figure presets, and tabulated results.
 
-Everything downstream of :mod:`qtlink.sensing` is deterministic: a given
-spec always produces the identical table, so emitted CSV/JSON files are
+Everything downstream of :mod:`qtlink.sensing` is deterministic: the same
+inputs always produce the identical table, so emitted CSV/JSON files are
 byte-stable and can be golden-tested.
 """
 
@@ -19,8 +19,6 @@ from .sensing import PAPER_SCALE_CONFIG, ChannelPair, SensingConfig, require_rea
 
 __all__ = [
     "Range",
-    "SweepSpec",
-    "GridSpec",
     "SweepResult",
     "run_sweep",
     "run_grid",
@@ -30,6 +28,7 @@ __all__ = [
     "preset_fig4",
     "PAPER_SCALE_CONFIG",
     "ETA_RANGE",
+    "VARIABLES",
 ]
 
 SCHEMES = ("TMSV", "SQL", "SMSV")
@@ -72,46 +71,27 @@ class Range:
 ETA_RANGE = Range(0.01, 1.0, 100)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One-dimensional sweep of a single variable at fixed everything-else."""
-
-    variable: str
-    range: Range
-    config: SensingConfig = PAPER_SCALE_CONFIG
-    channel: ChannelPair = ChannelPair(1.0, 1.0)
-    schemes: tuple = SCHEMES
-
-    def __post_init__(self):
-        require_variable(self.variable)
-        unknown = set(self.schemes) - set(SCHEMES)
-        if unknown or not self.schemes:
-            raise ValueError(f"schemes must be a nonempty subset of {SCHEMES}")
-        if self.variable.startswith("eta"):
-            if self.range.start <= 0 or self.range.stop > 1.0:
-                raise ValueError("eta sweeps must stay inside (0, 1]")
-        elif self.variable == "r_db":
-            if self.range.start < 0:
-                raise ValueError("r_db sweeps must start at >= 0")
-        elif self.range.start <= 0:
-            raise ValueError("n_in sweeps must stay positive")
+# sweep variable -> (the config fields it sets, its default range); the keys
+# are constants.SWEEP_VARIABLES in order
+VARIABLES = {
+    "eta_symmetric": (("eta1", "eta2"), ETA_RANGE),
+    "eta1": (("eta1",), ETA_RANGE),
+    "eta2": (("eta2",), ETA_RANGE),
+    "r_db": (("r_db",), Range(0.0, 15.0, 100)),
+    "n_in": (("n_in",), Range(1e2, 1e6, 100)),
+}
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Two-dimensional (eta1, eta2) grid at fixed squeezing."""
-
-    eta1_range: Range
-    eta2_range: Range
-    config: SensingConfig = PAPER_SCALE_CONFIG
-    quantity: str = "advantage"
-
-    def __post_init__(self):
-        for rng in (self.eta1_range, self.eta2_range):
-            if rng.start <= 0 or rng.stop > 1.0:
-                raise ValueError("eta grids must stay inside (0, 1]")
-        if self.quantity not in ("advantage", "delta_u"):
-            raise ValueError(f"unknown grid quantity {self.quantity!r}")
+def _require_domain(variable: str, rng: Range) -> None:
+    """Raise ValueError unless every value of ``rng`` is a legal ``variable``."""
+    if variable.startswith("eta"):
+        if rng.start <= 0 or rng.stop > 1.0:
+            raise ValueError("eta sweeps must stay inside (0, 1]")
+    elif variable == "r_db":
+        if rng.start < 0:
+            raise ValueError("r_db sweeps must start at >= 0")
+    elif rng.start <= 0:
+        raise ValueError("n_in sweeps must stay positive")
 
 
 @dataclass
@@ -169,61 +149,86 @@ def _table(*columns) -> np.ndarray:
     return np.stack([c.ravel() for c in np.broadcast_arrays(*columns)], axis=1)
 
 
-def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Evaluate the requested schemes at every point of a one-variable sweep."""
-    schemes = [s for s in SCHEMES if s in spec.schemes]
-    values = spec.range.values()
-    if spec.variable == "eta_symmetric":
-        axes = {"eta1": values, "eta2": values}
-    else:
-        axes = {spec.variable: values}
-    du = [_mesh(s, spec.config, spec.channel, **axes) for s in schemes]
-    columns = [spec.variable] + [_SCHEME_COLUMNS[s] for s in schemes]
-    meta = _echo(spec.config, spec.channel)
-    meta["sweep"] = {"variable": spec.variable, **asdict(spec.range)}
+def run_sweep(
+    variable: str,
+    rng: Range,
+    config: SensingConfig = PAPER_SCALE_CONFIG,
+    channel: ChannelPair = ChannelPair(1.0, 1.0),
+    schemes: tuple = SCHEMES,
+) -> SweepResult:
+    """Evaluate the requested schemes at every point of a one-variable sweep.
+
+    ``variable`` sets the config fields that :data:`VARIABLES` maps it to;
+    every other input comes from ``config`` and ``channel``.
+    """
+    require_variable(variable)
+    unknown = set(schemes) - set(SCHEMES)
+    if unknown or not schemes:
+        raise ValueError(f"schemes must be a nonempty subset of {SCHEMES}")
+    _require_domain(variable, rng)
+    kept = [s for s in SCHEMES if s in schemes]
+    values = rng.values()
+    axes = dict.fromkeys(VARIABLES[variable][0], values)
+    du = [_mesh(s, config, channel, **axes) for s in kept]
+    columns = [variable] + [_SCHEME_COLUMNS[s] for s in kept]
+    meta = _echo(config, channel)
+    meta["sweep"] = {"variable": variable, **asdict(rng)}
     return SweepResult(columns, _table(values, *du), meta)
 
 
-def run_grid(spec: GridSpec) -> SweepResult:
+def run_grid(
+    eta1_range: Range,
+    eta2_range: Range,
+    config: SensingConfig = PAPER_SCALE_CONFIG,
+    quantity: str = "advantage",
+) -> SweepResult:
     """Evaluate the advantage (or the lossy offset) over an (eta1, eta2) grid.
 
     Advantage rows carry the signed value plus a sign column so that
     no-advantage regions can be extracted without re-deriving them.
     """
-    cfg, ch = spec.config, ChannelPair(1.0, 1.0)
-    e1 = spec.eta1_range.values()[:, None]
-    e2 = spec.eta2_range.values()[None, :]
-    du_tmsv = _mesh("TMSV", cfg, ch, eta1=e1, eta2=e2)
-    if spec.quantity == "advantage":
+    for rng in (eta1_range, eta2_range):
+        if rng.start <= 0 or rng.stop > 1.0:
+            raise ValueError("eta grids must stay inside (0, 1]")
+    if quantity not in ("advantage", "delta_u"):
+        raise ValueError(f"unknown grid quantity {quantity!r}")
+    ch = ChannelPair(1.0, 1.0)
+    e1 = eta1_range.values()[:, None]
+    e2 = eta2_range.values()[None, :]
+    du_tmsv = _mesh("TMSV", config, ch, eta1=e1, eta2=e2)
+    if quantity == "advantage":
         columns = ["eta1", "eta2", "advantage", "sign"]
-        adv = _mesh("SQL", cfg, ch, eta1=e1, eta2=e2) - du_tmsv
+        adv = _mesh("SQL", config, ch, eta1=e1, eta2=e2) - du_tmsv
         rows = _table(e1, e2, adv, np.sign(adv))
     else:
         columns = ["eta1", "eta2", "du_tmsv"]
         rows = _table(e1, e2, du_tmsv)
-    meta = _echo(cfg)
+    meta = _echo(config)
     meta["grid"] = {
-        "eta1": asdict(spec.eta1_range),
-        "eta2": asdict(spec.eta2_range),
-        "quantity": spec.quantity,
+        "eta1": asdict(eta1_range),
+        "eta2": asdict(eta2_range),
+        "quantity": quantity,
     }
     return SweepResult(
-        columns, rows, meta, grid_shape=(spec.eta1_range.steps, spec.eta2_range.steps)
+        columns, rows, meta, grid_shape=(eta1_range.steps, eta2_range.steps)
     )
 
 
-def run_compare_smsv(spec: SweepSpec) -> SweepResult:
-    """Single-mode vs two-mode comparison along a symmetric-loss sweep."""
-    if spec.variable != "eta_symmetric":
-        raise ValueError("the comparison sweep runs over eta_symmetric only")
-    eta = spec.range.values()
-    du = {s: _mesh(s, spec.config, spec.channel, eta1=eta, eta2=eta) for s in SCHEMES}
+def run_compare_smsv(
+    rng: Range,
+    config: SensingConfig = PAPER_SCALE_CONFIG,
+    channel: ChannelPair = ChannelPair(1.0, 1.0),
+) -> SweepResult:
+    """Single-mode vs two-mode comparison along a symmetric-loss (eta_symmetric) sweep."""
+    _require_domain("eta_symmetric", rng)
+    eta = rng.values()
+    du = {s: _mesh(s, config, channel, eta1=eta, eta2=eta) for s in SCHEMES}
     rows = _table(eta, du["TMSV"], du["SMSV"], du["SQL"], du["SMSV"] / du["TMSV"])
-    meta = _echo(spec.config)
+    meta = _echo(config)
     # the etas are swept: echo the policy alone, and only when not the default
-    if spec.channel.policy != "shared":
-        meta["channel"] = {"policy": spec.channel.policy}
-    meta["sweep"] = {"variable": spec.variable, **asdict(spec.range)}
+    if channel.policy != "shared":
+        meta["channel"] = {"policy": channel.policy}
+    meta["sweep"] = {"variable": "eta_symmetric", **asdict(rng)}
     return SweepResult(["eta", "du_tmsv", "du_smsv", "du_sql", "ratio"], rows, meta)
 
 
@@ -263,7 +268,7 @@ def preset_fig3(
 ) -> SweepResult:
     """Advantage surface over asymmetric (eta1, eta2) at fixed 5 dB squeezing."""
     cfg = config or PAPER_SCALE_CONFIG
-    result = run_grid(GridSpec(eta_range, eta_range, cfg, "advantage"))
+    result = run_grid(eta_range, eta_range, cfg, "advantage")
     result.meta["preset"] = {"name": "fig3", **asdict(eta_range)}
     return result
 
@@ -274,6 +279,6 @@ def preset_fig4(
 ) -> SweepResult:
     """Single-mode vs two-mode offset curves over symmetric loss at 5 dB."""
     cfg = config or PAPER_SCALE_CONFIG
-    result = run_compare_smsv(SweepSpec("eta_symmetric", eta_range, cfg))
+    result = run_compare_smsv(eta_range, cfg)
     result.meta["preset"] = {"name": "fig4", **asdict(eta_range)}
     return result

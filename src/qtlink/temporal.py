@@ -53,7 +53,6 @@ class SpectralProfile:
 
     omega0: float
     delta_omega: float
-    shape: str = "gaussian"
     grid_points: int = 4096
     grid_span: float = 8.0
 
@@ -65,8 +64,6 @@ class SpectralProfile:
             raise ValueError(f"omega0 must be > 0, got {self.omega0}")
         if self.delta_omega <= 0:
             raise ValueError(f"delta_omega must be > 0, got {self.delta_omega}")
-        if self.shape != "gaussian":
-            raise ValueError(f"unsupported pulse shape {self.shape!r}")
         if self.grid_points < 16:
             raise ValueError("grid_points must be >= 16")
         if self.grid_span <= 0:
@@ -85,8 +82,10 @@ class TimingModeParams:
     big_omega: float
 
     def __post_init__(self):
-        if self.u0 <= 0 or self.big_omega <= 0:
-            raise ValueError("u0 and big_omega must be positive")
+        for name in ("u0", "big_omega"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,6 @@ class ModeFunction:
 
     u: np.ndarray
     samples: np.ndarray
-    label: int
 
     def norm(self) -> float:
         return float(np.sqrt(_trapezoid(np.abs(self.samples) ** 2, self.u).real))
@@ -141,13 +139,13 @@ def mode_functions(
     carrier = np.exp(-1j * profile.omega0 * u)
     g0 = _envelope(profile, u)
     g1 = 2.0 * profile.delta_omega * u * g0
-    y0 = ModeFunction(u, g0 * carrier, 0)
-    y1 = ModeFunction(u, g1 * carrier, 1)
+    y0 = ModeFunction(u, g0 * carrier)
+    y1 = ModeFunction(u, g1 * carrier)
     big_omega = profile.omega0 / profile.delta_omega
     z1_samples = (y1.samples + 1j * big_omega * y0.samples) / np.sqrt(
         big_omega**2 + 1.0
     )
-    return y0, y1, ModeFunction(u, z1_samples, 1)
+    return y0, y1, ModeFunction(u, z1_samples)
 
 
 def shift_coefficients(
@@ -190,7 +188,7 @@ def shift_expansion_check(profile: SpectralProfile, delta_u: float) -> float:
             f"(need >= {_MIN_SPAN} and >= {_MIN_POINTS_PER_WIDTH})"
         )
     y0, y1, _ = mode_functions(profile)
-    shifted = ModeFunction(y0.u, _sampled_fundamental(profile, y0.u, delta_u), 0)
+    shifted = ModeFunction(y0.u, _sampled_fundamental(profile, y0.u, delta_u))
     p0 = inner_product(y0, shifted)
     p1 = inner_product(y1, shifted)
     c0 = 1.0 + 1j * profile.omega0 * delta_u

@@ -12,6 +12,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -55,3 +57,18 @@ def test_tracer_counts_the_oracle_ops_and_points_of_verify(tmp_path):
     assert record["rc"] == 0
     assert record["counts"]["gaussian"] == 36
     assert record["verify_points"] == 168
+
+
+@pytest.mark.parametrize(
+    "argv, points",
+    [
+        (["sweep", "--variable", "n_in", "--steps", "7"], 7),
+        (["compare", "--steps", "5"], 5),
+        # fig4's inner run_compare_smsv call is not counted a second time
+        (["fig4", "--steps", "9"], 9),
+    ],
+)
+def test_tracer_counts_the_points_of_each_sweep_entry_point(argv, points, tmp_path):
+    record = _trace(tmp_path, *argv, "--out", str(tmp_path / "out.csv"))
+    assert record["rc"] == 0
+    assert record["sweep_points"] == points

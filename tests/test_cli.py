@@ -1,6 +1,7 @@
 import argparse
 import json
 
+import numpy as np
 import pytest
 
 from qtlink import cli
@@ -586,3 +587,31 @@ def test_sweep_rejects_a_non_string_variable_from_config(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: unknown sweep variable ['a']; pick one of (")
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["sweep", "--variable", "r_db", "--stop", "5000", "--steps", "3", "--eta1", "0.5",
+          "--eta2", "0.9"], "delta_u must be finite and > 0, got inf"),
+        (["delta-u", "--n-in", "1e-320"], "delta_u must be finite and > 0, got inf"),
+        (["tm-check", "--omega0", "1e300", "--spread", "1e-300"],
+         "big_omega must be finite and > 0, got inf"),
+    ],
+    ids=["sweep", "delta-u", "tm-check"],
+)
+def test_an_overflow_exits_1_with_one_error_line(args, message, tmp_path, monkeypatch, capsys):
+    # numpy's overflow warnings used to print ahead of the error, or instead of it
+    monkeypatch.chdir(tmp_path)
+    assert run(args, capsys) == (1, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_tabulates_the_default_n_in_range(tmp_path, capsys):
+    out_path = tmp_path / "s.json"
+    args = ["sweep", "--variable", "n_in", "--format", "json", "--out", str(out_path)]
+    assert run(args, capsys)[0] == 0
+    payload = json.loads(out_path.read_text())
+    sweep = payload["meta"]["sweep"]
+    assert sweep == {"start": 100.0, "stop": 1000000.0, "steps": 100, "variable": "n_in"}
+    assert [row[0] for row in payload["rows"]] == np.linspace(1e2, 1e6, 100).tolist()

@@ -28,8 +28,8 @@ EXPORTED = {
                 "delta_u", "delta_u_smsv_real", "delta_u_sql", "delta_u_tmsv_ideal",
                 "delta_u_tmsv_real", "photocurrent_mean_single", "photocurrent_variance_single",
                 "post_variance_ideal", "quantum_advantage", "r_from_db", "radicand"],
-    "sweep": ["GridSpec", "Range", "SweepResult", "SweepSpec", "preset_fig2", "preset_fig3",
-              "preset_fig4", "run_compare_smsv", "run_grid", "run_sweep"],
+    "sweep": ["Range", "SweepResult", "preset_fig2", "preset_fig3", "preset_fig4",
+              "run_compare_smsv", "run_grid", "run_sweep"],
     "temporal": ["ModeFunction", "SpectralProfile", "TimingModeParams", "inner_product",
                  "mode_functions", "shift_coefficients", "shift_expansion_check",
                  "timing_params"],

@@ -4,12 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qtlink.constants import SWEEP_VARIABLES
 from qtlink.sensing import ChannelPair, SensingConfig, delta_u_tmsv_real
 from qtlink.sweep import (
     PAPER_SCALE_CONFIG,
-    GridSpec,
+    VARIABLES,
     Range,
-    SweepSpec,
     preset_fig2,
     preset_fig3,
     preset_fig4,
@@ -48,29 +48,25 @@ def test_fig2_lossless_endpoint_values():
 
 
 def test_sweep_r_zero_tmsv_equals_sql():
-    spec = SweepSpec(
+    result = run_sweep(
         "eta_symmetric",
         Range(0.05, 1.0, 25),
         replace(PAPER_SCALE_CONFIG, r_db=0.0),
         ChannelPair(1.0, 1.0),
         ("TMSV", "SQL"),
     )
-    result = run_sweep(spec)
     assert np.array_equal(result.column("du_tmsv"), result.column("du_sql"))
 
 
 def test_sweep_photon_scaling_law():
-    spec = SweepSpec(
+    base = run_sweep(
         "eta_symmetric", Range(0.1, 1.0, 10), PAPER_SCALE_CONFIG, ChannelPair(1, 1)
     )
-    base = run_sweep(spec)
     scaled = run_sweep(
-        SweepSpec(
-            "eta_symmetric",
-            Range(0.1, 1.0, 10),
-            replace(PAPER_SCALE_CONFIG, n_in=1e5),
-            ChannelPair(1, 1),
-        )
+        "eta_symmetric",
+        Range(0.1, 1.0, 10),
+        replace(PAPER_SCALE_CONFIG, n_in=1e5),
+        ChannelPair(1, 1),
     )
     assert np.allclose(
         scaled.column("du_tmsv") * 10.0, base.column("du_tmsv"), rtol=1e-12
@@ -78,25 +74,29 @@ def test_sweep_photon_scaling_law():
 
 
 def test_sweep_over_r_db_and_n_in():
-    spec = SweepSpec("r_db", Range(0.0, 15.0, 16), schemes=("TMSV",))
-    result = run_sweep(spec)
+    result = run_sweep("r_db", Range(0.0, 15.0, 16), schemes=("TMSV",))
     du = result.column("du_tmsv")
     assert all(a > b for a, b in zip(du, du[1:]))  # more squeezing, finer offset
-    spec = SweepSpec("n_in", Range(1e2, 1e6, 12), schemes=("SQL",))
-    assert len(run_sweep(spec).rows) == 12
+    assert len(run_sweep("n_in", Range(1e2, 1e6, 12), schemes=("SQL",)).rows) == 12
 
 
 def test_sweep_validation():
     with pytest.raises(ValueError):
-        SweepSpec("eta_symmetric", Range(0.0, 1.0, 10))  # eta = 0 diverges
+        run_sweep("eta_symmetric", Range(0.0, 1.0, 10))  # eta = 0 diverges
     with pytest.raises(ValueError):
-        SweepSpec("bogus", Range(0.1, 1.0, 10))
+        run_sweep("bogus", Range(0.1, 1.0, 10))
     with pytest.raises(ValueError):
-        SweepSpec("eta1", Range(0.1, 1.0, 10), schemes=("XYZ",))
+        run_sweep("eta1", Range(0.1, 1.0, 10), schemes=("XYZ",))
     with pytest.raises(ValueError):
         Range(0.5, 0.1, 10)
     with pytest.raises(ValueError):
         Range(0.1, 0.5, 1)
+
+
+def test_variable_table_names_the_parser_choices_and_legal_defaults():
+    assert tuple(VARIABLES) == SWEEP_VARIABLES
+    for variable, (_, default) in VARIABLES.items():
+        assert len(run_sweep(variable, default).rows) == default.steps
 
 
 @pytest.mark.parametrize("field", ["start", "stop"])
@@ -130,16 +130,14 @@ def test_result_rows_are_a_2d_array_and_columns_are_slices():
 
 def test_independent_sweep_uses_the_independent_radicand():
     ch = ChannelPair(0.6, 0.6, "independent")
-    result = run_sweep(SweepSpec("eta1", Range(0.2, 1.0, 5), PAPER_SCALE_CONFIG, ch))
+    result = run_sweep("eta1", Range(0.2, 1.0, 5), PAPER_SCALE_CONFIG, ch)
     for eta1, du in zip(result.column("eta1"), result.column("du_tmsv")):
         pair = ChannelPair(float(eta1), 0.6, "independent")
         assert du == delta_u_tmsv_real(PAPER_SCALE_CONFIG, pair)
 
 
 def test_grid_contour_points():
-    result = run_grid(
-        GridSpec(Range(0.585, 0.695, 2), Range(0.695, 0.825, 2), PAPER_SCALE_CONFIG)
-    )
+    result = run_grid(Range(0.585, 0.695, 2), Range(0.695, 0.825, 2), PAPER_SCALE_CONFIG)
     assert result.columns == ["eta1", "eta2", "advantage", "sign"]
     assert result.grid_shape == (2, 2)
     lookup = {(row[0], row[1]): row[2] for row in result.rows}
@@ -151,26 +149,20 @@ def test_grid_contour_points():
 
 
 def test_grid_reports_negative_advantage_with_sign():
-    result = run_grid(
-        GridSpec(Range(0.02, 0.9, 2), Range(0.5, 1.0, 2), PAPER_SCALE_CONFIG)
-    )
+    result = run_grid(Range(0.02, 0.9, 2), Range(0.5, 1.0, 2), PAPER_SCALE_CONFIG)
     row = next(r for r in result.rows if r[0] == 0.02 and r[1] == 0.5)
     assert row[2] < 0.0
     assert row[3] == -1.0
 
 
 def test_grid_delta_u_quantity():
-    result = run_grid(
-        GridSpec(Range(0.5, 1.0, 3), Range(0.5, 1.0, 3), PAPER_SCALE_CONFIG, "delta_u")
-    )
+    result = run_grid(Range(0.5, 1.0, 3), Range(0.5, 1.0, 3), PAPER_SCALE_CONFIG, "delta_u")
     assert result.columns == ["eta1", "eta2", "du_tmsv"]
     assert len(result.rows) == 9
 
 
 def test_compare_endpoint_equivalence():
-    result = run_compare_smsv(
-        SweepSpec("eta_symmetric", Range(0.01, 1.0, 100), PAPER_SCALE_CONFIG)
-    )
+    result = run_compare_smsv(Range(0.01, 1.0, 100), PAPER_SCALE_CONFIG)
     last = result.rows[-1]
     cols = result.columns
     assert last[cols.index("du_tmsv")] == pytest.approx(3.847e-18, rel=1e-3)
@@ -180,9 +172,7 @@ def test_compare_endpoint_equivalence():
 
 
 def test_compare_midpoint_and_ordering():
-    result = run_compare_smsv(
-        SweepSpec("eta_symmetric", Range(0.01, 1.0, 100), PAPER_SCALE_CONFIG)
-    )
+    result = run_compare_smsv(Range(0.01, 1.0, 100), PAPER_SCALE_CONFIG)
     cols = result.columns
     mid = next(r for r in result.rows if abs(r[0] - 0.5) < 1e-12)
     assert mid[cols.index("du_smsv")] == pytest.approx(7.848e-18, rel=1e-3)
@@ -191,11 +181,6 @@ def test_compare_midpoint_and_ordering():
     assert all(
         r[cols.index("du_smsv")] <= r[cols.index("du_tmsv")] for r in result.rows
     )
-
-
-def test_compare_requires_symmetric_sweep():
-    with pytest.raises(ValueError):
-        run_compare_smsv(SweepSpec("eta1", Range(0.1, 1.0, 5)))
 
 
 def test_fig3_preset_grid():

@@ -56,11 +56,6 @@ def test_timing_mode_overlap_with_fundamental():
     )
 
 
-def test_mode_functions_reject_unknown_shape():
-    with pytest.raises(ValueError):
-        SpectralProfile(10.0, 1.0, shape="sech")
-
-
 def test_profile_validation():
     with pytest.raises(ValueError):
         SpectralProfile(-1.0, 1.0)
