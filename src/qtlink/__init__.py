@@ -20,14 +20,10 @@ import sys
 _EXPORTS = {
     "constants": ("FIELD_SCALE", "HBAR", "SPEED_OF_LIGHT"),
     "gaussian": (
-        "GaussianState", "HomodynePattern", "beam_splitter", "homodyne_variance",
-        "min_physicality_eigenvalue", "pure_loss", "squeeze_single", "symplectic_form",
-        "vacuum"
+        "GaussianState", "beam_splitter", "homodyne_variance", "min_physicality_eigenvalue",
+        "pure_loss", "squeeze_single", "symplectic_form", "vacuum"
     ),
-    "link": (
-        "LinkBudget", "LinkGeometry", "beam_radius", "budget_from_geometry", "compose_eta",
-        "diffraction_eta", "pointing_eta"
-    ),
+    "link": ("LinkGeometry", "beam_radius", "compose_eta", "diffraction_eta", "pointing_eta"),
     "sensing": (
         "ChannelPair", "SensingConfig", "advantage_boundary_eta1", "delta_u",
         "delta_u_smsv_real", "delta_u_sql", "delta_u_tmsv_ideal", "delta_u_tmsv_real",
@@ -39,8 +35,8 @@ _EXPORTS = {
         "run_compare_smsv", "run_grid", "run_sweep"
     ),
     "temporal": (
-        "ModeFunction", "SpectralProfile", "TimingModeParams", "inner_product",
-        "mode_functions", "shift_coefficients", "shift_expansion_check", "timing_params"
+        "ModeFunction", "SpectralProfile", "inner_product", "mode_functions",
+        "shift_coefficients", "shift_expansion_check"
     ),
     "verify": ("run_verify", "smsv_chain_variance", "tmsv_chain_variance"),
 }

@@ -98,19 +98,31 @@ def _section(parent: dict, key: str, name: str | None = None) -> dict:
     return value
 
 
+def _require_keys(entry: dict, allowed: tuple, name: str) -> None:
+    """Reject a key of config entry ``name`` that is not in ``allowed``, naming both."""
+    unknown = [key for key in entry if key not in allowed]
+    if unknown:
+        raise ValueError(
+            f"config entry {name!r} has unknown key {unknown[0]!r}; "
+            f"it may hold {', '.join(allowed)}"
+        )
+
+
 def _budget_eta(parent: dict, key: str, name: str) -> float:
-    """Composed eta of the link entry ``parent[key]``, called ``name`` in errors."""
+    """Composed eta of the link entry ``parent[key]``, called ``name`` in errors.
+
+    The entry holds a geometry block with an optional detector factor, or
+    the three loss factors themselves.
+    """
     entry = _section(parent, key, name)
     if "geometry" in entry:
+        _require_keys(entry, ("geometry", "eta_detector"), name)
         geom = link.LinkGeometry(**_section(entry, "geometry", f"{name}.geometry"))
-        budget = link.budget_from_geometry(
-            geom, entry.get("eta_detector", 1.0)
+        return link.compose_eta(
+            link.diffraction_eta(geom), link.pointing_eta(geom), entry.get("eta_detector", 1.0)
         )
-    else:
-        budget = link.LinkBudget(
-            **{k: v for k, v in entry.items() if k.startswith("eta_")}
-        )
-    return link.compose_eta(budget)
+    _require_keys(entry, ("eta_diffraction", "eta_pointing", "eta_detector"), name)
+    return link.compose_eta(**entry)
 
 
 def _resolve(args):
@@ -136,6 +148,7 @@ def _resolve(args):
     link_cfg = _section(file_cfg, "link")
     if link_cfg:
         if "path1" in link_cfg or "path2" in link_cfg:
+            _require_keys(link_cfg, ("path1", "path2"), "link")
             if "path1" in link_cfg:
                 channel_cfg.setdefault("eta1", _budget_eta(link_cfg, "path1", "link.path1"))
             if "path2" in link_cfg:
@@ -277,23 +290,25 @@ def _cmd_tm_check(args) -> int:
     profile = temporal.SpectralProfile(
         args.omega0, args.spread, grid_points=args.points, grid_span=args.span
     )
-    params = temporal.timing_params(profile)
+    # shift_expansion_check tests the grid before it samples, so a grid too
+    # coarse for the check exits before any report line is printed
+    ratios = np.logspace(-4, -2, 9)
+    residuals = [
+        temporal.shift_expansion_check(profile, ratio * profile.u0) for ratio in ratios
+    ]
+    slope = float(np.polyfit(np.log(ratios), np.log(residuals), 1)[0])
     y0, y1, z1 = temporal.mode_functions(profile)
     overlap01 = abs(temporal.inner_product(y0, y1))
     overlap_z0 = abs(temporal.inner_product(z1, y0))
-    expected_overlap = params.big_omega / math.sqrt(params.big_omega**2 + 1.0)
-    print(f"u0 = {params.u0:.12e} s, Omega = {params.big_omega:.6f}")
+    big_omega = profile.big_omega
+    expected_overlap = big_omega / math.sqrt(big_omega**2 + 1.0)
+    print(f"u0 = {profile.u0:.12e} s, Omega = {big_omega:.6f}")
     print(f"carrier/spread ratio (monochromaticity): {args.spread / args.omega0:.3e}")
     print(f"|<y0,y0>-1| = {abs(y0.norm() - 1.0):.3e}")
     print(f"|<y1,y1>-1| = {abs(y1.norm() - 1.0):.3e}")
     print(f"|<z1,z1>-1| = {abs(z1.norm() - 1.0):.3e}")
     print(f"|<y0,y1>|   = {overlap01:.3e}")
     print(f"|<z1,y0>| - Omega/sqrt(Omega^2+1) = {overlap_z0 - expected_overlap:.3e}")
-    ratios = np.logspace(-4, -2, 9)
-    residuals = [
-        temporal.shift_expansion_check(profile, ratio * params.u0) for ratio in ratios
-    ]
-    slope = float(np.polyfit(np.log(ratios), np.log(residuals), 1)[0])
     for ratio, res in zip(ratios, residuals):
         print(f"du/u0 = {ratio:.3e} -> residual {res:.6e}")
     print(f"log-log residual slope = {slope:.4f} (expect 2)")

@@ -1,9 +1,10 @@
-"""Gaussian-state engine: means and covariances under symplectic maps and homodyne readout.
+"""Gaussian-state engine: covariances under symplectic maps and homodyne readout.
 
 Works in the hbar = 2 convention (x = a + a^dag, p = -i(a - a^dag)), so the
 vacuum covariance matrix is the identity.  Quadratures are ordered
 (x1, p1, x2, p2, ...).  Every operation returns a new state; nothing is
-mutated in place.
+mutated in place.  Every map is linear and every chain starts from vacuum,
+so the quadrature means stay zero and a state is its covariance alone.
 
 States and operations broadcast over leading batch axes: a state may hold a
 stack of covariances of shape (..., 2n, 2n), and ``r``/``eta`` may be arrays,
@@ -23,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "GaussianState",
-    "HomodynePattern",
     "vacuum",
     "squeeze_single",
     "beam_splitter",
@@ -36,19 +36,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GaussianState:
-    """Mean vector and covariance matrix of n optical modes, or a stack of them.
+    """Covariance matrix of n zero-mean optical modes, or a stack of them.
 
     Attributes:
         n_modes: number of modes.
-        mean: quadrature expectations (x1, p1, x2, p2, ...), shape (..., 2n).
         cov: real symmetric covariance matrices, shape (..., 2n, 2n); identity
-            for vacuum.  Leading axes are batch axes and must match ``mean``'s.
+            for vacuum.  Leading axes are batch axes.
         shared_port: index of the vacuum mode that every shared-policy loss
             reads (see pure_loss), or None before the first such loss.
     """
 
     n_modes: int
-    mean: np.ndarray
     cov: np.ndarray
     shared_port: int | None = None
 
@@ -59,26 +57,18 @@ class GaussianState:
             raise ValueError(
                 f"shared_port {self.shared_port} out of range for {self.n_modes}-mode state"
             )
-        mean = np.asarray(self.mean, dtype=float)
         cov = np.asarray(self.cov, dtype=float)
         d = 2 * self.n_modes
-        if mean.shape[-1:] != (d,):
-            raise ValueError(f"mean must have shape (..., {d}), got {mean.shape}")
         if cov.shape[-2:] != (d, d):
             raise ValueError(f"cov must have shape (..., {d}, {d}), got {cov.shape}")
-        if mean.shape[:-1] != cov.shape[:-2]:
-            raise ValueError(
-                f"mean and cov batch shapes differ: {mean.shape[:-1]} vs {cov.shape[:-2]}"
-            )
         if not _symmetric(cov):
             raise ValueError("covariance matrix must be symmetric")
-        object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
     @property
     def batch_shape(self) -> tuple:
         """Leading batch axes; () for a single state."""
-        return self.mean.shape[:-1]
+        return self.cov.shape[:-2]
 
     def mode_block(self, mode: int) -> np.ndarray:
         """2x2 covariance block of a single mode, shape (..., 2, 2)."""
@@ -107,39 +97,6 @@ def _symmetric(cov: np.ndarray) -> bool:
     return bool(close.all() or (close | (cov == swapped)).all())
 
 
-@dataclass(frozen=True)
-class HomodynePattern:
-    """Weighted multi-mode quadrature readout.
-
-    ``coefficients[i]`` weights mode i's measured quadrature
-    x_i cos(phase) + p_i sin(phase); phase = 0 measures X, pi/2 measures P.
-    """
-
-    coefficients: np.ndarray
-    phase: float = 0.0
-
-    def __post_init__(self):
-        coeffs = np.atleast_1d(np.asarray(self.coefficients, dtype=float))
-        if coeffs.ndim != 1:
-            raise ValueError("coefficients must be a 1-d vector")
-        if not np.any(coeffs != 0.0):
-            raise ValueError("homodyne pattern needs at least one nonzero coefficient")
-        object.__setattr__(self, "coefficients", coeffs)
-
-    def quadrature_vector(self, n_modes: int) -> np.ndarray:
-        """Embed the pattern as a length-2n vector in (x1, p1, ...) ordering."""
-        if len(self.coefficients) > n_modes:
-            raise ValueError(
-                f"pattern addresses {len(self.coefficients)} modes, state has {n_modes}"
-            )
-        v = np.zeros(2 * n_modes)
-        c, s = np.cos(self.phase), np.sin(self.phase)
-        for i, w in enumerate(self.coefficients):
-            v[2 * i] = w * c
-            v[2 * i + 1] = w * s
-        return v
-
-
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Standard symplectic form Omega for (x1, p1, x2, p2, ...) ordering."""
     j = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -160,10 +117,10 @@ def min_physicality_eigenvalue(state: GaussianState) -> float:
 
 
 def vacuum(n_modes: int) -> GaussianState:
-    """n-mode vacuum: zero mean, identity covariance."""
+    """n-mode vacuum: identity covariance."""
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    return GaussianState(n_modes, np.zeros(2 * n_modes), np.eye(2 * n_modes))
+    return GaussianState(n_modes, np.eye(2 * n_modes))
 
 
 def _identity(batch: tuple, d: int) -> np.ndarray:
@@ -184,12 +141,9 @@ def _transmissivity(eta: float | np.ndarray) -> np.ndarray:
 
 
 def _apply_linear(state: GaussianState, m: np.ndarray) -> GaussianState:
-    """Map mean -> M mean, cov -> M cov M^T; a stack of M broadcasts against the state's."""
+    """Map cov -> M cov M^T; a stack of M broadcasts against the state's."""
     return GaussianState(
-        state.n_modes,
-        (m @ state.mean[..., None])[..., 0],
-        m @ state.cov @ np.swapaxes(m, -1, -2),
-        state.shared_port,
+        state.n_modes, m @ state.cov @ np.swapaxes(m, -1, -2), state.shared_port
     )
 
 
@@ -253,12 +207,10 @@ def beam_splitter(
 def _append_vacuum(state: GaussianState, as_port: bool) -> GaussianState:
     """Add one vacuum mode; with ``as_port`` it becomes the state's shared port."""
     d = 2 * state.n_modes
-    batch = state.batch_shape
-    mean = np.concatenate([state.mean, np.zeros(batch + (2,))], axis=-1)
-    cov = _identity(batch, d + 2)
+    cov = _identity(state.batch_shape, d + 2)
     cov[..., :d, :d] = state.cov
     port = state.n_modes if as_port else state.shared_port
-    return GaussianState(state.n_modes + 1, mean, cov, port)
+    return GaussianState(state.n_modes + 1, cov, port)
 
 
 def pure_loss(
@@ -315,12 +267,25 @@ def pure_loss(
 
 
 def homodyne_variance(
-    state: GaussianState, pattern: HomodynePattern
+    state: GaussianState, coefficients, phase: float = 0.0
 ) -> float | np.ndarray:
-    """Variance of the weighted quadrature sum defined by ``pattern``.
+    """Variance of a weighted multi-mode quadrature sum.
 
+    ``coefficients[i]`` weights mode i's measured quadrature
+    x_i cos(phase) + p_i sin(phase); phase = 0 measures X, pi/2 measures P.
     A float for a single state; an array of shape ``state.batch_shape``
     for a stack.
     """
-    v = pattern.quadrature_vector(state.n_modes)
+    coeffs = np.atleast_1d(np.asarray(coefficients, dtype=float))
+    if coeffs.ndim != 1:
+        raise ValueError("coefficients must be a 1-d vector")
+    if not np.any(coeffs != 0.0):
+        raise ValueError("homodyne pattern needs at least one nonzero coefficient")
+    if len(coeffs) > state.n_modes:
+        raise ValueError(
+            f"pattern addresses {len(coeffs)} modes, state has {state.n_modes}"
+        )
+    v = np.zeros(2 * state.n_modes)
+    v[: 2 * len(coeffs) : 2] = coeffs * np.cos(phase)
+    v[1 : 2 * len(coeffs) : 2] = coeffs * np.sin(phase)
     return v @ state.cov @ v

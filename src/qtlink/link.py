@@ -16,12 +16,10 @@ from .sensing import require_real
 
 __all__ = [
     "LinkGeometry",
-    "LinkBudget",
     "compose_eta",
     "diffraction_eta",
     "pointing_eta",
     "beam_radius",
-    "budget_from_geometry",
 ]
 
 
@@ -50,25 +48,20 @@ class LinkGeometry:
             )
 
 
-@dataclass(frozen=True)
-class LinkBudget:
-    """Multiplicative loss factors of one path, each already in [0, 1]."""
-
-    eta_diffraction: float = 1.0
-    eta_pointing: float = 1.0
-    eta_detector: float = 1.0
-
-    def __post_init__(self):
-        for name in ("eta_diffraction", "eta_pointing", "eta_detector"):
-            value = getattr(self, name)
-            require_real(name, value)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {value}")
-
-
-def compose_eta(budget: LinkBudget) -> float:
-    """Total path transmissivity: the product of the three factors."""
-    return budget.eta_diffraction * budget.eta_pointing * budget.eta_detector
+def compose_eta(
+    eta_diffraction: float = 1.0, eta_pointing: float = 1.0, eta_detector: float = 1.0
+) -> float:
+    """Total path transmissivity: the product of the three loss factors, each in [0, 1]."""
+    factors = {
+        "eta_diffraction": eta_diffraction,
+        "eta_pointing": eta_pointing,
+        "eta_detector": eta_detector,
+    }
+    for name, value in factors.items():
+        require_real(name, value)
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1], got {value}")
+    return eta_diffraction * eta_pointing * eta_detector
 
 
 def beam_radius(geometry: LinkGeometry) -> float:
@@ -95,14 +88,3 @@ def pointing_eta(geometry: LinkGeometry) -> float:
     """
     wander = geometry.pointing_jitter_rad * geometry.range_m / beam_radius(geometry)
     return 1.0 / (1.0 + 2.0 * wander**2)
-
-
-def budget_from_geometry(
-    geometry: LinkGeometry, eta_detector: float = 1.0
-) -> LinkBudget:
-    """Build the factor triple for a path from its geometry."""
-    return LinkBudget(
-        eta_diffraction=diffraction_eta(geometry),
-        eta_pointing=pointing_eta(geometry),
-        eta_detector=eta_detector,
-    )

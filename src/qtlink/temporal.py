@@ -26,9 +26,7 @@ import numpy as np
 
 __all__ = [
     "SpectralProfile",
-    "TimingModeParams",
     "ModeFunction",
-    "timing_params",
     "mode_functions",
     "shift_coefficients",
     "shift_expansion_check",
@@ -48,7 +46,8 @@ class SpectralProfile:
     """Carrier, spectral spread and sampling grid of a pulsed mode.
 
     ``grid_span`` is measured in units of 1/delta_omega, i.e. samples cover
-    u in [-grid_span/delta_omega, +grid_span/delta_omega].
+    u in [-grid_span/delta_omega, +grid_span/delta_omega].  The derived
+    offset-expansion scales are ``u0`` (s) and ``big_omega``.
     """
 
     omega0: float
@@ -68,24 +67,30 @@ class SpectralProfile:
             raise ValueError("grid_points must be >= 16")
         if self.grid_span <= 0:
             raise ValueError("grid_span must be > 0")
+        big_omega = self.big_omega
+        if not (np.isfinite(big_omega) and big_omega > 0):
+            raise ValueError(f"big_omega must be finite and > 0, got {big_omega}")
+        # Omega and delta_omega are squared as Python floats, which raise
+        # OverflowError past ~1.3e154.  Within these bounds every square stays
+        # finite, and u0 lies in (1e-301, 1e150], finite and > 0.
+        if big_omega > 1e150:
+            raise ValueError(f"big_omega must be <= 1e150, got {big_omega}")
+        if not 1e-150 <= self.delta_omega <= 1e150:
+            raise ValueError(f"delta_omega must be in [1e-150, 1e150], got {self.delta_omega}")
+
+    @property
+    def u0(self) -> float:
+        """Offset scale u0 = 1/sqrt(omega0^2 + delta_omega^2), in seconds."""
+        return 1.0 / np.hypot(self.omega0, self.delta_omega)
+
+    @property
+    def big_omega(self) -> float:
+        """Omega = omega0/delta_omega, the carrier in units of the spread."""
+        return self.omega0 / self.delta_omega
 
     def u_grid(self) -> np.ndarray:
         half = self.grid_span / self.delta_omega
         return np.linspace(-half, half, self.grid_points)
-
-
-@dataclass(frozen=True)
-class TimingModeParams:
-    """Derived scales of the offset expansion: u0 (s) and Omega = omega0/delta_omega."""
-
-    u0: float
-    big_omega: float
-
-    def __post_init__(self):
-        for name in ("u0", "big_omega"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -104,14 +109,6 @@ def inner_product(a: ModeFunction, b: ModeFunction) -> complex:
     if a.u.shape != b.u.shape or not np.array_equal(a.u, b.u):
         raise ValueError("mode functions live on different grids")
     return complex(_trapezoid(np.conj(a.samples) * b.samples, a.u))
-
-
-def timing_params(profile: SpectralProfile) -> TimingModeParams:
-    """Offset-expansion scales for a profile: u0 = 1/sqrt(omega0^2 + delta_omega^2)."""
-    return TimingModeParams(
-        u0=1.0 / np.hypot(profile.omega0, profile.delta_omega),
-        big_omega=profile.omega0 / profile.delta_omega,
-    )
 
 
 def _envelope(profile: SpectralProfile, u: np.ndarray) -> np.ndarray:
@@ -141,7 +138,7 @@ def mode_functions(
     g1 = 2.0 * profile.delta_omega * u * g0
     y0 = ModeFunction(u, g0 * carrier)
     y1 = ModeFunction(u, g1 * carrier)
-    big_omega = profile.omega0 / profile.delta_omega
+    big_omega = profile.big_omega
     z1_samples = (y1.samples + 1j * big_omega * y0.samples) / np.sqrt(
         big_omega**2 + 1.0
     )
@@ -149,7 +146,7 @@ def mode_functions(
 
 
 def shift_coefficients(
-    params: TimingModeParams, n_photons: float, theta: float, delta_u: float
+    profile: SpectralProfile, n_photons: float, theta: float, delta_u: float
 ) -> tuple[complex, complex]:
     """First-order mode amplitudes of a pulse delayed by delta_u.
 
@@ -159,16 +156,14 @@ def shift_coefficients(
     """
     if n_photons < 0:
         raise ValueError(f"photon number must be >= 0, got {n_photons}")
-    ratio = abs(delta_u) / params.u0
+    ratio = abs(delta_u) / profile.u0
     if ratio > 0.1:
         warnings.warn(
             f"first-order expansion is dubious at |delta_u|/u0 = {ratio:.3g}",
             stacklevel=2,
         )
-    omega0 = params.big_omega / (params.u0 * np.sqrt(params.big_omega**2 + 1.0))
-    delta_omega = omega0 / params.big_omega
     amp = np.sqrt(n_photons) * np.exp(1j * theta)
-    return (1.0 + 1j * omega0 * delta_u) * amp, (delta_omega * delta_u) * amp
+    return (1.0 + 1j * profile.omega0 * delta_u) * amp, (profile.delta_omega * delta_u) * amp
 
 
 def shift_expansion_check(profile: SpectralProfile, delta_u: float) -> float:

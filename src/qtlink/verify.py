@@ -21,14 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gaussian import (
-    HomodynePattern,
-    beam_splitter,
-    homodyne_variance,
-    pure_loss,
-    squeeze_single,
-    vacuum,
-)
+from .gaussian import beam_splitter, homodyne_variance, pure_loss, squeeze_single, vacuum
 from .sensing import r_from_db, radicand
 
 __all__ = [
@@ -47,9 +40,6 @@ DEFAULT_ETAS = (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
 # keeping a 30 x 30 eta grid in a single stack.
 _MAX_STACK = 1024
 
-_SUM_X = HomodynePattern([1.0, 1.0], 0.0)
-_SINGLE_X = HomodynePattern([1.0], 0.0)
-
 
 def tmsv_chain_variance(
     r: float, eta1: float | np.ndarray, eta2: float | np.ndarray, policy: str = "shared"
@@ -65,7 +55,7 @@ def tmsv_chain_variance(
     state = beam_splitter(state, 0, 1, 0.5)
     state = pure_loss(state, 0, eta1, policy)
     state = pure_loss(state, 1, eta2, policy)
-    return homodyne_variance(state, _SUM_X)
+    return homodyne_variance(state, (1.0, 1.0))
 
 
 def smsv_chain_variance(
@@ -75,7 +65,7 @@ def smsv_chain_variance(
     state = vacuum(1)
     state = squeeze_single(state, 0, r, 0.0)
     state = pure_loss(state, 0, eta, policy)
-    return homodyne_variance(state, _SINGLE_X)
+    return homodyne_variance(state, (1.0,))
 
 
 # One report line per point, filled from a chain's columns in order plus its verdict.

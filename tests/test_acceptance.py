@@ -32,7 +32,6 @@ from qtlink.temporal import (
     inner_product,
     mode_functions,
     shift_expansion_check,
-    timing_params,
 )
 from qtlink.verify import run_verify, smsv_chain_variance, tmsv_chain_variance
 
@@ -224,11 +223,10 @@ def test_criterion_9_temporal_mode_properties():
         abs(z1.norm() - 1.0),
         abs(inner_product(y0, y1)),
     )
-    params = timing_params(profile)
-    big = params.big_omega
+    big = profile.big_omega
     overlap_err = abs(abs(inner_product(z1, y0)) - big / math.sqrt(big**2 + 1.0))
     ratios = np.logspace(-4, -2, 9)
-    residuals = [shift_expansion_check(profile, r * params.u0) for r in ratios]
+    residuals = [shift_expansion_check(profile, r * profile.u0) for r in ratios]
     slope = float(np.polyfit(np.log(ratios), np.log(residuals), 1)[0])
     ok = ortho < 1e-8 and overlap_err < 1e-8 and abs(slope - 2.0) <= 0.1
     report(

@@ -52,6 +52,27 @@ def test_tracer_counts_the_scalar_calls_of_delta_u(tmp_path):
     assert record["counts"]["sensing"] == 5
 
 
+def test_tracer_spans_the_temporal_checks_of_tm_check(tmp_path):
+    # one mode_functions call for the report, one inside each of the nine residuals
+    record = _trace(tmp_path, "tm-check")
+    assert record["rc"] == 0
+    names = [span[0] for span in record["spans"]]
+    assert names.count("temporal.mode_functions") == 10
+    assert names.count("temporal.shift_expansion_check") == 9
+
+
+def test_tracer_counts_the_scalar_calls_of_a_link_config(tmp_path):
+    geometry = {"range_m": 4e5, "tx_waist_m": 0.1, "rx_aperture_m": 0.5,
+                "wavelength_m": 815e-9, "pointing_jitter_rad": 1e-7}
+    link = {"path1": {"geometry": geometry, "eta_detector": 0.9},
+            "path2": {"eta_diffraction": 0.8, "eta_pointing": 0.9, "eta_detector": 0.7}}
+    config = tmp_path / "link.json"
+    config.write_text(json.dumps({"link": link}))
+    record = _trace(tmp_path, "delta-u", "--config", str(config))
+    assert record["rc"] == 0
+    assert record["counts"]["sensing"] == 5
+
+
 def test_tracer_counts_the_oracle_ops_and_points_of_verify(tmp_path):
     record = _trace(tmp_path, "verify")
     assert record["rc"] == 0

@@ -1,8 +1,14 @@
 import argparse
+import io
 import json
+import math
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis.strategies import booleans, composite, floats, integers, sampled_from
 
 from qtlink import cli
 from qtlink.cli import COMMANDS, build_parser, main
@@ -255,6 +261,37 @@ def test_non_object_config_section_exits_1_naming_it(args, config, name, tmp_pat
     assert not out_path.exists()
 
 
+_GEOMETRY = {"range_m": 1.0, "tx_waist_m": 0.01, "rx_aperture_m": 10.0, "wavelength_m": 815e-9}
+_FACTORS = "eta_diffraction, eta_pointing, eta_detector"
+
+
+@pytest.mark.parametrize(
+    "link, entry, key, allowed",
+    [
+        ({"eta_foo": 0.5}, "link", "eta_foo", _FACTORS),
+        ({"detector": 0.5}, "link", "detector", _FACTORS),
+        ({"geometry": _GEOMETRY, "eta_pointing": 0.5}, "link", "eta_pointing",
+         "geometry, eta_detector"),
+        ({"path1": {"eta_detector": 0.9}, "eta_detector": 0.9}, "link", "eta_detector",
+         "path1, path2"),
+        ({"path2": {"eta_foo": 0.5}}, "link.path2", "eta_foo", _FACTORS),
+        ({"path1": {"geometry": _GEOMETRY, "eta_diffraction": 0.5}}, "link.path1",
+         "eta_diffraction", "geometry, eta_detector"),
+    ],
+    ids=["unknown-factor", "bare-detector", "factor-beside-geometry", "factor-beside-paths",
+         "path-unknown-factor", "path-factor-beside-geometry"],
+)
+def test_link_key_the_loader_never_reads_exits_1_naming_it(
+    link, entry, key, allowed, tmp_path, capsys
+):
+    # these used to be ignored, or to fail with a dataclass's keyword-argument error
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"link": link}))
+    assert run(["delta-u", "--config", str(path)], capsys) == (
+        1, "", f"error: config entry {entry!r} has unknown key {key!r}; it may hold {allowed}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "config, message",
     [
@@ -491,6 +528,75 @@ def test_tm_check_rejects_non_finite_profile(flag, value, field, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: {field} must be finite")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--spread", "1e-200"], "big_omega must be <= 1e150, got 1e+201"),
+        (["--omega0", "1e160"], "big_omega must be <= 1e150, got 1e+160"),
+        (["--omega0", "1e300"], "big_omega must be <= 1e150, got 1e+300"),
+        (["--spread", "1e300"], "delta_omega must be in [1e-150, 1e150], got 1e+300"),
+        (["--omega0", "5e-324", "--spread", "1e-320"],
+         "delta_omega must be in [1e-150, 1e150], got 1e-320"),
+    ],
+)
+def test_tm_check_rejects_a_scale_whose_square_overflows(args, message, capsys):
+    # Omega and delta_omega are squared as Python floats, which raise OverflowError
+    assert run(["tm-check", *args], capsys) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "args", [["--points", "16"], ["--span", "1e300"], ["--span", "1.3e263", "--points", "3736"]]
+)
+def test_tm_check_rejects_a_coarse_grid_before_printing(args, capsys):
+    code, out, err = run(["tm-check", *args], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: grid too coarse for the expansion check: span ")
+    assert err.count("\n") == 1
+
+
+# tm-check's flags as its entry in the command table declares them
+_TM_CHECK_FLAGS = COMMANDS["tm-check"][1]
+_EDGE_FLOATS = (
+    math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, -5e-324, 2.2e-308, 1e-200, 1e300,
+    1e308, -1e308,
+)
+
+
+@composite
+def _tm_check_argv(draw):
+    argv = ["tm-check"]
+    for names, kwargs in _TM_CHECK_FLAGS:
+        if not draw(booleans()):
+            continue
+        if kwargs["type"] is int:
+            # the grid holds --points samples per mode, so its memory grows with
+            # the count: draw at most 8192
+            value = draw(integers(-5, 8192))
+        else:
+            value = draw(floats() | sampled_from(_EDGE_FLOATS))
+        # --flag=value, so that a negative value parses as a value
+        argv.append(f"{names[0]}={value!r}")
+    return argv
+
+
+@settings(deadline=None, max_examples=150)
+@given(argv=_tm_check_argv())
+def test_tm_check_exits_cleanly_on_any_flag_values(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert [str(w.message) for w in caught] == []
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert (
+        (code == 0 and err == "")
+        or (code == 1 and out.endswith("tm-check FAILED\n") and err == "")
+        or (code == 1 and out == "" and len(errors) == 1)
+    ), (argv, code, out, err)
 
 
 def test_compare_echoes_a_non_shared_policy(tmp_path, capsys):

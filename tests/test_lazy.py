@@ -19,20 +19,18 @@ ROOT = Path(__file__).resolve().parents[1]
 # module -> the names the package has always re-exported from it
 EXPORTED = {
     "constants": ["FIELD_SCALE", "HBAR", "SPEED_OF_LIGHT"],
-    "gaussian": ["GaussianState", "HomodynePattern", "beam_splitter", "homodyne_variance",
+    "gaussian": ["GaussianState", "beam_splitter", "homodyne_variance",
                  "min_physicality_eigenvalue", "pure_loss", "squeeze_single",
                  "symplectic_form", "vacuum"],
-    "link": ["LinkBudget", "LinkGeometry", "beam_radius", "budget_from_geometry",
-             "compose_eta", "diffraction_eta", "pointing_eta"],
+    "link": ["LinkGeometry", "beam_radius", "compose_eta", "diffraction_eta", "pointing_eta"],
     "sensing": ["ChannelPair", "SensingConfig", "advantage_boundary_eta1",
                 "delta_u", "delta_u_smsv_real", "delta_u_sql", "delta_u_tmsv_ideal",
                 "delta_u_tmsv_real", "photocurrent_mean_single", "photocurrent_variance_single",
                 "post_variance_ideal", "quantum_advantage", "r_from_db", "radicand"],
     "sweep": ["Range", "SweepResult", "preset_fig2", "preset_fig3", "preset_fig4",
               "run_compare_smsv", "run_grid", "run_sweep"],
-    "temporal": ["ModeFunction", "SpectralProfile", "TimingModeParams", "inner_product",
-                 "mode_functions", "shift_coefficients", "shift_expansion_check",
-                 "timing_params"],
+    "temporal": ["ModeFunction", "SpectralProfile", "inner_product", "mode_functions",
+                 "shift_coefficients", "shift_expansion_check"],
     "verify": ["run_verify", "smsv_chain_variance", "tmsv_chain_variance"],
 }
 

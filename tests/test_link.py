@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from qtlink.link import (
-    LinkBudget,
     LinkGeometry,
     beam_radius,
-    budget_from_geometry,
     compose_eta,
     diffraction_eta,
     pointing_eta,
@@ -15,26 +13,24 @@ from qtlink.link import (
 
 
 def test_compose_passthrough():
-    assert compose_eta(LinkBudget(1.0, 1.0, 1.0)) == 1.0
-    assert compose_eta(LinkBudget(0.5, 1.0, 1.0)) == 0.5
+    assert compose_eta(1.0, 1.0, 1.0) == 1.0
+    assert compose_eta(0.5, 1.0, 1.0) == 0.5
 
 
 def test_compose_product():
-    assert compose_eta(LinkBudget(0.8, 0.9, 0.7)) == pytest.approx(0.504, rel=1e-12)
+    assert compose_eta(0.8, 0.9, 0.7) == pytest.approx(0.504, rel=1e-12)
 
 
 def test_compose_commutative_and_monotone():
-    assert compose_eta(LinkBudget(0.8, 0.9, 0.7)) == pytest.approx(
-        compose_eta(LinkBudget(0.9, 0.7, 0.8)), rel=1e-12
-    )
-    assert compose_eta(LinkBudget(0.6, 0.9, 0.7)) < compose_eta(LinkBudget(0.8, 0.9, 0.7))
+    assert compose_eta(0.8, 0.9, 0.7) == pytest.approx(compose_eta(0.9, 0.7, 0.8), rel=1e-12)
+    assert compose_eta(0.6, 0.9, 0.7) < compose_eta(0.8, 0.9, 0.7)
 
 
 def test_budget_validation():
     with pytest.raises(ValueError):
-        LinkBudget(1.1, 1.0, 1.0)
+        compose_eta(1.1, 1.0, 1.0)
     with pytest.raises(ValueError):
-        LinkBudget(0.5, -0.1, 1.0)
+        compose_eta(0.5, -0.1, 1.0)
 
 
 def _geom(**kw):
@@ -102,8 +98,8 @@ def test_outputs_stay_in_unit_interval():
         )
         assert 0.0 <= diffraction_eta(geom) <= 1.0
         assert 0.0 <= pointing_eta(geom) <= 1.0
-        budget = budget_from_geometry(geom, eta_detector=rng.uniform(0, 1))
-        assert 0.0 <= compose_eta(budget) <= 1.0
+        eta = compose_eta(diffraction_eta(geom), pointing_eta(geom), rng.uniform(0, 1))
+        assert 0.0 <= eta <= 1.0
 
 
 def test_geometry_validation():
@@ -126,8 +122,10 @@ def test_geometry_rejects_non_finite_fields(field, bad):
 @pytest.mark.parametrize("bad", ["0.5", False, None])
 @pytest.mark.parametrize(
     "build, field",
-    [(LinkBudget, "eta_diffraction"), (LinkBudget, "eta_detector"), (_geom, "range_m"),
-     (_geom, "pointing_jitter_rad")],
+    # "LinkBudget": one loss factor of the link budget, passed to compose_eta
+    [pytest.param(compose_eta, "eta_diffraction", id="LinkBudget-eta_diffraction"),
+     pytest.param(compose_eta, "eta_detector", id="LinkBudget-eta_detector"),
+     (_geom, "range_m"), (_geom, "pointing_jitter_rad")],
 )
 def test_budget_and_geometry_reject_a_wrong_type_naming_the_field(build, field, bad):
     with pytest.raises(ValueError) as err:

@@ -7,7 +7,6 @@ from qtlink.temporal import (
     mode_functions,
     shift_coefficients,
     shift_expansion_check,
-    timing_params,
 )
 
 NATURAL = SpectralProfile(omega0=10.0, delta_omega=1.0)
@@ -15,20 +14,19 @@ NATURAL = SpectralProfile(omega0=10.0, delta_omega=1.0)
 
 def test_timing_params_leo_scale():
     # values quoted for the 815 nm / 2*pi MHz operating point
-    params = timing_params(SpectralProfile(2.31136e15, 6.28319e6))
-    assert params.u0 == pytest.approx(4.32647e-16, rel=1e-5)
-    assert params.big_omega == pytest.approx(3.6786e8, rel=1e-4)
+    profile = SpectralProfile(2.31136e15, 6.28319e6)
+    assert profile.u0 == pytest.approx(4.32647e-16, rel=1e-5)
+    assert profile.big_omega == pytest.approx(3.6786e8, rel=1e-4)
 
 
 def test_timing_params_symmetric_case():
-    params = timing_params(SpectralProfile(5.0, 5.0))
-    assert params.u0 == pytest.approx(1.0 / (np.sqrt(2) * 5.0), rel=1e-12)
-    assert params.big_omega == pytest.approx(1.0, rel=1e-12)
+    profile = SpectralProfile(5.0, 5.0)
+    assert profile.u0 == pytest.approx(1.0 / (np.sqrt(2) * 5.0), rel=1e-12)
+    assert profile.big_omega == pytest.approx(1.0, rel=1e-12)
 
 
 def test_timing_params_natural_units():
-    params = timing_params(NATURAL)
-    assert params.u0 == pytest.approx(1.0 / np.sqrt(101.0), rel=1e-12)
+    assert NATURAL.u0 == pytest.approx(1.0 / np.sqrt(101.0), rel=1e-12)
 
 
 def test_timing_params_consistency_random():
@@ -36,8 +34,8 @@ def test_timing_params_consistency_random():
     for _ in range(50):
         w0 = 10.0 ** rng.uniform(0, 15)
         dw = w0 * 10.0 ** rng.uniform(-9, 0)
-        params = timing_params(SpectralProfile(w0, dw))
-        assert params.u0**2 * (w0**2 + dw**2) == pytest.approx(1.0, rel=1e-12)
+        profile = SpectralProfile(w0, dw)
+        assert profile.u0**2 * (w0**2 + dw**2) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_mode_functions_orthonormal():
@@ -50,7 +48,7 @@ def test_mode_functions_orthonormal():
 
 def test_timing_mode_overlap_with_fundamental():
     y0, _, z1 = mode_functions(NATURAL)
-    big = timing_params(NATURAL).big_omega
+    big = NATURAL.big_omega
     assert abs(inner_product(z1, y0)) == pytest.approx(
         big / np.sqrt(big**2 + 1.0), abs=1e-8
     )
@@ -64,22 +62,19 @@ def test_profile_validation():
 
 
 def test_shift_coefficients_zero_offset():
-    params = timing_params(NATURAL)
-    c0, c1 = shift_coefficients(params, 4.0, 0.3, 0.0)
+    c0, c1 = shift_coefficients(NATURAL, 4.0, 0.3, 0.0)
     assert c0 == pytest.approx(2.0 * np.exp(0.3j), rel=1e-12)
     assert c1 == 0.0
 
 
 def test_shift_coefficients_natural_units():
-    params = timing_params(NATURAL)
-    c0, c1 = shift_coefficients(params, 1.0, 0.0, 1e-3)
+    c0, c1 = shift_coefficients(NATURAL, 1.0, 0.0, 1e-3)
     assert c0 == pytest.approx(1.0 + 0.01j, rel=1e-12)
     assert c1 == pytest.approx(1e-3, rel=1e-12)
 
 
 def test_shift_coefficients_leo_scale():
-    params = timing_params(SpectralProfile(2.31136e15, 6.28319e6))
-    _, c1 = shift_coefficients(params, 1e3, 0.0, 1e-17)
+    _, c1 = shift_coefficients(SpectralProfile(2.31136e15, 6.28319e6), 1e3, 0.0, 1e-17)
     assert c1 == pytest.approx(1.9870e-9, rel=1e-4)
 
 
@@ -88,17 +83,16 @@ def test_shift_coefficient_magnitude_closed_form():
     for _ in range(30):
         w0 = 10.0 ** rng.uniform(0, 12)
         dw = w0 * 10.0 ** rng.uniform(-6, 0)
-        params = timing_params(SpectralProfile(w0, dw))
-        du = params.u0 * rng.uniform(1e-6, 0.05)
+        profile = SpectralProfile(w0, dw)
+        du = profile.u0 * rng.uniform(1e-6, 0.05)
         n = rng.uniform(1, 1e6)
-        _, c1 = shift_coefficients(params, n, rng.uniform(0, 2 * np.pi), du)
+        _, c1 = shift_coefficients(profile, n, rng.uniform(0, 2 * np.pi), du)
         assert abs(c1) / np.sqrt(n) == pytest.approx(dw * du, rel=1e-9)
 
 
 def test_shift_coefficients_warn_outside_validity():
-    params = timing_params(NATURAL)
     with pytest.warns(UserWarning):
-        shift_coefficients(params, 1.0, 0.0, 0.2 * params.u0)
+        shift_coefficients(NATURAL, 1.0, 0.0, 0.2 * NATURAL.u0)
 
 
 def test_expansion_residual_zero_offset():
@@ -106,19 +100,19 @@ def test_expansion_residual_zero_offset():
 
 
 def test_expansion_residual_small_offset():
-    u0 = timing_params(NATURAL).u0
+    u0 = NATURAL.u0
     assert shift_expansion_check(NATURAL, 1e-3 * u0) <= 1e-5
 
 
 def test_expansion_residual_quadratic_ratio():
-    u0 = timing_params(NATURAL).u0
+    u0 = NATURAL.u0
     res_full = shift_expansion_check(NATURAL, 2e-3 * u0)
     res_half = shift_expansion_check(NATURAL, 1e-3 * u0)
     assert 3.5 <= res_full / res_half <= 4.5
 
 
 def test_expansion_residual_loglog_slope_two():
-    u0 = timing_params(NATURAL).u0
+    u0 = NATURAL.u0
     ratios = np.logspace(-4, -2, 9)
     residuals = [shift_expansion_check(NATURAL, r * u0) for r in ratios]
     slope = np.polyfit(np.log(ratios), np.log(residuals), 1)[0]
