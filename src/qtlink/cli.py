@@ -11,9 +11,10 @@ other flag is a usage error.  Exit codes: 0 success, 1 validation error,
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 
 import numpy as np
 
@@ -98,12 +99,21 @@ def _section(parent: dict, key: str, name: str | None = None) -> dict:
     return value
 
 
-def _require_keys(entry: dict, allowed: tuple, name: str) -> None:
-    """Reject a key of config entry ``name`` that is not in ``allowed``, naming both."""
+def _require_keys(entry: dict, allowed: tuple, name: str, required: tuple = ()) -> None:
+    """Reject a key of config entry ``name`` not in ``allowed``, or a missing ``required`` key.
+
+    The error names the entry, the key and the allowed keys.
+    """
     unknown = [key for key in entry if key not in allowed]
     if unknown:
         raise ValueError(
             f"config entry {name!r} has unknown key {unknown[0]!r}; "
+            f"it may hold {', '.join(allowed)}"
+        )
+    missing = [key for key in required if key not in entry]
+    if missing:
+        raise ValueError(
+            f"config entry {name!r} is missing key {missing[0]!r}; "
             f"it may hold {', '.join(allowed)}"
         )
 
@@ -117,7 +127,15 @@ def _budget_eta(parent: dict, key: str, name: str) -> float:
     entry = _section(parent, key, name)
     if "geometry" in entry:
         _require_keys(entry, ("geometry", "eta_detector"), name)
-        geom = link.LinkGeometry(**_section(entry, "geometry", f"{name}.geometry"))
+        block = _section(entry, "geometry", f"{name}.geometry")
+        geometry_fields = fields(link.LinkGeometry)
+        _require_keys(
+            block,
+            tuple(f.name for f in geometry_fields),
+            f"{name}.geometry",
+            tuple(f.name for f in geometry_fields if f.default is MISSING),
+        )
+        geom = link.LinkGeometry(**block)
         return link.compose_eta(
             link.diffraction_eta(geom), link.pointing_eta(geom), entry.get("eta_detector", 1.0)
         )
@@ -388,5 +406,17 @@ def main(argv=None) -> int:
         return 2 if isinstance(err, VerifyFailure) else 3 if isinstance(err, OSError) else 1
 
 
+def run() -> int:
+    """Process entry of ``qtlink`` and ``python -m qtlink.cli``: ``main()`` on a frozen heap.
+
+    Everything the imports built lives until the process ends, so freezing it
+    moves it to the permanent generation, which no collection walks (the ones
+    at interpreter exit included).  ``main`` itself never freezes: tests and
+    the bench tracer call it in a process whose heap is theirs.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

@@ -278,16 +278,22 @@ def _render_grid_svg(result: SweepResult, levels=None) -> str:
     for xv in e1:
         px0, px1 = _x_to_px(xv - half1, x0, x1), _x_to_px(xv + half1, x0, x1)
         xs.append((f"{px0:.2f}", f"{px1 - px0:.2f}"))
-    ys = []
-    for yv in e2:
+    # the cells at one eta1 share x and width and differ in y, height and
+    # fill, so they are one join of six pieces per cell; the y and height
+    # pieces are set once for every eta1
+    n = len(e2)
+    pieces = [None] * (6 * n)
+    for k, yv in enumerate(e2):
         py0, py1 = _y_to_px(yv + half2, y0, y1), _y_to_px(yv - half2, y0, y1)
-        ys.append((f"{py0:.2f}", f"{py1 - py0:.2f}"))
+        pieces[6 * k + 1] = f'" y="{py0:.2f}" width="'
+        pieces[6 * k + 3] = f'" height="{py1 - py0:.2f}" fill="'
+    pieces[5::6] = ['"/>\n'] * n
+    pieces[-1] = '"/>'
     for (x_str, width), fills in zip(xs, _cell_colors(z, vmax)):
-        for (y_str, height), fill in zip(ys, fills):
-            parts.append(
-                f'<rect x="{x_str}" y="{y_str}" width="{width}" '
-                f'height="{height}" fill="{fill}"/>'
-            )
+        pieces[0::6] = [f'<rect x="{x_str}'] * n
+        pieces[2::6] = [width] * n
+        pieces[4::6] = fills
+        parts.append("".join(pieces))
     for row, level in enumerate(levels):
         path = []
         for (xa, ya), (xb, yb) in contour_segments(e1, e2, z, level):

@@ -39,6 +39,8 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 # exp(-(delta_omega*u)^2), so +-5/delta_omega already reaches ~1e-11.
 _MIN_SPAN = 5.0
 _MIN_POINTS_PER_WIDTH = 16.0
+# ~1e6 samples already peak near 150 MB over tm-check's ten mode-function sets
+_MAX_GRID_POINTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,11 @@ class SpectralProfile:
             raise ValueError(f"delta_omega must be > 0, got {self.delta_omega}")
         if self.grid_points < 16:
             raise ValueError("grid_points must be >= 16")
+        # each mode function holds several complex arrays of this length
+        if self.grid_points > _MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid_points must be <= {_MAX_GRID_POINTS}, got {self.grid_points}"
+            )
         if self.grid_span <= 0:
             raise ValueError("grid_span must be > 0")
         big_omega = self.big_omega

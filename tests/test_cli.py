@@ -1,9 +1,14 @@
 import argparse
+import gc
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,6 +267,7 @@ def test_non_object_config_section_exits_1_naming_it(args, config, name, tmp_pat
 
 
 _GEOMETRY = {"range_m": 1.0, "tx_waist_m": 0.01, "rx_aperture_m": 10.0, "wavelength_m": 815e-9}
+_GEOMETRY_KEYS = "range_m, tx_waist_m, rx_aperture_m, wavelength_m, pointing_jitter_rad"
 _FACTORS = "eta_diffraction, eta_pointing, eta_detector"
 
 
@@ -277,9 +283,11 @@ _FACTORS = "eta_diffraction, eta_pointing, eta_detector"
         ({"path2": {"eta_foo": 0.5}}, "link.path2", "eta_foo", _FACTORS),
         ({"path1": {"geometry": _GEOMETRY, "eta_diffraction": 0.5}}, "link.path1",
          "eta_diffraction", "geometry, eta_detector"),
+        ({"path1": {"geometry": {**_GEOMETRY, "foo": 1}}}, "link.path1.geometry", "foo",
+         _GEOMETRY_KEYS),
     ],
     ids=["unknown-factor", "bare-detector", "factor-beside-geometry", "factor-beside-paths",
-         "path-unknown-factor", "path-factor-beside-geometry"],
+         "path-unknown-factor", "path-factor-beside-geometry", "unknown-geometry-key"],
 )
 def test_link_key_the_loader_never_reads_exits_1_naming_it(
     link, entry, key, allowed, tmp_path, capsys
@@ -289,6 +297,17 @@ def test_link_key_the_loader_never_reads_exits_1_naming_it(
     path.write_text(json.dumps({"link": link}))
     assert run(["delta-u", "--config", str(path)], capsys) == (
         1, "", f"error: config entry {entry!r} has unknown key {key!r}; it may hold {allowed}\n"
+    )
+
+
+def test_a_missing_geometry_key_exits_1_naming_the_block(tmp_path, capsys):
+    # this used to fail with LinkGeometry's missing-argument error, naming no entry
+    geometry = {k: v for k, v in _GEOMETRY.items() if k != "tx_waist_m"}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"link": {"path1": {"geometry": geometry}}}))
+    assert run(["delta-u", "--config", str(path)], capsys) == (
+        1, "", "error: config entry 'link.path1.geometry' is missing key 'tx_waist_m'; "
+               f"it may hold {_GEOMETRY_KEYS}\n"
     )
 
 
@@ -721,3 +740,85 @@ def test_sweep_tabulates_the_default_n_in_range(tmp_path, capsys):
     sweep = payload["meta"]["sweep"]
     assert sweep == {"start": 100.0, "stop": 1000000.0, "steps": 100, "variable": "n_in"}
     assert [row[0] for row in payload["rows"]] == np.linspace(1e2, 1e6, 100).tolist()
+
+
+# ----------------------------------------------------------------------
+# the process entry: main() on a frozen import-time heap
+# ----------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# runs qtlink.cli as "python -m qtlink.cli" would, counting gc.freeze calls and
+# recording the freeze state when main is entered
+_ENTRY_PROBE = """
+import gc, json, runpy, sys
+freezes = []
+freeze = gc.freeze
+gc.freeze = lambda: (freezes.append(1), freeze())[1]
+seen = {}
+def probe(frame, event, arg):
+    if event == "call" and frame.f_code.co_name == "main" and "qtlink" in frame.f_code.co_filename:
+        seen.update(freezes=len(freezes), frozen=gc.get_freeze_count())
+        sys.setprofile(None)
+sys.setprofile(probe)
+try:
+    runpy.run_module("qtlink.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exit:
+    seen["rc"] = exit.code
+seen["total_freezes"] = len(freezes)
+print(json.dumps(seen))
+"""
+
+
+def _python(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_main_in_process_freezes_nothing(capsys):
+    before = gc.get_freeze_count()
+    assert run(["delta-u", "--eta", "0.5"], capsys)[0] == 0
+    assert run(["tm-check", "--points", "8"], capsys)[0] == 1
+    assert gc.get_freeze_count() == before
+
+
+def test_module_entry_freezes_once_before_main():
+    rc, out, err = _python("-c", _ENTRY_PROBE, "delta-u", "--eta", "0.5")
+    assert (rc, err.count("\n")) == (0, 1), err
+    seen = json.loads(out.splitlines()[-1])
+    assert seen["freezes"] == 1 and seen["frozen"] > 0
+    assert (seen["rc"], seen["total_freezes"]) == (0, 1)
+
+
+def test_console_script_names_the_freezing_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        target = tomllib.load(handle)["project"]["scripts"]["qtlink"]
+    module, _, name = target.partition(":")
+    # the script target, called in a fresh process with main patched, sees a frozen heap
+    code = (
+        f"import gc, importlib; entry = importlib.import_module({module!r}); "
+        f"entry.main = lambda: gc.get_freeze_count() > 0 and 7; "
+        f"raise SystemExit(getattr(entry, {name!r})())"
+    )
+    assert _python("-c", code) == (7, "", "")
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["delta-u", "--eta", "0.5", "--r-db", "5"], 0),
+        (["tm-check", "--points", "8"], 1),
+        (["verify", "--tol", "1e-17"], 2),
+        (["delta-u", "--config", "/no/such.json"], 3),
+    ],
+    ids=["ok", "validation", "verify-failure", "io"],
+)
+def test_module_entry_prints_and_exits_as_main(argv, code, capsys):
+    expected = run(argv, capsys)
+    assert expected[0] == code
+    assert _python("-m", "qtlink.cli", *argv) == expected

@@ -61,6 +61,15 @@ def test_profile_validation():
         SpectralProfile(10.0, 0.0)
 
 
+def test_profile_bounds_grid_points_where_it_is_built():
+    # the grid is sampled lazily, so building a profile allocates no samples
+    assert SpectralProfile(10.0, 1.0, grid_points=2**20).grid_points == 2**20
+    with pytest.raises(ValueError, match=r"^grid_points must be <= 1048576, got 1048577$"):
+        SpectralProfile(10.0, 1.0, grid_points=2**20 + 1)
+    with pytest.raises(ValueError, match="grid_points"):
+        SpectralProfile(10.0, 1.0, grid_points=100_000_000)
+
+
 def test_shift_coefficients_zero_offset():
     c0, c1 = shift_coefficients(NATURAL, 4.0, 0.3, 0.0)
     assert c0 == pytest.approx(2.0 * np.exp(0.3j), rel=1e-12)
