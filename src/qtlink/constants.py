@@ -1,4 +1,4 @@
-"""Physical constants and normalization choices shared across the package.
+"""Physical constants, normalization choices and the input-field checks.
 
 HBAR = 2 fixes the vacuum quadrature variance to 1.  FIELD_SCALE is the
 squared single-photon field amplitude |E|^2 appearing in raw photocurrent
@@ -10,10 +10,48 @@ this model.
 
 SWEEP_VARIABLES names the variables a sweep may run over; it lives here so
 the CLI can offer them as choices without loading the sweep layer.
+
+Every value type and kernel checks its inputs where they are built with
+:func:`require_real` and :func:`require`, so each bad field is rejected
+with one message shape, ``<field> must be <requirement>, got <value>``.
+FLOAT_MAX bounds a finite field: ``abs(value) <= FLOAT_MAX`` fails for NaN,
+for an infinity and for an int too large for a double, where
+``math.isfinite`` would raise OverflowError on that int.
 """
+
+import numbers
+import sys
+
+import numpy as np
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 HBAR = 2.0
 FIELD_SCALE = 1.0
+FLOAT_MAX = sys.float_info.max
 
 SWEEP_VARIABLES = ("eta_symmetric", "eta1", "eta2", "r_db", "n_in")
+
+
+def require_real(name: str, value, integer: bool = False) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a real number.
+
+    With ``integer`` it must be an integer.  A bool is neither.
+    """
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if integer else "a real number"
+        raise ValueError(f"{name} must be {noun}, got {value!r}")
+
+
+def require(name: str, values, ok, requirement: str) -> None:
+    """Raise ``<name> must be <requirement>, got <value>`` unless ``ok`` holds everywhere.
+
+    ``values`` is a scalar, named as given, or an array, named by its first
+    element (as a float) where ``ok`` is False.  NaN fails every comparison,
+    so a range test written as ``ok`` rejects it.
+    """
+    ok = np.asarray(ok)
+    if not ok.all():
+        if np.ndim(values):
+            values = np.asarray(values, dtype=float)[~ok].flat[0]
+        raise ValueError(f"{name} must be {requirement}, got {values}")

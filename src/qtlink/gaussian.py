@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import require
+
 __all__ = [
     "GaussianState",
     "vacuum",
@@ -51,8 +53,7 @@ class GaussianState:
     shared_port: int | None = None
 
     def __post_init__(self):
-        if self.n_modes < 1:
-            raise ValueError(f"n_modes must be >= 1, got {self.n_modes}")
+        require("n_modes", self.n_modes, self.n_modes >= 1, ">= 1")
         if self.shared_port is not None and not 0 <= self.shared_port < self.n_modes:
             raise ValueError(
                 f"shared_port {self.shared_port} out of range for {self.n_modes}-mode state"
@@ -118,26 +119,13 @@ def min_physicality_eigenvalue(state: GaussianState) -> float:
 
 def vacuum(n_modes: int) -> GaussianState:
     """n-mode vacuum: identity covariance."""
-    if n_modes < 1:
-        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
+    require("n_modes", n_modes, n_modes >= 1, ">= 1")
     return GaussianState(n_modes, np.eye(2 * n_modes))
 
 
 def _identity(batch: tuple, d: int) -> np.ndarray:
     """Writable stack of d x d identities with leading shape ``batch``."""
     return np.tile(np.eye(d), batch + (1, 1))
-
-
-def _require(ok: np.ndarray, values: np.ndarray, message: str) -> None:
-    """Raise ValueError naming the first element of ``values`` where ``ok`` fails."""
-    if not np.all(ok):
-        raise ValueError(f"{message}, got {values[~ok].flat[0]}")
-
-
-def _transmissivity(eta: float | np.ndarray) -> np.ndarray:
-    eta = np.asarray(eta, dtype=float)
-    _require((eta >= 0.0) & (eta <= 1.0), eta, "transmissivity must be in [0, 1]")
-    return eta
 
 
 def _apply_linear(state: GaussianState, m: np.ndarray) -> GaussianState:
@@ -163,7 +151,7 @@ def squeeze_single(
     """
     state._check_mode(mode)
     r = np.asarray(r, dtype=float)
-    _require(r >= 0, r, "squeezing magnitude must be >= 0")
+    require("squeezing magnitude", r, r >= 0, ">= 0")
     rot = _rotation(angle)
     diag = np.zeros(r.shape + (2, 2))
     diag[..., 0, 0] = np.exp(-r)
@@ -200,7 +188,8 @@ def beam_splitter(
     state._check_mode(m2)
     if m1 == m2:
         raise ValueError("beam splitter needs two distinct modes")
-    eta = _transmissivity(eta)
+    eta = np.asarray(eta, dtype=float)
+    require("transmissivity", eta, (eta >= 0.0) & (eta <= 1.0), "in [0, 1]")
     return _apply_linear(state, _bs_rows(state.n_modes, m1, m2, eta))
 
 
@@ -250,7 +239,8 @@ def pure_loss(
     state._check_mode(mode)
     if policy not in ("shared", "independent"):
         raise ValueError(f"unknown vacuum policy {policy!r}")
-    eta = _transmissivity(eta)
+    eta = np.asarray(eta, dtype=float)
+    require("transmissivity", eta, (eta >= 0.0) & (eta <= 1.0), "in [0, 1]")
     if np.all(eta == 1.0):
         return state
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .sensing import require_real
+from .constants import FLOAT_MAX, require, require_real
 
 __all__ = [
     "LinkGeometry",
@@ -37,15 +37,11 @@ class LinkGeometry:
         for f in fields(self):
             value = getattr(self, f.name)
             require_real(f.name, value)
-            if not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+            require(f.name, value, abs(value) <= FLOAT_MAX, "finite")
         for name in ("range_m", "tx_waist_m", "rx_aperture_m", "wavelength_m"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.pointing_jitter_rad < 0:
-            raise ValueError(
-                f"pointing_jitter_rad must be >= 0, got {self.pointing_jitter_rad}"
-            )
+            require(name, getattr(self, name), getattr(self, name) > 0, "> 0")
+        jitter = self.pointing_jitter_rad
+        require("pointing_jitter_rad", jitter, jitter >= 0, ">= 0")
 
 
 def compose_eta(
@@ -59,8 +55,7 @@ def compose_eta(
     }
     for name, value in factors.items():
         require_real(name, value)
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1], got {value}")
+        require(name, value, 0.0 <= value <= 1.0, "in [0, 1]")
     return eta_diffraction * eta_pointing * eta_detector
 
 

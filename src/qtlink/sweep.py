@@ -7,15 +7,13 @@ byte-stable and can be golden-tested.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import sensing
-from .constants import SWEEP_VARIABLES
-from .sensing import PAPER_SCALE_CONFIG, ChannelPair, SensingConfig, require_real
+from .constants import FLOAT_MAX, SWEEP_VARIABLES, require, require_real
+from .sensing import PAPER_SCALE_CONFIG, ChannelPair, SensingConfig
 
 __all__ = [
     "Range",
@@ -54,12 +52,9 @@ class Range:
         for name in ("start", "stop"):
             value = getattr(self, name)
             require_real(name, value)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if isinstance(self.steps, bool) or not isinstance(self.steps, numbers.Integral):
-            raise ValueError(f"steps must be an integer, got {self.steps!r}")
-        if self.steps < 2:
-            raise ValueError(f"steps must be >= 2, got {self.steps}")
+            require(name, value, abs(value) <= FLOAT_MAX, "finite")
+        require_real("steps", self.steps, integer=True)
+        require("steps", self.steps, self.steps >= 2, ">= 2")
         if not self.start < self.stop:
             raise ValueError(f"need start < stop, got [{self.start}, {self.stop}]")
 

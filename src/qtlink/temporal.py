@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import FLOAT_MAX, require, require_real
+
 __all__ = [
     "SpectralProfile",
     "ModeFunction",
@@ -59,31 +61,25 @@ class SpectralProfile:
 
     def __post_init__(self):
         for name in ("omega0", "delta_omega", "grid_span"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.omega0 <= 0:
-            raise ValueError(f"omega0 must be > 0, got {self.omega0}")
-        if self.delta_omega <= 0:
-            raise ValueError(f"delta_omega must be > 0, got {self.delta_omega}")
-        if self.grid_points < 16:
-            raise ValueError("grid_points must be >= 16")
+            value = getattr(self, name)
+            require_real(name, value)
+            require(name, value, abs(value) <= FLOAT_MAX, "finite")
+        require_real("grid_points", self.grid_points, integer=True)
+        require("omega0", self.omega0, self.omega0 > 0, "> 0")
+        require("delta_omega", self.delta_omega, self.delta_omega > 0, "> 0")
+        points = self.grid_points
+        require("grid_points", points, points >= 16, ">= 16")
         # each mode function holds several complex arrays of this length
-        if self.grid_points > _MAX_GRID_POINTS:
-            raise ValueError(
-                f"grid_points must be <= {_MAX_GRID_POINTS}, got {self.grid_points}"
-            )
-        if self.grid_span <= 0:
-            raise ValueError("grid_span must be > 0")
+        require("grid_points", points, points <= _MAX_GRID_POINTS, f"<= {_MAX_GRID_POINTS}")
+        require("grid_span", self.grid_span, self.grid_span > 0, "> 0")
         big_omega = self.big_omega
-        if not (np.isfinite(big_omega) and big_omega > 0):
-            raise ValueError(f"big_omega must be finite and > 0, got {big_omega}")
+        require("big_omega", big_omega, 0.0 < big_omega <= FLOAT_MAX, "finite and > 0")
         # Omega and delta_omega are squared as Python floats, which raise
         # OverflowError past ~1.3e154.  Within these bounds every square stays
         # finite, and u0 lies in (1e-301, 1e150], finite and > 0.
-        if big_omega > 1e150:
-            raise ValueError(f"big_omega must be <= 1e150, got {big_omega}")
-        if not 1e-150 <= self.delta_omega <= 1e150:
-            raise ValueError(f"delta_omega must be in [1e-150, 1e150], got {self.delta_omega}")
+        require("big_omega", big_omega, big_omega <= 1e150, "<= 1e150")
+        dw = self.delta_omega
+        require("delta_omega", dw, 1e-150 <= dw <= 1e150, "in [1e-150, 1e150]")
 
     @property
     def u0(self) -> float:
@@ -161,8 +157,7 @@ def shift_coefficients(
     fundamental mode and c1 = (delta_omega*du)*sqrt(N)*e^{i theta} on the
     companion.  Valid for |du| << u0; a warning is raised past du/u0 = 0.1.
     """
-    if n_photons < 0:
-        raise ValueError(f"photon number must be >= 0, got {n_photons}")
+    require("photon number", n_photons, n_photons >= 0, ">= 0")
     ratio = abs(delta_u) / profile.u0
     if ratio > 0.1:
         warnings.warn(

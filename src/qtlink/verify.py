@@ -16,11 +16,11 @@ rather than a chain of validated states per (r, eta1, eta2) point.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constants import FLOAT_MAX, require, require_real
 from .gaussian import beam_splitter, homodyne_variance, pure_loss, squeeze_single, vacuum
 from .sensing import r_from_db, radicand
 
@@ -170,12 +170,12 @@ def run_verify(
     the shared closed form is checked against its predicted value and
     recorded as a diagnostic note rather than a failure.
     """
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise ValueError(f"tolerance must be finite and > 0, got {tolerance}")
+    require_real("tolerance", tolerance)
+    require("tolerance", tolerance, 0.0 < tolerance <= FLOAT_MAX, "finite and > 0")
     eta_vec = np.asarray(DEFAULT_ETAS, dtype=float)
     if eta_steps is not None:
-        if eta_steps < 2:
-            raise ValueError("eta_steps must be >= 2")
+        require_real("eta_steps", eta_steps, integer=True)
+        require("eta_steps", eta_steps, eta_steps >= 2, ">= 2")
         eta_vec = np.linspace(eta_vec.min(), eta_vec.max(), eta_steps)
     n = len(eta_vec)
     eta1_vec, eta2_vec = np.repeat(eta_vec, n), np.tile(eta_vec, n)

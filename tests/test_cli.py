@@ -6,17 +6,30 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis.strategies import booleans, composite, floats, integers, sampled_from
+from hypothesis.strategies import (
+    booleans,
+    composite,
+    data,
+    dictionaries,
+    floats,
+    integers,
+    none,
+    sampled_from,
+    text,
+)
 
 from qtlink import cli
 from qtlink.cli import COMMANDS, build_parser, main
+from qtlink.sensing import ChannelPair, SensingConfig
 
 FIG2_HEADER = "eta,du_sql,du_tmsv_3db,du_tmsv_7db,du_tmsv_11db,du_tmsv_15db"
 
@@ -575,47 +588,94 @@ def test_tm_check_rejects_a_coarse_grid_before_printing(args, capsys):
     assert err.count("\n") == 1
 
 
-# tm-check's flags as its entry in the command table declares them
-_TM_CHECK_FLAGS = COMMANDS["tm-check"][1]
 _EDGE_FLOATS = (
     math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, -5e-324, 2.2e-308, 1e-200, 1e300,
     1e308, -1e308,
 )
+# the largest value drawn for each integer flag: tm-check's grid holds --points
+# samples per mode and a table holds --steps rows, so memory grows with both
+_MAX_INT = {"--points": 8192, "--steps": 300}
+# any float, the edge values, and often one in [0, 1], legal for every field
+_FLOATS = floats() | sampled_from(_EDGE_FLOATS) | floats(0.0, 1.0)
+_JSON_SCALARS = none() | booleans() | integers() | _FLOATS | text(max_size=8)
+# config section -> the keys its value type reads
+_SECTION_KEYS = {
+    "sensing": [f.name for f in fields(SensingConfig)],
+    "channel": [f.name for f in fields(ChannelPair)],
+}
 
 
 @composite
-def _tm_check_argv(draw):
-    argv = ["tm-check"]
-    for names, kwargs in _TM_CHECK_FLAGS:
+def _argv(draw, command):
+    """(argv, config): ``command`` with random values for a random subset of its flags.
+
+    The flags are the command's own entry in the command table.  A --config
+    flag names ``config.json``, which holds ``config``: random JSON scalars
+    in the sensing and channel sections.
+    """
+    argv = [command]
+    for names, kwargs in COMMANDS[command][1]:
         if not draw(booleans()):
             continue
-        if kwargs["type"] is int:
-            # the grid holds --points samples per mode, so its memory grows with
-            # the count: draw at most 8192
-            value = draw(integers(-5, 8192))
+        flag = names[0]
+        if "choices" in kwargs:
+            value = draw(sampled_from(kwargs["choices"]))
+        elif kwargs.get("type") is int:
+            value = draw(integers(-5, _MAX_INT[flag]))
+        elif kwargs.get("type") is float:
+            value = draw(_FLOATS)
         else:
-            value = draw(floats() | sampled_from(_EDGE_FLOATS))
+            value = {"--config": "config.json", "--out": "out.dat"}[flag]
         # --flag=value, so that a negative value parses as a value
-        argv.append(f"{names[0]}={value!r}")
-    return argv
+        argv.append(f"{flag}={value!r}" if isinstance(value, float) else f"{flag}={value}")
+    config = {
+        section: draw(dictionaries(sampled_from(keys), _JSON_SCALARS, max_size=4))
+        for section, keys in _SECTION_KEYS.items()
+    }
+    return argv, config
 
 
-@settings(deadline=None, max_examples=150)
-@given(argv=_tm_check_argv())
-def test_tm_check_exits_cleanly_on_any_flag_values(argv):
+def _assert_exits_cleanly(argv, config):
+    """Run ``argv`` in a fresh directory holding ``config.json``; allow only clean outcomes.
+
+    Exit 0, a tm-check FAILED report, or exit 1 with empty stdout and one
+    ``error:`` line; never a warning, and never an exception past main.
+    """
+    home = os.getcwd()
     out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
+    with tempfile.TemporaryDirectory() as folder:
+        Path(folder, "config.json").write_text(json.dumps(config))
+        os.chdir(folder)
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = main(argv)
+        finally:
+            os.chdir(home)
     out, err = out.getvalue(), err.getvalue()
     assert [str(w.message) for w in caught] == []
     errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    # delta-u's one stderr line on success
+    advantage = argv[0] == "delta-u" and err.startswith("# advantage") and err.count("\n") == 1
     assert (
-        (code == 0 and err == "")
+        (code == 0 and (err == "" or advantage))
         or (code == 1 and out.endswith("tm-check FAILED\n") and err == "")
         or (code == 1 and out == "" and len(errors) == 1)
-    ), (argv, code, out, err)
+    ), (argv, config, code, out, err)
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=_argv("tm-check"))
+def test_tm_check_exits_cleanly_on_any_flag_values(case):
+    _assert_exits_cleanly(*case)
+
+
+@pytest.mark.parametrize("command", ["delta-u", "compare"])
+@settings(deadline=None, max_examples=150)
+@given(data=data())
+def test_delta_u_and_compare_exit_cleanly_on_any_flags_and_config(command, data):
+    _assert_exits_cleanly(*data.draw(_argv(command)))
 
 
 def test_compare_echoes_a_non_shared_policy(tmp_path, capsys):
@@ -691,15 +751,18 @@ def test_fig2_rejects_repeated_column_labels(r_dbs, tmp_path, capsys):
         (["fig2", "--r-dbs", "7000"], "7000.0"),
         (["compare", "--r-db", "7000"], "7000.0"),
         (["sweep", "--variable", "r_db", "--stop", "1e9"], "10101010.1010101"),
+        # the radicand had lost all squeezing here: the column equalled du_sql
+        (["fig2", "--r-dbs", "15,200"], "200.0"),
     ],
 )
 def test_squeezing_past_the_overflow_bound_exits_1_naming_it(args, bad, tmp_path, capsys):
-    # sinh and cosh of these levels overflow a double; they used to traceback
+    # sinh and cosh of these levels overflow a double; they used to traceback.
+    # The bound is now the radicand's precision limit, far below the overflow.
     out_path = tmp_path / "out.csv"
     code, out, err = run([*args, "--out", str(out_path)], capsys)
     assert code == 1
     assert out == ""
-    assert err == f"error: squeezing level in dB must be at most 6165, got {bad}\n"
+    assert err == f"error: squeezing level in dB must be at most 30, got {bad}\n"
     assert not out_path.exists()
 
 
@@ -717,13 +780,16 @@ def test_sweep_rejects_a_non_string_variable_from_config(tmp_path, capsys):
 @pytest.mark.parametrize(
     "args, message",
     [
+        # 5000 dB used to overflow the radicand; the level bound now stops it first
         (["sweep", "--variable", "r_db", "--stop", "5000", "--steps", "3", "--eta1", "0.5",
-          "--eta2", "0.9"], "delta_u must be finite and > 0, got inf"),
+          "--eta2", "0.9"], "squeezing level in dB must be at most 30, got 2500.0"),
         (["delta-u", "--n-in", "1e-320"], "delta_u must be finite and > 0, got inf"),
+        # this used to name omega_rss, a kernel-internal value
+        (["delta-u", "--lambda0-nm", "1e-300"], "carrier_omega must be finite and > 0, got inf"),
         (["tm-check", "--omega0", "1e300", "--spread", "1e-300"],
          "big_omega must be finite and > 0, got inf"),
     ],
-    ids=["sweep", "delta-u", "tm-check"],
+    ids=["sweep", "delta-u", "delta-u-carrier", "tm-check"],
 )
 def test_an_overflow_exits_1_with_one_error_line(args, message, tmp_path, monkeypatch, capsys):
     # numpy's overflow warnings used to print ahead of the error, or instead of it

@@ -113,7 +113,7 @@ def test_geometry_validation():
     "field",
     ["range_m", "tx_waist_m", "rx_aperture_m", "wavelength_m", "pointing_jitter_rad"],
 )
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 10**400])
 def test_geometry_rejects_non_finite_fields(field, bad):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         _geom(**{field: bad})

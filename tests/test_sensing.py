@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -344,7 +345,8 @@ def test_config_accepts_omega0_directly():
     ["r_db", "n_in", "n_lo", "theta1", "theta2", "theta_lo", "lambda0",
      "delta_omega", "split", "snr"],
 )
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+# an int too large for a double, as a JSON config may hold, is not finite either
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400])
 def test_config_rejects_non_finite_fields(field, bad):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         SensingConfig(**{field: bad})
@@ -354,6 +356,16 @@ def test_config_rejects_non_finite_fields(field, bad):
 def test_config_rejects_non_finite_omega0(bad):
     with pytest.raises(ValueError, match="omega0 must be finite"):
         SensingConfig(lambda0=None, omega0=bad)
+
+
+@pytest.mark.parametrize(
+    "carrier, name",
+    [({"lambda0": 1e-309}, "carrier_omega"), ({"lambda0": None, "omega0": 1.5e308}, "omega_rss")],
+)
+def test_config_rejects_a_carrier_that_overflows_naming_it(carrier, name):
+    # these used to pass the build and fail in the kernel, naming omega_rss
+    with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got inf$"):
+        SensingConfig(**carrier, delta_omega=1.5e308)
 
 
 @pytest.mark.parametrize("field", ["eta1", "eta2"])
@@ -391,3 +403,25 @@ def test_squeezing_past_the_overflow_bound_is_rejected():
         assert math.isfinite(radicand(scheme, r_max, 0.5, 0.5))
     with pytest.raises(ValueError, match="squeezing magnitude must be at most .*, got 800.0"):
         delta_u("TMSV_real", 800.0, 0.5, 0.5, 500.0, 500.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("policy", ["shared", "independent"])
+def test_radicand_keeps_nine_digits_at_the_level_bound(policy):
+    # The factored TMSV radicand cancels near eta = 1 as r grows (at 200 dB
+    # it returned the unsqueezed value); MAX_R_DB is where it still agrees
+    # with a 50-digit reference to 1e-9 over every pair of these etas.
+    r = r_from_db(MAX_R_DB)
+    etas = np.append(np.linspace(0.01, 1.0, 100), [0.999, 0.9999])
+    got = radicand("TMSV_real", r, etas[:, None], etas[None, :], policy)
+    worst = Decimal(0)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        grow = Decimal(r).exp()
+        sh, sh2 = (grow - 1 / grow) / 2, (grow * grow - 1 / (grow * grow)) / 2
+        exact = [Decimal(e) for e in etas.tolist()]
+        for i, e1 in enumerate(exact):
+            for j, e2 in enumerate(exact):
+                cross = ((1 - e1) * (1 - e2)).sqrt() if policy == "shared" else 0
+                ref = (e1 + e2) * sh * sh + 1 + cross - (e1 * e2).sqrt() * sh2
+                worst = max(worst, abs(Decimal(float(got[i, j])) / ref - 1))
+    assert worst < Decimal("1e-9")

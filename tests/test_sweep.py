@@ -100,7 +100,7 @@ def test_variable_table_names_the_parser_choices_and_legal_defaults():
 
 
 @pytest.mark.parametrize("field", ["start", "stop"])
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -(10**400)])
 def test_range_rejects_non_finite_bounds(field, bad):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         Range(**{"start": 0.1, "stop": 0.5, "steps": 5, field: bad})

@@ -61,6 +61,27 @@ def test_profile_validation():
         SpectralProfile(10.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((True, 1.0), "omega0 must be a real number, got True"),
+        (("x", 1.0), "omega0 must be a real number, got 'x'"),
+        ((10.0, None), "delta_omega must be a real number, got None"),
+        ((10.0, 1.0, 16.5), "grid_points must be an integer, got 16.5"),
+        ((10.0, 1.0, False), "grid_points must be an integer, got False"),
+        ((10.0, 1.0, 4096, "8"), "grid_span must be a real number, got '8'"),
+        ((10.0, 1.0, 8), "grid_points must be >= 16, got 8"),
+        ((10.0, 1.0, 4096, 0.0), "grid_span must be > 0, got 0.0"),
+        ((10 ** 400, 1.0), f"omega0 must be finite, got {10 ** 400}"),
+    ],
+)
+def test_profile_rejects_a_bad_field_naming_it_and_its_value(args, message):
+    # these were accepted (and failed when sampled), or raised numpy's TypeError
+    with pytest.raises(ValueError) as err:
+        SpectralProfile(*args)
+    assert str(err.value) == message
+
+
 def test_profile_bounds_grid_points_where_it_is_built():
     # the grid is sampled lazily, so building a profile allocates no samples
     assert SpectralProfile(10.0, 1.0, grid_points=2**20).grid_points == 2**20

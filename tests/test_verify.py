@@ -59,10 +59,24 @@ def test_chunked_run_matches_single_stack(policy, monkeypatch):
     assert chunked.notes == whole.notes
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9])
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9, True, "1e-9"])
 def test_run_verify_rejects_bad_tolerance(tol):
     with pytest.raises(ValueError, match="tolerance"):
         verify.run_verify(tolerance=tol)
+
+
+@pytest.mark.parametrize(
+    "steps, message",
+    [
+        (1, "eta_steps must be >= 2, got 1"),
+        (2.5, "eta_steps must be an integer, got 2.5"),
+        (True, "eta_steps must be an integer, got True"),
+    ],
+)
+def test_run_verify_rejects_bad_eta_steps_naming_the_value(steps, message):
+    with pytest.raises(ValueError) as err:
+        verify.run_verify(eta_steps=steps)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("grid", [{"r_dbs": (3.0,)}, {"etas": (0.5, 1.0)}])
