@@ -59,11 +59,27 @@ def compose_eta(
     return eta_diffraction * eta_pointing * eta_detector
 
 
+def _overflow(quantity: str, geometry: LinkGeometry, *names: str) -> ValueError:
+    """The error for a ``quantity`` that overflows a double at the named geometry fields."""
+    values = ", ".join(f"{name}={getattr(geometry, name)!r}" for name in names)
+    return ValueError(f"link geometry {quantity} overflows a double at {values}")
+
+
 def beam_radius(geometry: LinkGeometry) -> float:
-    """1/e^2 Gaussian beam radius after propagating range_m from the waist."""
+    """1/e^2 Gaussian beam radius after propagating range_m from the waist.
+
+    Raises ValueError naming the fields when a term overflows a double.
+    """
     w0 = geometry.tx_waist_m
-    rayleigh_ratio = geometry.wavelength_m * geometry.range_m / (math.pi * w0**2)
-    return w0 * math.sqrt(1.0 + rayleigh_ratio**2)
+    try:
+        # w0**2 underflows to 0 for a waist below ~1e-162: the ratio is then infinite
+        rayleigh_ratio = geometry.wavelength_m * geometry.range_m / (math.pi * w0**2)
+        radius = w0 * math.sqrt(1.0 + rayleigh_ratio**2)
+    except (OverflowError, ZeroDivisionError):
+        radius = math.inf
+    if radius > FLOAT_MAX:
+        raise _overflow("beam radius", geometry, "range_m", "tx_waist_m", "wavelength_m")
+    return radius
 
 
 def diffraction_eta(geometry: LinkGeometry) -> float:
@@ -72,7 +88,10 @@ def diffraction_eta(geometry: LinkGeometry) -> float:
     1 - exp(-2*(a/w(L))^2) for aperture radius a and beam radius w(L).
     """
     ratio = geometry.rx_aperture_m / beam_radius(geometry)
-    eta = 1.0 - math.exp(-2.0 * ratio**2)
+    try:
+        eta = 1.0 - math.exp(-2.0 * ratio**2)
+    except OverflowError:
+        raise _overflow("aperture-to-beam ratio", geometry, "rx_aperture_m") from None
     return min(max(eta, 0.0), 1.0)
 
 
@@ -82,4 +101,7 @@ def pointing_eta(geometry: LinkGeometry) -> float:
     1 / (1 + 2*(sigma*L/w(L))^2); unity at zero jitter.
     """
     wander = geometry.pointing_jitter_rad * geometry.range_m / beam_radius(geometry)
-    return 1.0 / (1.0 + 2.0 * wander**2)
+    try:
+        return 1.0 / (1.0 + 2.0 * wander**2)
+    except OverflowError:
+        raise _overflow("pointing wander", geometry, "pointing_jitter_rad", "range_m") from None

@@ -27,6 +27,8 @@ __all__ = [
     "PAPER_SCALE_CONFIG",
     "ETA_RANGE",
     "VARIABLES",
+    "MAX_STEPS",
+    "MAX_GRID_STEPS",
 ]
 
 SCHEMES = ("TMSV", "SQL", "SMSV")
@@ -42,6 +44,12 @@ def require_variable(variable) -> None:
         raise ValueError(f"unknown sweep variable {variable!r}; pick one of {SWEEP_VARIABLES}")
 
 
+# Most points on one axis: a 1-d table of 10**5 rows is ~15 MB of JSON.
+MAX_STEPS = 10**5
+# Most points on each axis of a grid: 500 x 500 = 250,000 cells, ~26 MB of JSON.
+MAX_GRID_STEPS = 500
+
+
 @dataclass(frozen=True)
 class Range:
     start: float
@@ -55,6 +63,7 @@ class Range:
             require(name, value, abs(value) <= FLOAT_MAX, "finite")
         require_real("steps", self.steps, integer=True)
         require("steps", self.steps, self.steps >= 2, ">= 2")
+        require("steps", self.steps, self.steps <= MAX_STEPS, f"<= {MAX_STEPS}")
         if not self.start < self.stop:
             raise ValueError(f"need start < stop, got [{self.start}, {self.stop}]")
 
@@ -185,6 +194,7 @@ def run_grid(
     for rng in (eta1_range, eta2_range):
         if rng.start <= 0 or rng.stop > 1.0:
             raise ValueError("eta grids must stay inside (0, 1]")
+        require("steps", rng.steps, rng.steps <= MAX_GRID_STEPS, f"<= {MAX_GRID_STEPS}")
     if quantity not in ("advantage", "delta_u"):
         raise ValueError(f"unknown grid quantity {quantity!r}")
     ch = ChannelPair(1.0, 1.0)

@@ -10,7 +10,10 @@ checks the squeezed-mode radicand eta*e^-2r + (1-eta) the same way.
 
 Both chains take eta arrays and run as one stacked chain per squeezing
 level, so the oracle costs a handful of broadcast matrix products per r
-rather than a chain of validated states per (r, eta1, eta2) point.
+rather than a chain of validated states per (r, eta1, eta2) point.  The
+two-mode chain takes the eta axis as a column (eta1) and a row (eta2), so
+the first loss runs once per eta1 and only the second loss and the readout
+carry the whole eta1 x eta2 mesh.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ __all__ = [
     "run_verify",
     "DEFAULT_R_DBS",
     "DEFAULT_ETAS",
+    "MAX_ETA_STEPS",
 ]
 
 DEFAULT_R_DBS = (0.0, 3.0, 5.0, 15.0)
@@ -39,6 +43,10 @@ DEFAULT_ETAS = (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
 # Most points one stacked chain carries: bounds memory at any eta_steps while
 # keeping a 30 x 30 eta grid in a single stack.
 _MAX_STACK = 1024
+
+# Largest eta_steps: its report holds 4 * 200**2 = 160,000 two-mode lines of
+# ~124 bytes, ~20 MB of text.
+MAX_ETA_STEPS = 200
 
 
 def tmsv_chain_variance(
@@ -68,13 +76,27 @@ def smsv_chain_variance(
     return homodyne_variance(state, (1.0,))
 
 
-# One report line per point, filled from a chain's columns in order plus its verdict.
+# One report line per point, filled from a chain's columns in order plus its
+# verdict; the grid columns (r_db and the etas) arrive as their %-4g strings.
 _LINES = {
-    "two_mode": "  two-mode  r_db=%-4g eta1=%-4g eta2=%-4g "
+    "two_mode": "  two-mode  r_db=%s eta1=%s eta2=%s "
     "formula=%.12e oracle=%.12e rel_err=%.3e %s\n",
-    "single_mode": "  one-mode  r_db=%-4g eta=%-4g "
+    "single_mode": "  one-mode  r_db=%s eta=%s "
     "formula=%.12e oracle=%.12e rel_err=%.3e %s\n",
 }
+_GRID_COLUMNS = ("r_db", "eta1", "eta2", "eta")
+
+
+def _labels(column: np.ndarray) -> list:
+    """``["%-4g" % v for v in column]``, formatting each distinct value once.
+
+    Values are told apart by their bits, so -0.0 and 0.0 keep their own
+    strings, as does every NaN payload.
+    """
+    bits = np.ascontiguousarray(column, dtype=float).view(np.int64)
+    bits, index = np.unique(bits, return_inverse=True)
+    labels = np.array(["%-4g" % v for v in bits.view(float).tolist()], dtype=object)
+    return labels[index].tolist()
 
 
 @dataclass
@@ -124,7 +146,7 @@ class VerifyReport:
         """The whole report: a header, one line per point, the notes, a verdict line.
 
         Each chain's lines come from one %-format of its line template over
-        the whole chain.
+        the whole chain; each distinct grid value is formatted once.
         """
         parts = [
             f"verify: policy={self.policy} tolerance={self.tolerance:g} "
@@ -133,7 +155,10 @@ class VerifyReport:
         for name in ("two_mode", "single_mode"):
             columns = getattr(self, name)
             verdicts = np.where(columns["rel_err"] <= self.tolerance, "ok", "FAIL").tolist()
-            cells = zip(*(c.tolist() for c in columns.values()), verdicts)
+            cells = zip(
+                *(_labels(c) if key in _GRID_COLUMNS else c.tolist() for key, c in columns.items()),
+                verdicts,
+            )
             values = tuple(itertools.chain.from_iterable(cells))
             parts.append("".join([_LINES[name]] * len(verdicts)) % values)
         parts += [f"  note: {note}\n" for note in self.notes]
@@ -141,14 +166,24 @@ class VerifyReport:
         return "".join(parts)
 
 
-def _stacked(chain, *etas: np.ndarray) -> np.ndarray:
-    """Run ``chain`` over aligned eta vectors, at most _MAX_STACK points per stack."""
-    out = np.empty(len(etas[0]))
-    for lo in range(0, len(out), _MAX_STACK):
-        # A chunk whose losses are all eta = 1 yields one unbatched variance;
-        # the slice assignment broadcasts it.
-        out[lo : lo + _MAX_STACK] = chain(*(e[lo : lo + _MAX_STACK] for e in etas))
-    return out
+def _tmsv_mesh(r: float, eta: np.ndarray, policy: str) -> np.ndarray:
+    """tmsv_chain_variance over the eta x eta mesh, flattened with eta2 fastest.
+
+    The chain takes eta as an eta1 column and an eta2 row.  Each stack
+    carries as many whole eta1 rows as fit in _MAX_STACK points; a row wider
+    than that goes in pieces of _MAX_STACK points.
+    """
+    n = len(eta)
+    out = np.empty((n, n))
+    rows = max(1, _MAX_STACK // n)
+    for lo in range(0, n, rows):
+        for left in range(0, n, _MAX_STACK):
+            # A stack whose losses are all eta = 1 yields one unbatched
+            # variance; the slice assignment broadcasts it.
+            out[lo : lo + rows, left : left + _MAX_STACK] = tmsv_chain_variance(
+                r, eta[lo : lo + rows, None], eta[None, left : left + _MAX_STACK], policy
+            )
+    return out.ravel()
 
 
 def _columns(levels: list) -> dict:
@@ -176,6 +211,7 @@ def run_verify(
     if eta_steps is not None:
         require_real("eta_steps", eta_steps, integer=True)
         require("eta_steps", eta_steps, eta_steps >= 2, ">= 2")
+        require("eta_steps", eta_steps, eta_steps <= MAX_ETA_STEPS, f"<= {MAX_ETA_STEPS}")
         eta_vec = np.linspace(eta_vec.min(), eta_vec.max(), eta_steps)
     n = len(eta_vec)
     eta1_vec, eta2_vec = np.repeat(eta_vec, n), np.tile(eta_vec, n)
@@ -188,9 +224,7 @@ def run_verify(
         # the shared one minus the cross term, so the gap check below reads
         # both off one evaluation.
         q_shared = radicand("TMSV_real", r, eta1_vec, eta2_vec)
-        oracle = _stacked(
-            lambda e1, e2: tmsv_chain_variance(r, e1, e2, policy), eta1_vec, eta2_vec
-        ) / 2.0
+        oracle = _tmsv_mesh(r, eta_vec, policy) / 2.0
         two_mode.append({
             "r_db": np.full(n * n, r_db), "eta1": eta1_vec, "eta2": eta2_vec,
             "formula": q_shared if policy == "shared" else q_shared - cross, "oracle": oracle,
@@ -198,10 +232,11 @@ def run_verify(
         if policy == "independent":
             gap = np.abs((q_shared - oracle) - cross).max()
             max_gap_err = max(max_gap_err, float(gap))
+        # n <= MAX_ETA_STEPS < _MAX_STACK points: one stack
         single_mode.append({
             "r_db": np.full(n, r_db), "eta": eta_vec,
             "formula": radicand("SMSV_real", r, eta_vec),
-            "oracle": _stacked(lambda e: smsv_chain_variance(r, e, policy), eta_vec),
+            "oracle": smsv_chain_variance(r, eta_vec, policy),
         })
     notes = []
     if policy == "independent":

@@ -30,6 +30,8 @@ from hypothesis.strategies import (
 from qtlink import cli
 from qtlink.cli import COMMANDS, build_parser, main
 from qtlink.sensing import ChannelPair, SensingConfig
+from qtlink.sweep import MAX_STEPS
+from qtlink.verify import MAX_ETA_STEPS
 
 FIG2_HEADER = "eta,du_sql,du_tmsv_3db,du_tmsv_7db,du_tmsv_11db,du_tmsv_15db"
 
@@ -592,9 +594,14 @@ _EDGE_FLOATS = (
     math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 5e-324, -5e-324, 2.2e-308, 1e-200, 1e300,
     1e308, -1e308,
 )
-# the largest value drawn for each integer flag: tm-check's grid holds --points
-# samples per mode and a table holds --steps rows, so memory grows with both
-_MAX_INT = {"--points": 8192, "--steps": 300}
+# the values drawn for each integer flag: tm-check's grid holds --points
+# samples per mode, a table holds --steps rows and verify checks --eta-steps
+# squared points, so each is drawn small, or past its limit where it has one
+_INTS = {
+    "--points": integers(-5, 8192),
+    "--steps": integers(-5, 300) | integers(MAX_STEPS + 1, 10**12),
+    "--eta-steps": integers(-5, 12) | integers(MAX_ETA_STEPS + 1, 10**12),
+}
 # any float, the edge values, and often one in [0, 1], legal for every field
 _FLOATS = floats() | sampled_from(_EDGE_FLOATS) | floats(0.0, 1.0)
 _JSON_SCALARS = none() | booleans() | integers() | _FLOATS | text(max_size=8)
@@ -621,7 +628,7 @@ def _argv(draw, command):
         if "choices" in kwargs:
             value = draw(sampled_from(kwargs["choices"]))
         elif kwargs.get("type") is int:
-            value = draw(integers(-5, _MAX_INT[flag]))
+            value = draw(_INTS[flag])
         elif kwargs.get("type") is float:
             value = draw(_FLOATS)
         else:
@@ -638,8 +645,9 @@ def _argv(draw, command):
 def _assert_exits_cleanly(argv, config):
     """Run ``argv`` in a fresh directory holding ``config.json``; allow only clean outcomes.
 
-    Exit 0, a tm-check FAILED report, or exit 1 with empty stdout and one
-    ``error:`` line; never a warning, and never an exception past main.
+    Exit 0, a tm-check FAILED report, a verify report that failed its
+    tolerance (exit 2), or exit 1 with empty stdout and one ``error:`` line;
+    never a warning, and never an exception past main.
     """
     home = os.getcwd()
     out, err = io.StringIO(), io.StringIO()
@@ -658,9 +666,12 @@ def _assert_exits_cleanly(argv, config):
     errors = [line for line in err.splitlines() if line.startswith("error: ")]
     # delta-u's one stderr line on success
     advantage = argv[0] == "delta-u" and err.startswith("# advantage") and err.count("\n") == 1
+    # a --tol tighter than the oracle's rounding is a legal, failing run
+    failed_check = err.startswith("error: oracle cross-check failed") and err.count("\n") == 1
     assert (
         (code == 0 and (err == "" or advantage))
         or (code == 1 and out.endswith("tm-check FAILED\n") and err == "")
+        or (code == 2 and out.endswith(" passed=False\n") and failed_check)
         or (code == 1 and out == "" and len(errors) == 1)
     ), (argv, config, code, out, err)
 
@@ -676,6 +687,12 @@ def test_tm_check_exits_cleanly_on_any_flag_values(case):
 @given(data=data())
 def test_delta_u_and_compare_exit_cleanly_on_any_flags_and_config(command, data):
     _assert_exits_cleanly(*data.draw(_argv(command)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(case=_argv("verify"))
+def test_verify_exits_cleanly_on_any_flags_and_config(case):
+    _assert_exits_cleanly(*case)
 
 
 def test_compare_echoes_a_non_shared_policy(tmp_path, capsys):
@@ -796,6 +813,45 @@ def test_an_overflow_exits_1_with_one_error_line(args, message, tmp_path, monkey
     monkeypatch.chdir(tmp_path)
     assert run(args, capsys) == (1, "", f"error: {message}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        # verify checks eta_steps**2 points per level: 10**5 used to ask for ~75 GiB
+        (["verify", "--eta-steps", "100000"], "eta_steps must be <= 200, got 100000"),
+        (["fig3", "--steps", "501"], "steps must be <= 500, got 501"),
+        (["grid", "--steps", "501", "--format", "json"], "steps must be <= 500, got 501"),
+        (["sweep", "--steps", "100001"], "steps must be <= 100000, got 100001"),
+        (["fig2", "--steps", "1000000000"], "steps must be <= 100000, got 1000000000"),
+    ],
+)
+def test_a_step_count_past_its_limit_exits_1_writing_nothing(
+    args, message, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    assert run(args, capsys) == (1, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "geometry, named",
+    [
+        ({"range_m": 1.0, "tx_waist_m": 1e200}, "range_m=1.0, tx_waist_m=1e+200"),
+        ({"range_m": 1e300, "tx_waist_m": 0.1}, "range_m=1e+300, tx_waist_m=0.1"),
+    ],
+)
+def test_an_overflowing_link_geometry_exits_1_naming_its_fields(
+    geometry, named, tmp_path, capsys
+):
+    # squaring these used to raise OverflowError past main
+    geometry.update(rx_aperture_m=0.1, wavelength_m=1e-6)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"link": {"geometry": geometry}}))
+    assert run(["delta-u", "--config", str(path)], capsys) == (
+        1, "", f"error: link geometry beam radius overflows a double at {named}, "
+        "wavelength_m=1e-06\n",
+    )
 
 
 def test_sweep_tabulates_the_default_n_in_range(tmp_path, capsys):

@@ -131,3 +131,29 @@ def test_budget_and_geometry_reject_a_wrong_type_naming_the_field(build, field, 
     with pytest.raises(ValueError) as err:
         build(**{field: bad})
     assert str(err.value) == f"{field} must be a real number, got {bad!r}"
+
+
+@pytest.mark.parametrize(
+    "fields, term, named",
+    [
+        # the beam terms square a waist or a Rayleigh ratio past a double
+        ({"range_m": 1.0, "tx_waist_m": 1e200, "rx_aperture_m": 0.1, "wavelength_m": 1e-6},
+         "beam radius", "tx_waist_m=1e+200"),
+        ({"range_m": 1e300, "tx_waist_m": 0.1, "rx_aperture_m": 0.1, "wavelength_m": 1e-6},
+         "beam radius", "range_m=1e+300"),
+        # the waist squares to 0, so the Rayleigh ratio divides by zero
+        ({"range_m": 1.0, "tx_waist_m": 1e-200, "rx_aperture_m": 0.1, "wavelength_m": 1e-6},
+         "beam radius", "tx_waist_m=1e-200"),
+        ({"range_m": 1.0, "tx_waist_m": 1e-100, "rx_aperture_m": 1e200, "wavelength_m": 1e-300},
+         "aperture-to-beam ratio", "rx_aperture_m=1e+200"),
+        ({"range_m": 1e10, "tx_waist_m": 1.0, "rx_aperture_m": 1.0, "wavelength_m": 1e-6,
+          "pointing_jitter_rad": 1e200}, "pointing wander", "pointing_jitter_rad=1e+200"),
+    ],
+)
+def test_an_overflowing_geometry_raises_naming_the_fields(fields, term, named):
+    geom = LinkGeometry(**fields)
+    with pytest.raises(ValueError) as err:
+        compose_eta(diffraction_eta(geom), pointing_eta(geom))
+    message = str(err.value)
+    assert message.startswith(f"link geometry {term} overflows a double at ")
+    assert named in message

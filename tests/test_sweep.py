@@ -7,6 +7,8 @@ import pytest
 from qtlink.constants import SWEEP_VARIABLES
 from qtlink.sensing import ChannelPair, SensingConfig, delta_u_tmsv_real
 from qtlink.sweep import (
+    MAX_GRID_STEPS,
+    MAX_STEPS,
     PAPER_SCALE_CONFIG,
     VARIABLES,
     Range,
@@ -134,6 +136,27 @@ def test_independent_sweep_uses_the_independent_radicand():
     for eta1, du in zip(result.column("eta1"), result.column("du_tmsv")):
         pair = ChannelPair(float(eta1), 0.6, "independent")
         assert du == delta_u_tmsv_real(PAPER_SCALE_CONFIG, pair)
+
+
+@pytest.mark.parametrize("steps", [MAX_STEPS + 1, 10**9, 10**400])
+def test_range_rejects_steps_past_the_limit_naming_the_value(steps):
+    with pytest.raises(ValueError) as err:
+        Range(0.01, 1.0, steps)
+    assert str(err.value) == f"steps must be <= {MAX_STEPS}, got {steps}"
+    assert Range(0.01, 1.0, MAX_STEPS).steps == MAX_STEPS
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_grid_rejects_an_axis_past_the_grid_limit_before_evaluating(axis, monkeypatch):
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("evaluated")
+
+    monkeypatch.setattr("qtlink.sweep._mesh", no_evaluation)
+    ranges = [Range(0.01, 1.0, 5), Range(0.01, 1.0, 5)]
+    ranges[axis] = Range(0.01, 1.0, MAX_GRID_STEPS + 1)
+    with pytest.raises(ValueError) as err:
+        run_grid(*ranges)
+    assert str(err.value) == f"steps must be <= {MAX_GRID_STEPS}, got {MAX_GRID_STEPS + 1}"
 
 
 def test_grid_contour_points():

@@ -21,12 +21,14 @@ def test_verify_stdout_matches_golden(policy, capsys):
     assert out.encode() == (GOLDEN / f"verify_{policy}.txt").read_bytes()
 
 
+@pytest.mark.parametrize("eta_steps", [30, 40])
 @pytest.mark.parametrize("policy", ["shared", "independent"])
-def test_stacked_oracle_equals_per_point_chains_on_dense_grid(policy):
-    # The 30-step grid ends at eta = 1, where a scalar pure_loss skips the
-    # ancilla while the stack grows one: the variances must still agree exactly.
-    report = verify.run_verify(policy=policy, eta_steps=30)
-    assert len(report.two_mode_rows) == 4 * 30 * 30
+def test_stacked_oracle_equals_per_point_chains_on_dense_grid(policy, eta_steps):
+    # The grid ends at eta = 1, where a scalar pure_loss skips the ancilla
+    # while the stack grows one: the variances must still agree exactly.  At
+    # 40 steps the 1,600-point mesh runs as two stacks of whole eta1 rows.
+    report = verify.run_verify(policy=policy, eta_steps=eta_steps)
+    assert len(report.two_mode_rows) == 4 * eta_steps**2
     assert any(row["eta1"] == 1.0 for row in report.two_mode_rows)
     for row in report.two_mode_rows:
         r = r_from_db(row["r_db"])
@@ -47,16 +49,39 @@ def test_chain_variances_broadcast_over_eta_arrays():
     assert single.shape == (7,)
 
 
+@pytest.mark.parametrize(
+    "eta_steps, max_stack",
+    [
+        # rows of 6 wider than the stack: pieces of 5 and 1, and the last
+        # piece of the eta1 = 1 row holds only eta = 1 and comes back unbatched
+        (None, 5),
+        (7, 5),
+        # two whole rows per stack, the last stack one row short at 7 steps
+        (None, 15),
+        (7, 15),
+    ],
+)
 @pytest.mark.parametrize("policy", ["shared", "independent"])
-def test_chunked_run_matches_single_stack(policy, monkeypatch):
-    whole = verify.run_verify(policy=policy)
-    # 36 two-mode and 6 one-mode points in stacks of 5: the last stack of
-    # each chain holds only eta = 1 points and comes back unbatched.
-    monkeypatch.setattr(verify, "_MAX_STACK", 5)
-    chunked = verify.run_verify(policy=policy)
+def test_chunked_run_matches_single_stack(policy, eta_steps, max_stack, monkeypatch):
+    whole = verify.run_verify(policy=policy, eta_steps=eta_steps)
+    chain, stacks = verify.tmsv_chain_variance, []
+
+    def recorded(r, eta1, eta2, policy):
+        # each stack: its point count, whether its eta1 are all 1, its result shape
+        variance = chain(r, eta1, eta2, policy)
+        stacks.append((np.broadcast(eta1, eta2).size, np.all(eta1 == 1.0), np.shape(variance)))
+        return variance
+
+    monkeypatch.setattr(verify, "tmsv_chain_variance", recorded)
+    monkeypatch.setattr(verify, "_MAX_STACK", max_stack)
+    chunked = verify.run_verify(policy=policy, eta_steps=eta_steps)
     assert chunked.two_mode_rows == whole.two_mode_rows
     assert chunked.single_mode_rows == whole.single_mode_rows
     assert chunked.notes == whole.notes
+    assert len(stacks) > len(verify.DEFAULT_R_DBS)
+    assert max(size for size, _, _ in stacks) <= max_stack
+    if (eta_steps, max_stack) == (None, 5):
+        assert (1, True, ()) in stacks
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9, True, "1e-9"])
@@ -71,6 +96,9 @@ def test_run_verify_rejects_bad_tolerance(tol):
         (1, "eta_steps must be >= 2, got 1"),
         (2.5, "eta_steps must be an integer, got 2.5"),
         (True, "eta_steps must be an integer, got True"),
+        (201, "eta_steps must be <= 200, got 201"),
+        # 10**5 steps used to ask numpy for ~75 GiB
+        (10**5, "eta_steps must be <= 200, got 100000"),
     ],
 )
 def test_run_verify_rejects_bad_eta_steps_naming_the_value(steps, message):
@@ -120,9 +148,13 @@ def _reference_text(policy, tolerance, two_rows, one_rows, notes):
 
 
 # r_db wider than the 4-character column (15 already is, with its padding
-# gone), etas with long reprs and eta = 1
-_r_dbs = st.sampled_from([0.0, 3.0, 5.0, 15.0, 123.456, 1e-7, 2.5e6]) | st.floats(0.0, 1e7)
-_etas = st.sampled_from([1.0, 0.1, 0.1 + 0.2, 0.15517241379310345, 1 / 3]) | st.floats(0.0, 1.0)
+# gone), etas with long reprs and eta = 1, and -0.0, which compares equal to
+# 0.0 but prints as -0
+_r_dbs = st.sampled_from([0.0, -0.0, 3.0, 5.0, 15.0, 123.456, 1e-7, 2.5e6]) | st.floats(0.0, 1e7)
+_etas = (
+    st.sampled_from([1.0, 0.1, 0.1 + 0.2, 0.15517241379310345, 1 / 3, 0.0, -0.0])
+    | st.floats(0.0, 1.0)
+)
 _values = st.floats(1e-300, 1e300)
 
 
