@@ -144,14 +144,19 @@ def _budget_eta(parent: dict, key: str, name: str) -> float:
 
 
 def _resolve(args):
-    """Merge config file and flags into a SensingConfig + ChannelPair + sweep section."""
+    """Merge config file and flags into a SensingConfig + ChannelPair + sweep section.
+
+    A key the loader never reads, at the top level or in a section, is rejected.
+    """
     file_cfg = _load_config_file(args.config)
-    sensing_fields = {f.name for f in fields(sensing.SensingConfig)}
+    _require_keys(file_cfg, ("sensing", "channel", "link", "sweep"), args.config)
+    sensing_fields = tuple(f.name for f in fields(sensing.SensingConfig))
     given = {}
     for name, targets in _FLAG_FIELDS.items():
         if getattr(args, name, None) is not None:
             given.update(dict.fromkeys(targets, getattr(args, name)))
     sensing_cfg = dict(_section(file_cfg, "sensing"))
+    _require_keys(sensing_cfg, sensing_fields, "sensing")
     if "lambda0" in given:
         given["lambda0"] *= 1e-9
         sensing_cfg.pop("omega0", None)
@@ -163,6 +168,7 @@ def _resolve(args):
     cfg = sensing.SensingConfig(**defaults)
 
     channel_cfg = dict(_section(file_cfg, "channel"))
+    _require_keys(channel_cfg, tuple(f.name for f in fields(sensing.ChannelPair)), "channel")
     link_cfg = _section(file_cfg, "link")
     if link_cfg:
         if "path1" in link_cfg or "path2" in link_cfg:
@@ -179,7 +185,9 @@ def _resolve(args):
     channel_cfg.setdefault("eta1", 1.0)
     channel_cfg.setdefault("eta2", 1.0)
     ch = sensing.ChannelPair(**channel_cfg)
-    return cfg, ch, _section(file_cfg, "sweep")
+    file_sweep = _section(file_cfg, "sweep")
+    _require_keys(file_sweep, ("variable", "start", "stop", "steps"), "sweep")
+    return cfg, ch, file_sweep
 
 
 def _comma_list(args, name: str, convert=float):

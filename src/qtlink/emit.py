@@ -15,6 +15,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .constants import FLOAT_MAX
+
 if TYPE_CHECKING:  # annotations only: delta-u --out writes through emit without sweep
     from .sweep import SweepResult
 
@@ -207,6 +209,11 @@ def contour_segments(x: np.ndarray, y: np.ndarray, z: np.ndarray, level: float):
     those with corners on both sides of the level, the only ones that can
     hold a crossing, are walked.
     """
+    # Only comparisons and the ratio t below read z and level, so a scale by
+    # a power of two leaves every segment as it is; near the float limit it
+    # keeps the differences, the span and the saddle sum finite.
+    if max(np.abs(z).max(), abs(level)) > FLOAT_MAX / 4.0:
+        z, level = z / 4.0, level / 4.0
     # nudge exact level hits off the level so every crossing is a strict
     # sign change (degenerate corners would otherwise open gaps in the line)
     span = float(np.max(z) - np.min(z)) or 1.0
@@ -227,14 +234,15 @@ def contour_segments(x: np.ndarray, y: np.ndarray, z: np.ndarray, level: float):
         for k in range(4):
             xa, ya, za = corners[k]
             xb, yb, zb = corners[(k + 1) % 4]
-            if (za - level) * (zb - level) < 0.0:
+            # a strict sign change; a product of the two gaps could overflow
+            if za < level < zb or zb < level < za:
                 t = (level - za) / (zb - za)
                 crossings.append((xa + t * (xb - xa), ya + t * (yb - ya)))
         if len(crossings) == 2:
             segments.append((crossings[0], crossings[1]))
         elif len(crossings) == 4:
-            center = sum(c[2] for c in corners) / 4.0
-            if (center - level) * (corners[0][2] - level) >= 0.0:
+            center, z0 = sum(c[2] for c in corners) / 4.0, corners[0][2]
+            if not (center < level < z0 or z0 < level < center):
                 segments.append((crossings[0], crossings[3]))
                 segments.append((crossings[1], crossings[2]))
             else:

@@ -8,12 +8,13 @@ closed-form radicand; under independent ports it must fall short of 2*Q by
 exactly twice the sqrt((1-eta1)(1-eta2)) cross term.  The single-mode chain
 checks the squeezed-mode radicand eta*e^-2r + (1-eta) the same way.
 
-Both chains take eta arrays and run as one stacked chain per squeezing
-level, so the oracle costs a handful of broadcast matrix products per r
-rather than a chain of validated states per (r, eta1, eta2) point.  The
-two-mode chain takes the eta axis as a column (eta1) and a row (eta2), so
-the first loss runs once per eta1 and only the second loss and the readout
-carry the whole eta1 x eta2 mesh.
+Both chains take whole-grid arrays, so the oracle costs a handful of
+broadcast matrix products rather than a chain of validated states per
+(r, eta1, eta2) point.  The closed forms and the one-mode chain run over
+every squeezing level at once.  The two-mode chain runs once per level: it
+takes the eta axis as a column (eta1) and a row (eta2), so the first loss
+runs once per eta1 and only the second loss and the readout carry the
+eta1 x eta2 mesh, whose size MAX_ETA_STEPS bounds.
 """
 
 from __future__ import annotations
@@ -39,10 +40,6 @@ __all__ = [
 
 DEFAULT_R_DBS = (0.0, 3.0, 5.0, 15.0)
 DEFAULT_ETAS = (0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
-
-# Most points one stacked chain carries: bounds memory at any eta_steps while
-# keeping a 30 x 30 eta grid in a single stack.
-_MAX_STACK = 1024
 
 # Largest eta_steps: its report holds 4 * 200**2 = 160,000 two-mode lines of
 # ~124 bytes, ~20 MB of text.
@@ -166,31 +163,15 @@ class VerifyReport:
         return "".join(parts)
 
 
-def _tmsv_mesh(r: float, eta: np.ndarray, policy: str) -> np.ndarray:
-    """tmsv_chain_variance over the eta x eta mesh, flattened with eta2 fastest.
+def _chain(grid: dict, formula: np.ndarray, oracle: np.ndarray) -> dict:
+    """A chain's columns: the ``grid`` columns, formula, oracle and rel_err.
 
-    The chain takes eta as an eta1 column and an eta2 row.  Each stack
-    carries as many whole eta1 rows as fit in _MAX_STACK points; a row wider
-    than that goes in pieces of _MAX_STACK points.
+    Every array is broadcast to the chain's grid and flattened, last axis fastest.
     """
-    n = len(eta)
-    out = np.empty((n, n))
-    rows = max(1, _MAX_STACK // n)
-    for lo in range(0, n, rows):
-        for left in range(0, n, _MAX_STACK):
-            # A stack whose losses are all eta = 1 yields one unbatched
-            # variance; the slice assignment broadcasts it.
-            out[lo : lo + rows, left : left + _MAX_STACK] = tmsv_chain_variance(
-                r, eta[lo : lo + rows, None], eta[None, left : left + _MAX_STACK], policy
-            )
-    return out.ravel()
-
-
-def _columns(levels: list) -> dict:
-    """Concatenate per-level column dicts (r_db, etas, formula, oracle) and add rel_err."""
-    columns = {key: np.concatenate([level[key] for level in levels]) for key in levels[0]}
-    formula = columns["formula"]
-    columns["rel_err"] = np.abs(columns["oracle"] - formula) / np.maximum(np.abs(formula), 1e-300)
+    arrays = np.broadcast_arrays(*grid.values(), formula, oracle)
+    columns = dict(zip([*grid, "formula", "oracle"], (a.ravel() for a in arrays)))
+    formula, oracle = columns["formula"], columns["oracle"]
+    columns["rel_err"] = np.abs(oracle - formula) / np.maximum(np.abs(formula), 1e-300)
     return columns
 
 
@@ -213,36 +194,33 @@ def run_verify(
         require("eta_steps", eta_steps, eta_steps >= 2, ">= 2")
         require("eta_steps", eta_steps, eta_steps <= MAX_ETA_STEPS, f"<= {MAX_ETA_STEPS}")
         eta_vec = np.linspace(eta_vec.min(), eta_vec.max(), eta_steps)
-    n = len(eta_vec)
-    eta1_vec, eta2_vec = np.repeat(eta_vec, n), np.tile(eta_vec, n)
-    cross = np.sqrt((1.0 - eta1_vec) * (1.0 - eta2_vec))
-    max_gap_err = 0.0
-    two_mode, single_mode = [], []
-    for r_db in DEFAULT_R_DBS:
-        r = r_from_db(r_db)
-        # Closed forms over the whole eta mesh.  The independent radicand is
-        # the shared one minus the cross term, so the gap check below reads
-        # both off one evaluation.
-        q_shared = radicand("TMSV_real", r, eta1_vec, eta2_vec)
-        oracle = _tmsv_mesh(r, eta_vec, policy) / 2.0
-        two_mode.append({
-            "r_db": np.full(n * n, r_db), "eta1": eta1_vec, "eta2": eta2_vec,
-            "formula": q_shared if policy == "shared" else q_shared - cross, "oracle": oracle,
-        })
-        if policy == "independent":
-            gap = np.abs((q_shared - oracle) - cross).max()
-            max_gap_err = max(max_gap_err, float(gap))
-        # n <= MAX_ETA_STEPS < _MAX_STACK points: one stack
-        single_mode.append({
-            "r_db": np.full(n, r_db), "eta": eta_vec,
-            "formula": radicand("SMSV_real", r, eta_vec),
-            "oracle": smsv_chain_variance(r, eta_vec, policy),
-        })
+    r_db = np.array(DEFAULT_R_DBS)
+    r = r_from_db(r_db)
+    eta1, eta2 = eta_vec[:, None], eta_vec[None, :]
+    # Closed forms over every level and the whole eta mesh at once, levels on
+    # the first axis.  The independent radicand is the shared one minus the
+    # cross term, so the gap check below reads both off one evaluation.
+    q_shared = radicand("TMSV_real", r[:, None, None], eta1, eta2)
+    cross = np.sqrt((1.0 - eta1) * (1.0 - eta2))
+    # One two-mode chain per level: one chain over every level would hold all
+    # the levels' covariance meshes at once.
+    oracle = np.stack([tmsv_chain_variance(level, eta1, eta2, policy) for level in r.tolist()])
+    oracle /= 2.0
+    two_mode = _chain(
+        {"r_db": r_db[:, None, None], "eta1": eta1, "eta2": eta2},
+        q_shared if policy == "shared" else q_shared - cross, oracle,
+    )
+    single_mode = _chain(
+        {"r_db": r_db[:, None], "eta": eta_vec},
+        radicand("SMSV_real", r[:, None], eta_vec),
+        smsv_chain_variance(r[:, None], eta_vec, policy),
+    )
     notes = []
     if policy == "independent":
+        gap = np.abs((q_shared - oracle) - cross).max()
         notes.append(
             "independent ports sit below the shared closed form by exactly "
             "sqrt((1-eta1)(1-eta2)) in the radicand; max deviation from that "
-            f"prediction {max_gap_err:.3e}"
+            f"prediction {gap:.3e}"
         )
-    return VerifyReport(policy, tolerance, _columns(two_mode), _columns(single_mode), notes)
+    return VerifyReport(policy, tolerance, two_mode, single_mode, notes)

@@ -73,11 +73,22 @@ def test_tracer_counts_the_scalar_calls_of_a_link_config(tmp_path):
     assert record["counts"]["sensing"] == 5
 
 
-def test_tracer_counts_the_oracle_ops_and_points_of_verify(tmp_path):
-    record = _trace(tmp_path, "verify")
+@pytest.mark.parametrize(
+    "argv, points",
+    [
+        # 4 levels x (N**2 two-mode + N one-mode points), N etas
+        (["verify"], 168),
+        (["verify", "--eta-steps", "30"], 3720),
+    ],
+    ids=["default-grid", "eta-steps-30"],
+)
+def test_tracer_counts_the_oracle_ops_and_points_of_verify(argv, points, tmp_path):
+    # six ops per two-mode chain, one chain per squeezing level (24), plus
+    # three for the one-mode chain, which runs every level at once
+    record = _trace(tmp_path, *argv)
     assert record["rc"] == 0
-    assert record["counts"]["gaussian"] == 36
-    assert record["verify_points"] == 168
+    assert record["counts"]["gaussian"] == 27
+    assert record["verify_points"] == points
 
 
 @pytest.mark.parametrize(

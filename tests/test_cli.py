@@ -9,7 +9,7 @@ import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -20,17 +20,23 @@ from hypothesis.strategies import (
     composite,
     data,
     dictionaries,
+    fixed_dictionaries,
     floats,
     integers,
+    just,
+    lists,
     none,
+    recursive,
     sampled_from,
     text,
 )
 
 from qtlink import cli
 from qtlink.cli import COMMANDS, build_parser, main
+from qtlink.constants import SWEEP_VARIABLES
+from qtlink.link import LinkGeometry
 from qtlink.sensing import ChannelPair, SensingConfig
-from qtlink.sweep import MAX_STEPS
+from qtlink.sweep import MAX_GRID_STEPS, MAX_STEPS
 from qtlink.verify import MAX_ETA_STEPS
 
 FIG2_HEADER = "eta,du_sql,du_tmsv_3db,du_tmsv_7db,du_tmsv_11db,du_tmsv_15db"
@@ -313,6 +319,35 @@ def test_link_key_the_loader_never_reads_exits_1_naming_it(
     assert run(["delta-u", "--config", str(path)], capsys) == (
         1, "", f"error: config entry {entry!r} has unknown key {key!r}; it may hold {allowed}\n"
     )
+
+
+_SENSING_KEYS = ", ".join(f.name for f in fields(SensingConfig))
+
+
+@pytest.mark.parametrize(
+    "args, config, entry, key, allowed",
+    [
+        (["fig2"], {"sweep": {"step": 20}}, "sweep", "step", "variable, start, stop, steps"),
+        (["delta-u"], {"Sensing": {"r_db": 10}}, None, "Sensing",
+         "sensing, channel, link, sweep"),
+        (["delta-u"], {"sensing": {"rdb": 10}}, "sensing", "rdb", _SENSING_KEYS),
+        (["compare"], {"channel": {"eta": 0.5}}, "channel", "eta", "eta1, eta2, policy"),
+    ],
+    ids=["sweep-step", "top-level-Sensing", "sensing-rdb", "channel-eta"],
+)
+def test_a_config_key_the_loader_never_reads_exits_1_naming_it(
+    args, config, entry, key, allowed, tmp_path, capsys
+):
+    # these used to run with the key ignored (fig2 wrote its 100 default rows,
+    # delta-u ran at 5 dB), or to print a dataclass's keyword-argument error
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out_path = tmp_path / "out.csv"
+    entry = entry or str(path)
+    assert run([*args, "--config", str(path), "--out", str(out_path)], capsys) == (
+        1, "", f"error: config entry {entry!r} has unknown key {key!r}; it may hold {allowed}\n"
+    )
+    assert not out_path.exists()
 
 
 def test_a_missing_geometry_key_exits_1_naming_the_block(tmp_path, capsys):
@@ -602,13 +637,62 @@ _INTS = {
     "--steps": integers(-5, 300) | integers(MAX_STEPS + 1, 10**12),
     "--eta-steps": integers(-5, 12) | integers(MAX_ETA_STEPS + 1, 10**12),
 }
+# a grid holds --steps squared cells, so its axis is drawn smaller, or past
+# the grid limit
+_GRID_STEPS = integers(-5, 40) | integers(MAX_GRID_STEPS + 1, 10**12)
+_GRID_COMMANDS = ("grid", "fig3")
 # any float, the edge values, and often one in [0, 1], legal for every field
 _FLOATS = floats() | sampled_from(_EDGE_FLOATS) | floats(0.0, 1.0)
 _JSON_SCALARS = none() | booleans() | integers() | _FLOATS | text(max_size=8)
+# any JSON value: a scalar, or small lists and objects of them
+_JSON_VALUES = recursive(
+    _JSON_SCALARS,
+    lambda inner: lists(inner, max_size=3) | dictionaries(text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+# often a float, so that a budget or a range can be legal
+_NUMBERS = _FLOATS | _JSON_VALUES
 # config section -> the keys its value type reads
 _SECTION_KEYS = {
     "sensing": [f.name for f in fields(SensingConfig)],
     "channel": [f.name for f in fields(ChannelPair)],
+}
+_GEOMETRY_FIELDS = fields(LinkGeometry)
+# a geometry block with every required field, or any subset of its fields
+_GEOMETRY_BLOCKS = fixed_dictionaries(
+    {f.name: _NUMBERS for f in _GEOMETRY_FIELDS if f.default is MISSING},
+    optional={f.name: _NUMBERS for f in _GEOMETRY_FIELDS if f.default is not MISSING},
+) | dictionaries(sampled_from([f.name for f in _GEOMETRY_FIELDS]), _NUMBERS, max_size=5)
+# one path's budget: its loss factors, or a geometry block and a detector factor
+_BUDGET = dictionaries(
+    sampled_from(["eta_diffraction", "eta_pointing", "eta_detector"]), _NUMBERS, max_size=3
+) | fixed_dictionaries({"geometry": _GEOMETRY_BLOCKS}, optional={"eta_detector": _NUMBERS})
+# the link section: one budget for both paths, a budget per path, or any JSON value
+_LINK = (
+    _BUDGET
+    | fixed_dictionaries({}, optional={"path1": _BUDGET | _JSON_VALUES, "path2": _BUDGET})
+    | _JSON_VALUES
+)
+_SWEEP = fixed_dictionaries({}, optional={
+    "variable": sampled_from(SWEEP_VARIABLES) | _JSON_VALUES,
+    "start": _NUMBERS,
+    "stop": _NUMBERS,
+    "steps": integers(-5, 40) | _JSON_VALUES,
+}) | _JSON_VALUES
+
+
+def _comma_lists(parts):
+    """A comma list of 0 to 4 of ``parts``, or any short text."""
+    return lists(parts, max_size=4).map(",".join) | text(max_size=8)
+
+
+# values of the flags that take text: the config and output files, and comma lists
+_TEXT_FLAGS = {
+    "--config": just("config.json"),
+    "--out": just("out.dat"),
+    "--levels": _comma_lists(_FLOATS.map(repr) | sampled_from(["1e-17", "1e-18", "x", ""])),
+    "--r-dbs": _comma_lists(_FLOATS.map(repr) | sampled_from(["3", "7", "3.0", "31", ""])),
+    "--schemes": _comma_lists(sampled_from(["TMSV", "SQL", "SMSV", "smsv", "X", ""])),
 }
 
 
@@ -617,8 +701,9 @@ def _argv(draw, command):
     """(argv, config): ``command`` with random values for a random subset of its flags.
 
     The flags are the command's own entry in the command table.  A --config
-    flag names ``config.json``, which holds ``config``: random JSON scalars
-    in the sensing and channel sections.
+    flag names ``config.json``, which holds ``config``: random JSON values
+    under the keys of the sensing and channel sections, and random link and
+    sweep sections.
     """
     argv = [command]
     for names, kwargs in COMMANDS[command][1]:
@@ -627,18 +712,23 @@ def _argv(draw, command):
         flag = names[0]
         if "choices" in kwargs:
             value = draw(sampled_from(kwargs["choices"]))
+        elif flag == "--steps" and command in _GRID_COMMANDS:
+            value = draw(_GRID_STEPS)
         elif kwargs.get("type") is int:
             value = draw(_INTS[flag])
         elif kwargs.get("type") is float:
             value = draw(_FLOATS)
         else:
-            value = {"--config": "config.json", "--out": "out.dat"}[flag]
+            value = draw(_TEXT_FLAGS[flag])
         # --flag=value, so that a negative value parses as a value
         argv.append(f"{flag}={value!r}" if isinstance(value, float) else f"{flag}={value}")
     config = {
-        section: draw(dictionaries(sampled_from(keys), _JSON_SCALARS, max_size=4))
+        section: draw(dictionaries(sampled_from(keys), _JSON_VALUES, max_size=4))
         for section, keys in _SECTION_KEYS.items()
     }
+    for section, values in (("link", _LINK), ("sweep", _SWEEP)):
+        if draw(booleans()):
+            config[section] = draw(values)
     return argv, config
 
 
@@ -693,6 +783,13 @@ def test_delta_u_and_compare_exit_cleanly_on_any_flags_and_config(command, data)
 @given(case=_argv("verify"))
 def test_verify_exits_cleanly_on_any_flags_and_config(case):
     _assert_exits_cleanly(*case)
+
+
+@pytest.mark.parametrize("command", ["sweep", "grid", "fig2", "fig3", "fig4"])
+@settings(deadline=None, max_examples=100)
+@given(data=data())
+def test_table_commands_exit_cleanly_on_any_flags_and_config(command, data):
+    _assert_exits_cleanly(*data.draw(_argv(command)))
 
 
 def test_compare_echoes_a_non_shared_policy(tmp_path, capsys):

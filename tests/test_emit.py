@@ -201,6 +201,21 @@ def test_classified_contour_scan_equals_full_scan(seed):
         assert contour_segments(x, y, z, level) == _contour_every_cell(x, y, z, level)
 
 
+@pytest.mark.parametrize("scale", [2.0**900, 2.0**1023])
+def test_contour_segments_keep_their_crossings_at_any_scale(scale):
+    # A power-of-two scale leaves each crossing's ratio exact, so the segments
+    # must not move.  At 2**900 the product of two gaps passes the largest
+    # double; at 2**1023 so do the field's span and the gap between its ends.
+    rng = np.random.default_rng(0)
+    x = np.linspace(0.0, 1.0, 23)
+    y = np.linspace(-1.0, 1.0, 19)
+    z = np.clip(np.round(rng.normal(size=(23, 19)), 1), -1.0, 1.0)
+    for level in (0.0, 0.3, -0.5):
+        assert contour_segments(x, y, z * scale, level * scale) == contour_segments(
+            x, y, z, level
+        )
+
+
 # Reference renderers: json.dumps with an indent (the pure-Python encoder) and
 # one format call per CSV value.  The emitters must match them byte for byte.
 def _json_reference(result):

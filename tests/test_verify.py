@@ -25,8 +25,9 @@ def test_verify_stdout_matches_golden(policy, capsys):
 @pytest.mark.parametrize("policy", ["shared", "independent"])
 def test_stacked_oracle_equals_per_point_chains_on_dense_grid(policy, eta_steps):
     # The grid ends at eta = 1, where a scalar pure_loss skips the ancilla
-    # while the stack grows one: the variances must still agree exactly.  At
-    # 40 steps the 1,600-point mesh runs as two stacks of whole eta1 rows.
+    # while the stack grows one: the variances must still agree exactly.  Each
+    # level's whole eta1 x eta2 mesh runs as one stack, and the one-mode chain
+    # runs every level at once.
     report = verify.run_verify(policy=policy, eta_steps=eta_steps)
     assert len(report.two_mode_rows) == 4 * eta_steps**2
     assert any(row["eta1"] == 1.0 for row in report.two_mode_rows)
@@ -47,41 +48,6 @@ def test_chain_variances_broadcast_over_eta_arrays():
     assert stacked[2, 5] == verify.tmsv_chain_variance(0.4, etas[2], etas[5], "independent")
     single = verify.smsv_chain_variance(0.4, etas)
     assert single.shape == (7,)
-
-
-@pytest.mark.parametrize(
-    "eta_steps, max_stack",
-    [
-        # rows of 6 wider than the stack: pieces of 5 and 1, and the last
-        # piece of the eta1 = 1 row holds only eta = 1 and comes back unbatched
-        (None, 5),
-        (7, 5),
-        # two whole rows per stack, the last stack one row short at 7 steps
-        (None, 15),
-        (7, 15),
-    ],
-)
-@pytest.mark.parametrize("policy", ["shared", "independent"])
-def test_chunked_run_matches_single_stack(policy, eta_steps, max_stack, monkeypatch):
-    whole = verify.run_verify(policy=policy, eta_steps=eta_steps)
-    chain, stacks = verify.tmsv_chain_variance, []
-
-    def recorded(r, eta1, eta2, policy):
-        # each stack: its point count, whether its eta1 are all 1, its result shape
-        variance = chain(r, eta1, eta2, policy)
-        stacks.append((np.broadcast(eta1, eta2).size, np.all(eta1 == 1.0), np.shape(variance)))
-        return variance
-
-    monkeypatch.setattr(verify, "tmsv_chain_variance", recorded)
-    monkeypatch.setattr(verify, "_MAX_STACK", max_stack)
-    chunked = verify.run_verify(policy=policy, eta_steps=eta_steps)
-    assert chunked.two_mode_rows == whole.two_mode_rows
-    assert chunked.single_mode_rows == whole.single_mode_rows
-    assert chunked.notes == whole.notes
-    assert len(stacks) > len(verify.DEFAULT_R_DBS)
-    assert max(size for size, _, _ in stacks) <= max_stack
-    if (eta_steps, max_stack) == (None, 5):
-        assert (1, True, ()) in stacks
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9, True, "1e-9"])
