@@ -14,7 +14,7 @@ import argparse
 import gc
 import math
 import sys
-from dataclasses import MISSING, asdict, fields
+from dataclasses import MISSING, asdict, fields, replace
 
 import numpy as np
 
@@ -43,7 +43,6 @@ CONFIG = (_flag("--config", help="JSON config file"),)
 SENSING = (
     _flag("--r-db", type=float, help="squeezing level in dB"),
     _flag("--n-in", type=float, help="source photon budget"),
-    _flag("--n-lo", type=float, help="local-oscillator photons"),
     _flag("--lambda0-nm", type=float, help="carrier wavelength in nm"),
     _flag("--delta-omega", type=float, help="spectral spread in rad/s"),
     _flag("--split", type=float, help="fraction of photons to path 1"),
@@ -63,11 +62,13 @@ TABLE = CONFIG + SENSING + POLICY + (
 )
 LEVELS = (_flag("--levels", help="comma list of iso-levels for SVG output"),)
 
-# flag -> the config fields it sets; a later flag overrides an earlier one
+# flag -> (the config section it sets, its fields there); a later flag
+# overrides an earlier one, so --eta1/--eta2 beat --eta
 _FLAG_FIELDS = {
-    "r_db": ("r_db",), "n_in": ("n_in",), "n_lo": ("n_lo",), "lambda0_nm": ("lambda0",),
-    "delta_omega": ("delta_omega",), "split": ("split",), "snr": ("snr",),
-    "eta": ("eta1", "eta2"), "eta1": ("eta1",), "eta2": ("eta2",), "policy": ("policy",),
+    **{name: ("sensing", (name,)) for name in ("r_db", "n_in", "delta_omega", "split", "snr")},
+    "lambda0_nm": ("sensing", ("lambda0",)), "eta": ("channel", ("eta1", "eta2")),
+    **{name: ("channel", (name,)) for name in ("eta1", "eta2", "policy")},
+    **{name: ("sweep", (name,)) for name in ("variable", "start", "stop", "steps")},
 }
 
 
@@ -143,6 +144,17 @@ def _budget_eta(parent: dict, key: str, name: str) -> float:
     return link.compose_eta(**entry)
 
 
+def _layer(args, file_cfg: dict, section: str, allowed: tuple) -> dict:
+    """The file's ``section``, its keys checked against ``allowed``, under the flags setting it."""
+    merged = dict(_section(file_cfg, section))
+    _require_keys(merged, allowed, section)
+    for name, (target, keys) in _FLAG_FIELDS.items():
+        value = getattr(args, name, None)
+        if target == section and value is not None:
+            merged.update(dict.fromkeys(keys, value))
+    return merged
+
+
 def _resolve(args):
     """Merge config file and flags into a SensingConfig + ChannelPair + sweep section.
 
@@ -151,24 +163,19 @@ def _resolve(args):
     file_cfg = _load_config_file(args.config)
     _require_keys(file_cfg, ("sensing", "channel", "link", "sweep"), args.config)
     sensing_fields = tuple(f.name for f in fields(sensing.SensingConfig))
-    given = {}
-    for name, targets in _FLAG_FIELDS.items():
-        if getattr(args, name, None) is not None:
-            given.update(dict.fromkeys(targets, getattr(args, name)))
-    sensing_cfg = dict(_section(file_cfg, "sensing"))
-    _require_keys(sensing_cfg, sensing_fields, "sensing")
-    if "lambda0" in given:
-        given["lambda0"] *= 1e-9
+    sensing_cfg = _layer(args, file_cfg, "sensing", sensing_fields)
+    if getattr(args, "lambda0_nm", None) is not None:
+        sensing_cfg["lambda0"] *= 1e-9
         sensing_cfg.pop("omega0", None)
-    sensing_cfg.update((k, v) for k, v in given.items() if k in sensing_fields)
     defaults = asdict(sensing.PAPER_SCALE_CONFIG)
-    if "omega0" in sensing_cfg and sensing_cfg.get("omega0") is not None:
+    if sensing_cfg.get("omega0") is not None:
         defaults["lambda0"] = None
     defaults.update(sensing_cfg)
     cfg = sensing.SensingConfig(**defaults)
 
-    channel_cfg = dict(_section(file_cfg, "channel"))
-    _require_keys(channel_cfg, tuple(f.name for f in fields(sensing.ChannelPair)), "channel")
+    channel_cfg = _layer(
+        args, file_cfg, "channel", tuple(f.name for f in fields(sensing.ChannelPair))
+    )
     link_cfg = _section(file_cfg, "link")
     if link_cfg:
         if "path1" in link_cfg or "path2" in link_cfg:
@@ -181,13 +188,8 @@ def _resolve(args):
             eta = _budget_eta(file_cfg, "link", "link")
             channel_cfg.setdefault("eta1", eta)
             channel_cfg.setdefault("eta2", eta)
-    channel_cfg.update((k, v) for k, v in given.items() if k not in sensing_fields)
-    channel_cfg.setdefault("eta1", 1.0)
-    channel_cfg.setdefault("eta2", 1.0)
-    ch = sensing.ChannelPair(**channel_cfg)
-    file_sweep = _section(file_cfg, "sweep")
-    _require_keys(file_sweep, ("variable", "start", "stop", "steps"), "sweep")
-    return cfg, ch, file_sweep
+    ch = sensing.ChannelPair(**{"eta1": 1.0, "eta2": 1.0, **channel_cfg})
+    return cfg, ch, _layer(args, file_cfg, "sweep", ("variable", "start", "stop", "steps"))
 
 
 def _comma_list(args, name: str, convert=float):
@@ -211,49 +213,42 @@ def _comma_list(args, name: str, convert=float):
     return values
 
 
-def _range(args, file_sweep: dict, default: sweep.Range | None = None) -> sweep.Range:
-    """Each of start/stop/steps from its flag, else the file's sweep section, else ``default``.
-
-    ``default`` is ``sweep.ETA_RANGE`` when None.
-    """
-    default = default or sweep.ETA_RANGE
-    bounds = {}
-    for key in ("start", "stop", "steps"):
-        value = getattr(args, key, None)
-        bounds[key] = value if value is not None else file_sweep.get(key, getattr(default, key))
-    return sweep.Range(**bounds)
+def _range(bounds: dict, default: sweep.Range | None = None) -> sweep.Range:
+    """Each of start/stop/steps from ``bounds``, else ``default``, else ``sweep.ETA_RANGE``."""
+    bounds = {k: v for k, v in bounds.items() if k != "variable"}
+    return replace(default or sweep.ETA_RANGE, **bounds)
 
 
-def _sweep(args, cfg, ch, file_sweep) -> sweep.SweepResult:
-    variable = args.variable or file_sweep.get("variable", "eta_symmetric")
+def _sweep(args, cfg, ch, bounds) -> sweep.SweepResult:
+    variable = bounds.get("variable", "eta_symmetric")
     sweep.require_variable(variable)
     swept, default = sweep.VARIABLES[variable]
     clash = [
         "--" + name.replace("_", "-")
-        for name, targets in _FLAG_FIELDS.items()
+        for name, (_, targets) in _FLAG_FIELDS.items()
         if getattr(args, name) is not None and set(swept) & set(targets)
     ]
     if clash:
         raise ValueError(f"{', '.join(clash)} sets {variable}, the swept variable")
-    rng = _range(args, file_sweep, default)
+    rng = _range(bounds, default)
     schemes = _comma_list(args, "schemes", str.upper)
     return sweep.run_sweep(variable, rng, cfg, ch, schemes)
 
 
-def _grid(args, cfg, ch, file_sweep) -> sweep.SweepResult:
-    rng = _range(args, file_sweep)
+def _grid(args, cfg, ch, bounds) -> sweep.SweepResult:
+    rng = _range(bounds)
     return sweep.run_grid(rng, rng, cfg, args.quantity)
 
 
 # table command -> builder of its SweepResult from (args, config, channel,
-# the config file's sweep section)
+# the merged sweep section)
 _BUILDERS = {
     "sweep": _sweep,
     "grid": _grid,
-    "compare": lambda a, cfg, ch, fs: sweep.run_compare_smsv(_range(a, fs), cfg, ch),
-    "fig2": lambda a, cfg, ch, fs: sweep.preset_fig2(cfg, _comma_list(a, "r_dbs"), _range(a, fs)),
-    "fig3": lambda a, cfg, ch, fs: sweep.preset_fig3(cfg, _range(a, fs)),
-    "fig4": lambda a, cfg, ch, fs: sweep.preset_fig4(cfg, _range(a, fs)),
+    "compare": lambda a, cfg, ch, sw: sweep.run_compare_smsv(_range(sw), cfg, ch),
+    "fig2": lambda a, cfg, ch, sw: sweep.preset_fig2(cfg, _comma_list(a, "r_dbs"), _range(sw)),
+    "fig3": lambda a, cfg, ch, sw: sweep.preset_fig3(cfg, _range(sw)),
+    "fig4": lambda a, cfg, ch, sw: sweep.preset_fig4(cfg, _range(sw)),
 }
 # the grid and the figure presets fix their own channels to the shared model
 _SHARED_ONLY = ("grid", "fig2", "fig3", "fig4")
@@ -261,14 +256,17 @@ _SHARED_ONLY = ("grid", "fig2", "fig3", "fig4")
 
 def _cmd_table(args) -> int:
     """Every table command: resolve, build its SweepResult, emit it."""
-    cfg, ch, file_sweep = _resolve(args)
+    cfg, ch, bounds = _resolve(args)
     if args.command in _SHARED_ONLY and ch.policy != "shared":
         raise ValueError(
             f"{args.command} supports only the shared vacuum policy, got {ch.policy!r}"
         )
-    result = _BUILDERS[args.command](args, cfg, ch, file_sweep)
+    result = _BUILDERS[args.command](args, cfg, ch, bounds)
+    levels = _comma_list(args, "levels")
+    if levels is not None and args.format != "svg":
+        raise ValueError("--levels needs --format svg")
     path = args.out or f"{args.command}.{args.format}"
-    emit.write_result(result, args.format, path, levels=_comma_list(args, "levels"))
+    emit.write_result(result, args.format, path, levels=levels)
     print(f"wrote {path}")
     return 0
 

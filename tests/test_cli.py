@@ -9,7 +9,7 @@ import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +35,7 @@ from qtlink import cli
 from qtlink.cli import COMMANDS, build_parser, main
 from qtlink.constants import SWEEP_VARIABLES
 from qtlink.link import LinkGeometry
-from qtlink.sensing import ChannelPair, SensingConfig
+from qtlink.sensing import PAPER_SCALE_CONFIG, ChannelPair, SensingConfig
 from qtlink.sweep import MAX_GRID_STEPS, MAX_STEPS
 from qtlink.verify import MAX_ETA_STEPS
 
@@ -212,6 +212,88 @@ def test_flags_override_config_file(tmp_path, capsys):
     assert float(values["TMSV_real"]) == pytest.approx(1.0412e-17, rel=1e-3)
 
 
+def _sweep_meta(tmp_path, capsys, args, config=None):
+    """The meta that ``sweep --format json`` echoes for ``args`` and ``config``."""
+    out_path = tmp_path / "s.json"
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        args = [*args, "--config", str(path)]
+    assert run(["sweep", "--format", "json", "--out", str(out_path), *args], capsys)[0] == 0
+    return json.loads(out_path.read_text())["meta"]
+
+
+_PAPER = asdict(PAPER_SCALE_CONFIG)
+# flag -> (its argument, the config section it sets, and each field it sets
+# with the field's value under the flag, in the file, and by default)
+_PRECEDENCE = {
+    "--r-db": ("9", "sensing", {"r_db": (9.0, 7.0, _PAPER["r_db"])}),
+    "--n-in": ("2000", "sensing", {"n_in": (2000.0, 500.0, _PAPER["n_in"])}),
+    "--lambda0-nm": ("1310", "sensing", {"lambda0": (1310 * 1e-9, 1.55e-6, _PAPER["lambda0"])}),
+    "--delta-omega": ("2e6", "sensing", {"delta_omega": (2e6, 1e6, _PAPER["delta_omega"])}),
+    "--split": ("0.7", "sensing", {"split": (0.7, 0.3, _PAPER["split"])}),
+    "--snr": ("3", "sensing", {"snr": (3.0, 2.0, _PAPER["snr"])}),
+    "--eta": ("0.6", "channel", {"eta1": (0.6, 0.4, 1.0), "eta2": (0.6, 0.3, 1.0)}),
+    "--eta1": ("0.6", "channel", {"eta1": (0.6, 0.4, 1.0)}),
+    "--eta2": ("0.6", "channel", {"eta2": (0.6, 0.3, 1.0)}),
+    "--policy": ("shared", "channel", {"policy": ("shared", "independent", "shared")}),
+    "--variable": ("r_db", "sweep", {"variable": ("r_db", "n_in", "eta_symmetric")}),
+    "--start": ("0.2", "sweep", {"start": (0.2, 0.3, 0.01)}),
+    "--stop": ("0.8", "sweep", {"stop": (0.8, 0.9, 1.0)}),
+    "--steps": ("4", "sweep", {"steps": (4, 3, 100)}),
+}
+
+
+@pytest.mark.parametrize("layer", ["flag", "file", "default"])
+@pytest.mark.parametrize("flag", list(_PRECEDENCE))
+def test_each_setting_is_its_flag_else_the_file_else_the_default(flag, layer, tmp_path, capsys):
+    value, section, expected = _PRECEDENCE[flag]
+    args = [flag, value] if layer == "flag" else []
+    # the channel flags set every eta, so their cases sweep r_db
+    if section == "channel":
+        args += ["--variable", "r_db"]
+    config = {section: {key: values[1] for key, values in expected.items()}}
+    column = ("flag", "file", "default").index(layer)
+    meta = _sweep_meta(tmp_path, capsys, args, None if layer == "default" else config)
+    assert {key: meta[section][key] for key in expected} == {
+        key: values[column] for key, values in expected.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "args, lambda0, omega0",
+    [([], None, 2.3e15), (["--lambda0-nm", "1310"], 1310 * 1e-9, None)],
+)
+def test_lambda0_nm_replaces_a_file_omega0(args, lambda0, omega0, tmp_path, capsys):
+    meta = _sweep_meta(tmp_path, capsys, args, {"sensing": {"omega0": 2.3e15}})
+    assert (meta["sensing"]["lambda0"], meta["sensing"]["omega0"]) == (lambda0, omega0)
+
+
+@pytest.mark.parametrize(
+    "args, channel, eta1, eta2",
+    [
+        ([], {}, 0.3, 1.0),
+        ([], {"eta1": 0.4}, 0.4, 1.0),
+        (["--eta1", "0.5"], {"eta1": 0.4}, 0.5, 1.0),
+        (["--eta", "0.6"], {"eta1": 0.4}, 0.6, 0.6),
+    ],
+)
+def test_a_link_path_eta_lies_under_the_file_channel_under_the_flags(
+    args, channel, eta1, eta2, tmp_path, capsys
+):
+    config = {"link": {"path1": {"eta_detector": 0.3}}, "channel": channel}
+    meta = _sweep_meta(tmp_path, capsys, [*args, "--variable", "r_db"], config)
+    assert meta["channel"] == {"eta1": eta1, "eta2": eta2, "policy": "shared"}
+
+
+@pytest.mark.parametrize(
+    "args", [["--eta1", "0.2", "--eta", "0.9"], ["--eta", "0.9", "--eta1", "0.2"]]
+)
+def test_eta1_beats_eta_in_either_order(args, tmp_path, capsys):
+    meta = _sweep_meta(tmp_path, capsys, [*args, "--variable", "r_db"])
+    assert meta["channel"] == {"eta1": 0.2, "eta2": 0.9, "policy": "shared"}
+
+
 def test_config_file_link_section(tmp_path, capsys):
     config = {
         "sensing": {"r_db": 5.0},
@@ -381,18 +463,22 @@ def test_config_field_of_the_wrong_type_exits_1_naming_it(config, message, tmp_p
 
 
 @pytest.mark.parametrize(
-    "args, field",
+    "args, config, field",
     [
-        (["delta-u", "--n-lo", "nan"], "n_lo"),
-        (["delta-u", "--n-in", "inf"], "n_in"),
-        (["delta-u", "--r-db", "nan"], "r_db"),
-        (["delta-u", "--delta-omega", "inf"], "delta_omega"),
-        (["delta-u", "--eta1", "nan"], "eta1"),
-        (["sweep", "--stop", "inf"], "stop"),
-        (["sweep", "--variable", "r_db", "--start", "nan"], "start"),
+        (["delta-u"], {"sensing": {"n_lo": math.nan}}, "n_lo"),
+        (["delta-u", "--n-in", "inf"], None, "n_in"),
+        (["delta-u", "--r-db", "nan"], None, "r_db"),
+        (["delta-u", "--delta-omega", "inf"], None, "delta_omega"),
+        (["delta-u", "--eta1", "nan"], None, "eta1"),
+        (["sweep", "--stop", "inf"], None, "stop"),
+        (["sweep", "--variable", "r_db", "--start", "nan"], None, "start"),
     ],
 )
-def test_non_finite_inputs_exit_1_naming_the_field(args, field, tmp_path, capsys):
+def test_non_finite_inputs_exit_1_naming_the_field(args, config, field, tmp_path, capsys):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        args = [*args, "--config", str(path)]
     code, out, err = run([*args, "--out", str(tmp_path / "o.csv")], capsys)
     assert code == 1
     assert out == ""
@@ -459,6 +545,9 @@ DROPPED = [
     *((command, flag) for command in ("grid", "compare", "fig2", "fig3", "fig4")
       for flag in ("--eta", "--eta1", "--eta2")),
     ("delta-u", "--steps"),
+    # the local-oscillator photon number cancels in every offset a command prints
+    *((command, "--n-lo") for command in ("delta-u", "sweep", "grid", "compare", "fig2", "fig3",
+                                          "fig4")),
 ]
 
 
@@ -509,9 +598,9 @@ def test_top_level_usage_lists_every_command(argv, code, message, capsys):
 
 def test_each_command_declares_only_the_flags_it_reads():
     flags = command_flags()
-    assert sum(map(len, flags.values())) <= 105
+    assert sum(map(len, flags.values())) <= 98
     assert flags["verify"] == {"--config", "--policy", "--tol", "--eta-steps"}
-    assert len(DROPPED) == 29
+    assert len(DROPPED) == 36
     assert not any(flag in flags[command] for command, flag in DROPPED)
 
 
@@ -921,6 +1010,11 @@ def test_an_overflow_exits_1_with_one_error_line(args, message, tmp_path, monkey
         (["grid", "--steps", "501", "--format", "json"], "steps must be <= 500, got 501"),
         (["sweep", "--steps", "100001"], "steps must be <= 100000, got 100001"),
         (["fig2", "--steps", "1000000000"], "steps must be <= 100000, got 1000000000"),
+        # iso-levels are drawn only on an SVG; they used to be ignored
+        (["grid", "--steps", "5", "--format", "csv", "--levels", "1e-18"],
+         "--levels needs --format svg"),
+        (["fig3", "--steps", "5", "--format", "json", "--levels", "1e-18"],
+         "--levels needs --format svg"),
     ],
 )
 def test_a_step_count_past_its_limit_exits_1_writing_nothing(
