@@ -10,17 +10,29 @@ other flag is a usage error.  Exit codes: 0 success, 1 validation error,
 
 from __future__ import annotations
 
-import argparse
 import gc
-import math
-import sys
-from dataclasses import MISSING, asdict, fields, replace
 
-import numpy as np
+# Collection is paused while this module runs: what numpy's import and these
+# definitions build lives until the process ends, so a collection would walk
+# it and free nothing, and run() freezes it.  The caller's setting comes back
+# at the end of the module, or at once if an import fails.
+_GC_WAS_ENABLED = gc.isenabled()
+gc.disable()
+try:
+    import argparse
+    import math
+    import sys
+    from dataclasses import MISSING, asdict, fields, replace
 
-# every layer is registered lazily by the package: binding one here loads nothing
-from . import emit, link, sensing, sweep, temporal, verify
-from .constants import SWEEP_VARIABLES
+    import numpy as np
+
+    # every layer is registered lazily by the package: binding one here loads nothing
+    from . import emit, link, sensing, sweep, temporal, verify
+    from .constants import SWEEP_VARIABLES
+except BaseException:
+    if _GC_WAS_ENABLED:
+        gc.enable()
+    raise
 
 
 class VerifyFailure(RuntimeError):
@@ -70,6 +82,8 @@ _FLAG_FIELDS = {
     **{name: ("channel", (name,)) for name in ("eta1", "eta2", "policy")},
     **{name: ("sweep", (name,)) for name in ("variable", "start", "stop", "steps")},
 }
+# each entry of a config "link" section with paths, and the eta it composes
+_LINK_PATHS = (("path1", "eta1"), ("path2", "eta2"))
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -179,17 +193,43 @@ def _resolve(args):
     link_cfg = _section(file_cfg, "link")
     if link_cfg:
         if "path1" in link_cfg or "path2" in link_cfg:
-            _require_keys(link_cfg, ("path1", "path2"), "link")
-            if "path1" in link_cfg:
-                channel_cfg.setdefault("eta1", _budget_eta(link_cfg, "path1", "link.path1"))
-            if "path2" in link_cfg:
-                channel_cfg.setdefault("eta2", _budget_eta(link_cfg, "path2", "link.path2"))
+            _require_keys(link_cfg, tuple(path for path, _ in _LINK_PATHS), "link")
+            for path, eta in _LINK_PATHS:
+                if path in link_cfg:
+                    channel_cfg.setdefault(eta, _budget_eta(link_cfg, path, f"link.{path}"))
         else:
             eta = _budget_eta(file_cfg, "link", "link")
             channel_cfg.setdefault("eta1", eta)
             channel_cfg.setdefault("eta2", eta)
     ch = sensing.ChannelPair(**{"eta1": 1.0, "eta2": 1.0, **channel_cfg})
-    return cfg, ch, _layer(args, file_cfg, "sweep", ("variable", "start", "stop", "steps"))
+    bounds = _layer(args, file_cfg, "sweep", ("variable", "start", "stop", "steps"))
+    if args.command == "sweep":
+        _require_unset_swept(args, file_cfg, bounds.setdefault("variable", "eta_symmetric"))
+    return cfg, ch, bounds
+
+
+def _require_unset_swept(args, file_cfg: dict, variable: str) -> None:
+    """Reject ``variable`` unless it names a sweep variable that no flag or config entry sets.
+
+    The error names each flag (``--eta1``) and entry (``channel.eta1``,
+    ``link.path1``) that sets one of its fields.
+    """
+    sweep.require_variable(variable)
+    swept = set(sweep.VARIABLES[variable][0])
+    setters = [
+        "--" + name.replace("_", "-")
+        for name, (_, targets) in _FLAG_FIELDS.items()
+        if getattr(args, name) is not None and swept & set(targets)
+    ]
+    for section in ("sensing", "channel"):
+        setters += [f"{section}.{key}" for key in file_cfg.get(section, {}) if key in swept]
+    link_cfg = file_cfg.get("link", {})
+    if "path1" in link_cfg or "path2" in link_cfg:
+        setters += [f"link.{path}" for path, eta in _LINK_PATHS if path in link_cfg and eta in swept]
+    elif link_cfg and swept & {"eta1", "eta2"}:
+        setters.append("link")
+    if setters:
+        raise ValueError(f"{', '.join(setters)} sets {variable}, the swept variable")
 
 
 def _comma_list(args, name: str, convert=float):
@@ -220,17 +260,8 @@ def _range(bounds: dict, default: sweep.Range | None = None) -> sweep.Range:
 
 
 def _sweep(args, cfg, ch, bounds) -> sweep.SweepResult:
-    variable = bounds.get("variable", "eta_symmetric")
-    sweep.require_variable(variable)
-    swept, default = sweep.VARIABLES[variable]
-    clash = [
-        "--" + name.replace("_", "-")
-        for name, (_, targets) in _FLAG_FIELDS.items()
-        if getattr(args, name) is not None and set(swept) & set(targets)
-    ]
-    if clash:
-        raise ValueError(f"{', '.join(clash)} sets {variable}, the swept variable")
-    rng = _range(bounds, default)
+    variable = bounds["variable"]
+    rng = _range(bounds, sweep.VARIABLES[variable][1])
     schemes = _comma_list(args, "schemes", str.upper)
     return sweep.run_sweep(variable, rng, cfg, ch, schemes)
 
@@ -423,6 +454,10 @@ def run() -> int:
     gc.freeze()
     return main()
 
+
+# the pause opened before the imports ends here
+if _GC_WAS_ENABLED:
+    gc.enable()
 
 if __name__ == "__main__":
     raise SystemExit(run())

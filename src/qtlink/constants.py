@@ -17,6 +17,9 @@ with one message shape, ``<field> must be <requirement>, got <value>``.
 FLOAT_MAX bounds a finite field: ``abs(value) <= FLOAT_MAX`` fails for NaN,
 for an infinity and for an int too large for a double, where
 ``math.isfinite`` would raise OverflowError on that int.
+
+:func:`format_distinct` formats an array's values with one %-template,
+each distinct value once; the table emitters and the verify report use it.
 """
 
 import numbers
@@ -55,3 +58,15 @@ def require(name: str, values, ok, requirement: str) -> None:
         if np.ndim(values):
             values = np.asarray(values, dtype=float)[~ok].flat[0]
         raise ValueError(f"{name} must be {requirement}, got {values}")
+
+
+def format_distinct(template: str, values) -> np.ndarray:
+    """``template % v`` for each value of 1-d ``values``, formatting each distinct value once.
+
+    Values are told apart by their bits, so -0.0 and 0.0 keep their own
+    strings, as does every NaN payload.  Returns an object array of the strings.
+    """
+    bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
+    bits, index = np.unique(bits, return_inverse=True)
+    strings = np.array([template % v for v in bits.view(float).tolist()], dtype=object)
+    return strings[index]

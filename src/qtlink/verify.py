@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import FLOAT_MAX, require, require_real
+from .constants import FLOAT_MAX, format_distinct, require, require_real
 from .gaussian import beam_splitter, homodyne_variance, pure_loss, squeeze_single, vacuum
 from .sensing import r_from_db, radicand
 
@@ -84,18 +84,6 @@ _LINES = {
 _GRID_COLUMNS = ("r_db", "eta1", "eta2", "eta")
 
 
-def _labels(column: np.ndarray) -> list:
-    """``["%-4g" % v for v in column]``, formatting each distinct value once.
-
-    Values are told apart by their bits, so -0.0 and 0.0 keep their own
-    strings, as does every NaN payload.
-    """
-    bits = np.ascontiguousarray(column, dtype=float).view(np.int64)
-    bits, index = np.unique(bits, return_inverse=True)
-    labels = np.array(["%-4g" % v for v in bits.view(float).tolist()], dtype=object)
-    return labels[index].tolist()
-
-
 @dataclass
 class VerifyReport:
     """Oracle variances against the closed forms, one array per column per chain.
@@ -153,7 +141,10 @@ class VerifyReport:
             columns = getattr(self, name)
             verdicts = np.where(columns["rel_err"] <= self.tolerance, "ok", "FAIL").tolist()
             cells = zip(
-                *(_labels(c) if key in _GRID_COLUMNS else c.tolist() for key, c in columns.items()),
+                *(
+                    format_distinct("%-4g", c).tolist() if key in _GRID_COLUMNS else c.tolist()
+                    for key, c in columns.items()
+                ),
                 verdicts,
             )
             values = tuple(itertools.chain.from_iterable(cells))

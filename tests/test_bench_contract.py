@@ -104,3 +104,19 @@ def test_tracer_counts_the_points_of_each_sweep_entry_point(argv, points, tmp_pa
     record = _trace(tmp_path, *argv, "--out", str(tmp_path / "out.csv"))
     assert record["rc"] == 0
     assert record["sweep_points"] == points
+
+
+@pytest.mark.parametrize(
+    "fmt, spans",
+    [
+        ("json", ["emit.write_result", "emit.render_json"]),
+        # the SVG builders call contour_segments through the emit module
+        ("svg", ["emit.write_result", "emit.render_svg", *["emit.contour_segments"] * 4]),
+    ],
+)
+def test_tracer_spans_the_emit_layer_of_fig3(fmt, spans, tmp_path):
+    out = tmp_path / f"fig3.{fmt}"
+    record = _trace(tmp_path, "fig3", "--steps", "12", "--format", fmt, "--out", str(out))
+    assert record["rc"] == 0
+    assert [span[0] for span in record["spans"] if span[0].startswith("emit.")] == spans
+    assert record["emit_bytes"] == out.stat().st_size

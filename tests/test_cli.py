@@ -654,6 +654,31 @@ def test_sweep_rejects_a_flag_that_sets_the_swept_variable(variable, flag, tmp_p
 
 
 @pytest.mark.parametrize(
+    "args, config, entry, variable",
+    [
+        (["--variable", "eta1"], {"channel": {"eta1": 0.3}}, "channel.eta1", "eta1"),
+        (["--variable", "eta2"], {"channel": {"eta2": 0.3}}, "channel.eta2", "eta2"),
+        ([], {"channel": {"eta2": 0.3}}, "channel.eta2", "eta_symmetric"),
+        (["--variable", "r_db"], {"sensing": {"r_db": 9.0}}, "sensing.r_db", "r_db"),
+        ([], {"sweep": {"variable": "n_in"}, "sensing": {"n_in": 500.0}}, "sensing.n_in", "n_in"),
+        (["--variable", "eta1"], {"link": {"path1": {"eta_detector": 0.3}}}, "link.path1", "eta1"),
+        ([], {"link": {"path2": {"eta_detector": 0.3}}}, "link.path2", "eta_symmetric"),
+        (["--variable", "eta2"], {"link": {"eta_detector": 0.3}}, "link", "eta2"),
+        (["--eta", "0.4"], {"channel": {"eta1": 0.3}}, "--eta, channel.eta1", "eta_symmetric"),
+    ],
+)
+def test_sweep_rejects_a_config_entry_that_sets_the_swept_variable(
+    args, config, entry, variable, tmp_path, capsys
+):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "s.csv"
+    code, stdout, err = run(["sweep", *args, "--config", str(path), "--out", str(out)], capsys)
+    assert (code, stdout, err) == (1, "", f"error: {entry} sets {variable}, the swept variable\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "args, flag",
     [
         (["fig3", "--levels", "nan"], "--levels"),
@@ -1105,6 +1130,38 @@ def test_module_entry_freezes_once_before_main():
     seen = json.loads(out.splitlines()[-1])
     assert seen["freezes"] == 1 and seen["frozen"] > 0
     assert (seen["rc"], seen["total_freezes"]) == (0, 1)
+
+
+# imports qtlink.cli after the package, with collection on or off, and counts
+# the collections that start while cli.py's module code runs
+_IMPORT_GC_PROBE = """
+import gc, json, os, sys
+import qtlink
+
+CLI = os.path.join("qtlink", "cli.py")
+
+def in_cli():
+    frame = sys._getframe(1)
+    while frame is not None:
+        if frame.f_code.co_name == "<module>" and frame.f_code.co_filename.endswith(CLI):
+            return True
+        frame = frame.f_back
+    return False
+
+starts = []
+gc.callbacks.append(lambda phase, info: phase == "start" and starts.append(in_cli()))
+if sys.argv[1] == "off":
+    gc.disable()
+import qtlink.cli
+print(json.dumps({"in_cli": sum(starts), "enabled": gc.isenabled()}))
+"""
+
+
+@pytest.mark.parametrize("state", ["on", "off"])
+def test_cli_import_runs_no_collection_and_leaves_collection_as_found(state):
+    rc, out, err = _python("-c", _IMPORT_GC_PROBE, state)
+    assert rc == 0, err
+    assert json.loads(out) == {"in_cli": 0, "enabled": state == "on"}
 
 
 def test_console_script_names_the_freezing_entry():

@@ -201,6 +201,38 @@ def test_classified_contour_scan_equals_full_scan(seed):
         assert contour_segments(x, y, z, level) == _contour_every_cell(x, y, z, level)
 
 
+def test_contour_segments_match_the_full_scan_on_a_saddle_rich_field():
+    # a 100 x 100 checkerboard of bumps with noise: saddles at every level
+    rng = np.random.default_rng(3)
+    x = np.linspace(0.0, 1.0, 100)
+    y = np.linspace(0.0, 1.0, 100)
+    z = np.sin(20 * x)[:, None] * np.sin(20 * y)[None, :] + 0.05 * rng.normal(size=(100, 100))
+    z[::7, ::5] = 0.0  # corners exactly on level 0
+    for level in (0.0, 0.02, -0.3, 0.6):
+        segments = contour_segments(x, y, z, level)
+        assert segments == _contour_every_cell(x, y, z, level)
+    assert len(contour_segments(x, y, z, 0.0)) > 1000
+
+
+def test_contour_segments_skip_cells_whose_corner_stays_on_the_level():
+    # A span of three ulps makes the 1e-12 nudge a no-op, so corners equal to
+    # the level stay on it and neither of their edges crosses strictly: a cell
+    # left with one crossing yields no segment.
+    rng = np.random.default_rng(4)
+    x = np.linspace(0.0, 1.0, 30)
+    y = np.linspace(0.0, 1.0, 25)
+    z = rng.choice([np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)], size=(30, 25))
+    level = 1.0
+    assert level + 1e-12 * float(z.max() - z.min()) == level
+    corners = np.stack([z[:-1, :-1], z[1:, :-1], z[1:, 1:], z[:-1, 1:]])
+    edges = zip(corners, np.roll(corners, -1, axis=0))
+    crossings = sum(((a < level) & (level < b)) | ((b < level) & (level < a)) for a, b in edges)
+    assert (crossings == 1).any() and (crossings == 2).any()
+    segments = contour_segments(x, y, z, level)
+    assert segments == _contour_every_cell(x, y, z, level)
+    assert len(segments) == (crossings == 2).sum() + 2 * (crossings == 4).sum()
+
+
 @pytest.mark.parametrize("scale", [2.0**900, 2.0**1023])
 def test_contour_segments_keep_their_crossings_at_any_scale(scale):
     # A power-of-two scale leaves each crossing's ratio exact, so the segments
@@ -253,6 +285,20 @@ _meta = st.dictionaries(
 
 
 @st.composite
+def _column(draw):
+    """The values of one column: any finite doubles, or a small pool that repeats.
+
+    The pool holds 0.0 and -0.0, the smallest subnormal, and a drawn value
+    with its neighbour one ulp nearer zero, so a renderer that formats each
+    distinct value once must tell all of them apart.
+    """
+    if draw(st.booleans()):
+        return _values
+    x = draw(_values)
+    return st.sampled_from([0.0, -0.0, 5e-324, x, float(np.nextafter(x, 0.0))])
+
+
+@st.composite
 def sweep_results(draw):
     names = draw(st.lists(st.sampled_from(["eta1", "eta2", "du_tmsv", "advantage", "ratio"]),
                           min_size=1, max_size=4, unique=True))
@@ -262,7 +308,10 @@ def sweep_results(draw):
         n_rows = grid_shape[0] * grid_shape[1]
     else:
         grid_shape, n_rows = None, draw(st.integers(0, 12))
-    cell = {c: st.sampled_from([-1.0, 0.0, -0.0, 1.0]) if c == "sign" else _values for c in columns}
+    cell = {
+        c: st.sampled_from([-1.0, 0.0, -0.0, 1.0]) if c == "sign" else draw(_column())
+        for c in columns
+    }
     rows = draw(st.lists(st.tuples(*(cell[c] for c in columns)), min_size=n_rows, max_size=n_rows))
     return SweepResult(columns, np.array(rows, dtype=float).reshape(n_rows, len(columns)),
                        draw(_meta), grid_shape)
@@ -273,5 +322,12 @@ def sweep_results(draw):
 @example(result=SweepResult(["eta1", "sign"], [[5e-324, -1.0]], {"rows": [1]}, (1, 1)))
 @example(result=SweepResult(["du_sql"], [[-1.7976931348623157e308], [1e16], [-0.0]], {}))
 def test_renderers_match_the_reference_renderers(result):
+    assert render_json(result) == _json_reference(result)
+    assert render_csv(result) == _csv_reference(result)
+
+
+def test_renderers_match_the_reference_renderers_on_fig3_at_100_steps():
+    # 40,000 values, 5,252 distinct: the symmetric surface repeats each advantage
+    result = preset_fig3(eta_range=Range(0.01, 1.0, 100))
     assert render_json(result) == _json_reference(result)
     assert render_csv(result) == _csv_reference(result)

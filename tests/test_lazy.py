@@ -152,3 +152,31 @@ def test_every_exported_name_resolves():
     assert record["missing_from_star"] == []
     assert record["wrong_object"] == []
     assert record["unknown"] == "module 'qtlink' has no attribute 'no_such_name'"
+
+
+# the SVG builders and json, each loaded or not once main has run
+PROBE_EMIT = """
+import sys
+import qtlink.cli
+
+rc = qtlink.cli.main(sys.argv[1:])
+print('{"svg": %d, "json": %d, "rc": %d}' % ("qtlink.svg" in sys.modules, "json" in sys.modules, rc))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, svg",
+    [
+        (["fig3", "--format", "svg"], 1),
+        (["fig4", "--format", "svg"], 1),
+        (["grid", "--format", "svg"], 1),
+        (["fig3", "--format", "json"], 0),
+        (["fig2", "--format", "csv"], 0),
+        (["sweep", "--format", "json"], 0),
+    ],
+)
+def test_svg_commands_skip_json_and_tables_skip_the_svg_builders(argv, svg, tmp_path):
+    out = tmp_path / f"out.{argv[-1]}"
+    record = _python(PROBE_EMIT, *argv, "--steps", "5", "--out", str(out))
+    assert record == {"svg": svg, "json": 1 - svg, "rc": 0}
+    assert out.exists()
