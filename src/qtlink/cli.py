@@ -3,9 +3,9 @@
 Subcommands: delta-u, sweep, grid, compare, verify, tm-check, and the
 figure presets fig2/fig3/fig4.  Parameters come from an optional JSON
 config file (sections "sensing", "channel", "link", "sweep") with any flag
-overriding the file.  Each subcommand accepts only the flags it reads; any
-other flag is a usage error.  Exit codes: 0 success, 1 validation error,
-2 verify failure, 3 I/O error.
+overriding the file.  Each subcommand accepts only the flags and config
+keys its COMMANDS entry declares; anything else exits 1.  Exit codes:
+0 success, 1 validation or usage error, 2 verify failure, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -66,12 +66,13 @@ ETAS = (
     _flag("--eta2", type=float, help="path-2 transmissivity"),
 )
 POLICY = (_flag("--policy", choices=("shared", "independent"), help="vacuum-port policy"),)
-TABLE = CONFIG + SENSING + POLICY + (
+OUTPUT = (
     _flag("--steps", type=int, help="sweep/grid steps"),
     _flag("--format", choices=("csv", "json", "svg"), default="csv",
           help="output format (default csv)"),
     _flag("--out", help="output path (default derived from command)"),
 )
+TABLE = CONFIG + SENSING + OUTPUT
 LEVELS = (_flag("--levels", help="comma list of iso-levels for SVG output"),)
 
 # flag -> (the config section it sets, its fields there); a later flag
@@ -82,18 +83,34 @@ _FLAG_FIELDS = {
     **{name: ("channel", (name,)) for name in ("eta1", "eta2", "policy")},
     **{name: ("sweep", (name,)) for name in ("variable", "start", "stop", "steps")},
 }
+# Config keys, "section.field", declared once; each command reads the groups
+# it lists.  "link" is read whole: its entries are checked where they compose.
+SENSING_KEYS = ("sensing.r_db", "sensing.n_in", "sensing.lambda0", "sensing.omega0",
+                "sensing.delta_omega", "sensing.split", "sensing.snr")
+CHANNEL_KEYS = ("channel.eta1", "channel.eta2", "channel.policy", "link")
+RANGE_KEYS = ("sweep.start", "sweep.stop", "sweep.steps")
+
 # each entry of a config "link" section with paths, and the eta it composes
 _LINK_PATHS = (("path1", "eta1"), ("path2", "eta2"))
 
 
 def _load_config_file(path: str | None) -> dict:
+    """The JSON object in file ``path``, {} without one; a repeated key is rejected."""
     if not path:
         return {}
     import json
 
+    def unique(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValueError(f"config file {path!r} repeats key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
         with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = json.load(handle, object_pairs_hook=unique)
     except OSError as err:
         raise OSError(f"could not read config file {path!r}: {err}") from err
     except json.JSONDecodeError as err:
@@ -120,17 +137,10 @@ def _require_keys(entry: dict, allowed: tuple, name: str, required: tuple = ()) 
     The error names the entry, the key and the allowed keys.
     """
     unknown = [key for key in entry if key not in allowed]
-    if unknown:
-        raise ValueError(
-            f"config entry {name!r} has unknown key {unknown[0]!r}; "
-            f"it may hold {', '.join(allowed)}"
-        )
     missing = [key for key in required if key not in entry]
-    if missing:
-        raise ValueError(
-            f"config entry {name!r} is missing key {missing[0]!r}; "
-            f"it may hold {', '.join(allowed)}"
-        )
+    if unknown or missing:
+        fault = f"has unknown key {unknown[0]!r}" if unknown else f"is missing key {missing[0]!r}"
+        raise ValueError(f"config entry {name!r} {fault}; it may hold {', '.join(allowed)}")
 
 
 def _budget_eta(parent: dict, key: str, name: str) -> float:
@@ -172,12 +182,14 @@ def _layer(args, file_cfg: dict, section: str, allowed: tuple) -> dict:
 def _resolve(args):
     """Merge config file and flags into a SensingConfig + ChannelPair + sweep section.
 
-    A key the loader never reads, at the top level or in a section, is rejected.
+    A key its command does not read (``COMMANDS``), at the top level or in a section, is rejected.
     """
+    reads = {}
+    for section, _, name in (key.partition(".") for key in COMMANDS[args.command][2]):
+        reads.setdefault(section, []).append(name)
     file_cfg = _load_config_file(args.config)
-    _require_keys(file_cfg, ("sensing", "channel", "link", "sweep"), args.config)
-    sensing_fields = tuple(f.name for f in fields(sensing.SensingConfig))
-    sensing_cfg = _layer(args, file_cfg, "sensing", sensing_fields)
+    _require_keys(file_cfg, tuple(reads), args.config)
+    sensing_cfg = _layer(args, file_cfg, "sensing", reads.get("sensing", ()))
     if getattr(args, "lambda0_nm", None) is not None:
         sensing_cfg["lambda0"] *= 1e-9
         sensing_cfg.pop("omega0", None)
@@ -187,9 +199,7 @@ def _resolve(args):
     defaults.update(sensing_cfg)
     cfg = sensing.SensingConfig(**defaults)
 
-    channel_cfg = _layer(
-        args, file_cfg, "channel", tuple(f.name for f in fields(sensing.ChannelPair))
-    )
+    channel_cfg = _layer(args, file_cfg, "channel", reads.get("channel", ()))
     link_cfg = _section(file_cfg, "link")
     if link_cfg:
         if "path1" in link_cfg or "path2" in link_cfg:
@@ -202,7 +212,7 @@ def _resolve(args):
             channel_cfg.setdefault("eta1", eta)
             channel_cfg.setdefault("eta2", eta)
     ch = sensing.ChannelPair(**{"eta1": 1.0, "eta2": 1.0, **channel_cfg})
-    bounds = _layer(args, file_cfg, "sweep", ("variable", "start", "stop", "steps"))
+    bounds = _layer(args, file_cfg, "sweep", reads.get("sweep", ()))
     if args.command == "sweep":
         _require_unset_swept(args, file_cfg, bounds.setdefault("variable", "eta_symmetric"))
     return cfg, ch, bounds
@@ -266,32 +276,21 @@ def _sweep(args, cfg, ch, bounds) -> sweep.SweepResult:
     return sweep.run_sweep(variable, rng, cfg, ch, schemes)
 
 
-def _grid(args, cfg, ch, bounds) -> sweep.SweepResult:
-    rng = _range(bounds)
-    return sweep.run_grid(rng, rng, cfg, args.quantity)
-
-
 # table command -> builder of its SweepResult from (args, config, channel,
 # the merged sweep section)
 _BUILDERS = {
     "sweep": _sweep,
-    "grid": _grid,
+    "grid": lambda a, cfg, ch, sw: sweep.run_grid(_range(sw), _range(sw), cfg, a.quantity),
     "compare": lambda a, cfg, ch, sw: sweep.run_compare_smsv(_range(sw), cfg, ch),
     "fig2": lambda a, cfg, ch, sw: sweep.preset_fig2(cfg, _comma_list(a, "r_dbs"), _range(sw)),
     "fig3": lambda a, cfg, ch, sw: sweep.preset_fig3(cfg, _range(sw)),
     "fig4": lambda a, cfg, ch, sw: sweep.preset_fig4(cfg, _range(sw)),
 }
-# the grid and the figure presets fix their own channels to the shared model
-_SHARED_ONLY = ("grid", "fig2", "fig3", "fig4")
 
 
 def _cmd_table(args) -> int:
     """Every table command: resolve, build its SweepResult, emit it."""
     cfg, ch, bounds = _resolve(args)
-    if args.command in _SHARED_ONLY and ch.policy != "shared":
-        raise ValueError(
-            f"{args.command} supports only the shared vacuum policy, got {ch.policy!r}"
-        )
     result = _BUILDERS[args.command](args, cfg, ch, bounds)
     levels = _comma_list(args, "levels")
     if levels is not None and args.format != "svg":
@@ -329,10 +328,8 @@ def _cmd_delta_u(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # the oracle reads only the vacuum policy: the flag, else the file's channel section
-    channel = _section(_load_config_file(args.config), "channel")
-    policy = args.policy or channel.get("policy", "shared")
-    report = verify.run_verify(tolerance=args.tol, policy=policy, eta_steps=args.eta_steps)
+    _, ch, _ = _resolve(args)
+    report = verify.run_verify(tolerance=args.tol, policy=ch.policy, eta_steps=args.eta_steps)
     sys.stdout.write(report.text())
     if not report.passed:
         raise VerifyFailure(
@@ -377,38 +374,40 @@ def _cmd_tm_check(args) -> int:
     return 0 if ok else 1
 
 
-# command -> (help, flags, handler of the parsed args)
+# command -> (help, flags, config keys, handler of the parsed args); grid and
+# the figures fix their channels to the shared model, verify reads the policy
 COMMANDS = {
     "delta-u": ("evaluate all schemes at one point", CONFIG + SENSING + ETAS + POLICY + (
         _flag("--format", choices=("csv", "json"), default="csv",
               help="output format (default csv)"),
         _flag("--out", help="write the table to this path instead of stdout"),
-    ), _cmd_delta_u),
-    "sweep": ("sweep one variable", TABLE + ETAS + (
+    ), SENSING_KEYS + CHANNEL_KEYS, _cmd_delta_u),
+    "sweep": ("sweep one variable", CONFIG + SENSING + POLICY + OUTPUT + ETAS + (
         _flag("--variable", choices=SWEEP_VARIABLES),
         _flag("--start", type=float),
         _flag("--stop", type=float),
         _flag("--schemes", default="TMSV,SQL,SMSV", help="comma list from TMSV,SQL,SMSV"),
-    ), _cmd_table),
+    ), SENSING_KEYS + CHANNEL_KEYS + ("sweep.variable",) + RANGE_KEYS, _cmd_table),
     "grid": ("advantage over an (eta1, eta2) grid", TABLE + LEVELS + (
         _flag("--quantity", choices=("advantage", "delta_u"), default="advantage"),
-    ), _cmd_table),
-    "compare": ("single-mode vs two-mode comparison sweep", TABLE, _cmd_table),
+    ), SENSING_KEYS + RANGE_KEYS, _cmd_table),
+    "compare": ("single-mode vs two-mode comparison sweep", CONFIG + SENSING + POLICY + OUTPUT,
+                SENSING_KEYS + ("channel.policy",) + RANGE_KEYS, _cmd_table),
     "verify": ("cross-check closed forms against the oracle", CONFIG + POLICY + (
         _flag("--tol", type=float, default=1e-9),
         _flag("--eta-steps", type=int, help="refine the eta grid"),
-    ), _cmd_verify),
+    ), ("channel.policy",), _cmd_verify),
     "tm-check": ("temporal-mode diagnostics (natural units)", (
         _flag("--omega0", type=float, default=10.0),
         _flag("--spread", type=float, default=1.0, help="spectral spread"),
         _flag("--points", type=int, default=4096),
         _flag("--span", type=float, default=8.0),
-    ), _cmd_tm_check),
+    ), (), _cmd_tm_check),
     "fig2": ("reproduce the fig2 preset", TABLE + (
         _flag("--r-dbs", default="3,7,11,15", help="comma list of squeezing levels"),
-    ), _cmd_table),
-    "fig3": ("reproduce the fig3 preset", TABLE + LEVELS, _cmd_table),
-    "fig4": ("reproduce the fig4 preset", TABLE, _cmd_table),
+    ), SENSING_KEYS + RANGE_KEYS, _cmd_table),
+    "fig3": ("reproduce the fig3 preset", TABLE + LEVELS, SENSING_KEYS + RANGE_KEYS, _cmd_table),
+    "fig4": ("reproduce the fig4 preset", TABLE, SENSING_KEYS + RANGE_KEYS, _cmd_table),
 }
 
 
@@ -425,7 +424,7 @@ def build_parser(command: str | None = None) -> _Parser:
     metavar = "{" + ",".join(COMMANDS) + "}" if len(built) == 1 else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in built:
-        help_text, flags, run = COMMANDS[name]
+        help_text, flags, _, run = COMMANDS[name]
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for names, kwargs in flags:
             p.add_argument(*names, **kwargs)

@@ -403,17 +403,17 @@ def test_link_key_the_loader_never_reads_exits_1_naming_it(
     )
 
 
-_SENSING_KEYS = ", ".join(f.name for f in fields(SensingConfig))
+# the sensing fields an offset reads: n_lo and the phases cancel in each
+_SENSING_KEYS = "r_db, n_in, lambda0, omega0, delta_omega, split, snr"
 
 
 @pytest.mark.parametrize(
     "args, config, entry, key, allowed",
     [
-        (["fig2"], {"sweep": {"step": 20}}, "sweep", "step", "variable, start, stop, steps"),
-        (["delta-u"], {"Sensing": {"r_db": 10}}, None, "Sensing",
-         "sensing, channel, link, sweep"),
+        (["fig2"], {"sweep": {"step": 20}}, "sweep", "step", "start, stop, steps"),
+        (["delta-u"], {"Sensing": {"r_db": 10}}, None, "Sensing", "sensing, channel, link"),
         (["delta-u"], {"sensing": {"rdb": 10}}, "sensing", "rdb", _SENSING_KEYS),
-        (["compare"], {"channel": {"eta": 0.5}}, "channel", "eta", "eta1, eta2, policy"),
+        (["compare"], {"channel": {"eta": 0.5}}, "channel", "eta", "policy"),
     ],
     ids=["sweep-step", "top-level-Sensing", "sensing-rdb", "channel-eta"],
 )
@@ -432,6 +432,132 @@ def test_a_config_key_the_loader_never_reads_exits_1_naming_it(
     assert not out_path.exists()
 
 
+# every key of the four config sections, with two values that each command
+# reading the key accepts ("link" is one key: its entry is read whole)
+_PERTURBED = {
+    "sensing.r_db": (3.0, 9.0),
+    "sensing.n_in": (500.0, 2000.0),
+    "sensing.n_lo": (1.0, 4.0),
+    "sensing.theta1": (0.0, 0.5),
+    "sensing.theta2": (0.0, 0.5),
+    "sensing.theta_lo": (0.0, 0.5),
+    "sensing.lambda0": (815e-9, 1550e-9),
+    "sensing.omega0": (2.3e15, 1.2e15),
+    "sensing.delta_omega": (6e6, 1e15),
+    "sensing.split": (0.5, 0.3),
+    "sensing.snr": (1.0, 2.0),
+    "channel.eta1": (0.5, 0.6),
+    "channel.eta2": (0.7, 0.8),
+    "channel.policy": ("shared", "independent"),
+    "link": ({"eta_detector": 0.5}, {"eta_detector": 0.6}),
+    "sweep.variable": ("r_db", "n_in"),
+    "sweep.start": (0.2, 0.3),
+    "sweep.stop": (0.8, 0.9),
+    "sweep.steps": (3, 4),
+}
+# a config under which each key can act: lossy etas, so that the policy
+# shows, swept over r_db, so that the etas are not the swept variable
+_PERTURBED_BASE = {
+    "delta-u": {"channel": {"eta1": 0.5, "eta2": 0.7}},
+    "sweep": {"channel": {"eta1": 0.5, "eta2": 0.7}, "sweep": {"variable": "r_db", "steps": 3}},
+    **dict.fromkeys(("grid", "compare", "fig2", "fig3", "fig4"), {"sweep": {"steps": 3}}),
+    "verify": {},
+}
+# fig2 takes its squeezing levels from --r-dbs: sensing.r_db changes only
+# the echoed config line, and is kept so that `fig2 --r-db` still runs
+_PERTURBED_EXEMPT = {("fig2", "sensing.r_db")}
+
+
+def _perturbed_outcome(command, key, value, tmp_path, capsys):
+    """(exit code, stdout, stderr, output rows) of ``command`` with ``key`` set to ``value``.
+
+    The rows are the written table without its echoed config line, else stdout.
+    """
+    config = json.loads(json.dumps(_PERTURBED_BASE[command]))
+    if key == "link":
+        # a link entry's etas lie under the file's channel etas
+        config.pop("channel", None)
+    section, _, name = key.partition(".")
+    if name:
+        config.setdefault(section, {})[name] = value
+    else:
+        config[section] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out.csv"
+    args = [command, "--config", str(path)]
+    if command not in ("delta-u", "verify"):
+        args += ["--out", str(out)]
+    code, stdout, err = run(args, capsys)
+    rows = stdout
+    if out.exists():
+        rows = out.read_text().split("\n", 1)[1]
+        out.unlink()
+    return code, stdout, err, rows
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        (command, key)
+        for command in _PERTURBED_BASE
+        for key in _PERTURBED
+        if (command, key) not in _PERTURBED_EXEMPT
+    ],
+)
+def test_a_changed_config_key_changes_the_rows_or_exits_1(command, key, tmp_path, capsys):
+    # every key used to be accepted by every command, read or not: a key a
+    # command never read ran to the same rows
+    outcomes = [
+        _perturbed_outcome(command, key, value, tmp_path, capsys) for value in _PERTURBED[key]
+    ]
+    for code, stdout, err, rows in outcomes:
+        assert code in (0, 1), (code, err)
+        if code == 1:
+            assert (stdout, rows) == ("", "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+    if all(outcome[0] == 0 for outcome in outcomes):
+        assert outcomes[0][3] != outcomes[1][3]
+
+
+def test_the_perturbed_keys_cover_every_config_key():
+    keys = {f"sensing.{f.name}" for f in fields(SensingConfig)}
+    keys |= {f"channel.{f.name}" for f in fields(ChannelPair)}
+    keys |= {"link", "sweep.variable", "sweep.start", "sweep.stop", "sweep.steps"}
+    assert set(_PERTURBED) == keys
+    assert set(_PERTURBED_BASE) == {
+        command for command, entry in COMMANDS.items() if ("--config",) in [f[0] for f in entry[1]]
+    }
+
+
+def test_each_command_declares_only_the_config_keys_it_reads():
+    reads = {command: entry[2] for command, entry in COMMANDS.items()}
+    assert sum(map(len, reads.values())) <= 78
+    assert reads["verify"] == ("channel.policy",)
+    assert not any(
+        key.startswith(("channel.", "link"))
+        for command in ("grid", "fig2", "fig3", "fig4")
+        for key in reads[command]
+    )
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"sensing": {"r_db": 3}, "sensing": {"n_in": 50}}', "sensing"),
+        ('{"sensing": {"r_db": 3, "n_in": 50, "r_db": 9}}', "r_db"),
+    ],
+    ids=["top-level", "nested"],
+)
+def test_a_repeated_config_key_exits_1_naming_it(text, key, tmp_path, capsys):
+    # json.load kept only the last of them: the top-level case ran at the default 5 dB
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    assert run(["delta-u", "--config", str(path)], capsys) == (
+        1, "", f"error: config file {str(path)!r} repeats key {key!r}\n"
+    )
+
+
 def test_a_missing_geometry_key_exits_1_naming_the_block(tmp_path, capsys):
     # this used to fail with LinkGeometry's missing-argument error, naming no entry
     geometry = {k: v for k, v in _GEOMETRY.items() if k != "tx_waist_m"}
@@ -444,18 +570,21 @@ def test_a_missing_geometry_key_exits_1_naming_the_block(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "config, message",
+    "command, config, message",
     [
-        ({"sensing": {"r_db": "x"}}, "r_db must be a real number, got 'x'"),
-        ({"sweep": {"steps": 2.5}}, "steps must be an integer, got 2.5"),
-        ({"link": {"eta_detector": "x"}}, "eta_detector must be a real number, got 'x'"),
+        ("fig4", {"sensing": {"r_db": "x"}}, "r_db must be a real number, got 'x'"),
+        ("fig4", {"sweep": {"steps": 2.5}}, "steps must be an integer, got 2.5"),
+        ("delta-u", {"link": {"eta_detector": "x"}},
+         "eta_detector must be a real number, got 'x'"),
     ],
 )
-def test_config_field_of_the_wrong_type_exits_1_naming_it(config, message, tmp_path, capsys):
+def test_config_field_of_the_wrong_type_exits_1_naming_it(
+    command, config, message, tmp_path, capsys
+):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
     out_path = tmp_path / "out.csv"
-    code, out, err = run(["fig4", "--config", str(path), "--out", str(out_path)], capsys)
+    code, out, err = run([command, "--config", str(path), "--out", str(out_path)], capsys)
     assert code == 1
     assert out == ""
     assert err == f"error: {message}\n"
@@ -465,7 +594,7 @@ def test_config_field_of_the_wrong_type_exits_1_naming_it(config, message, tmp_p
 @pytest.mark.parametrize(
     "args, config, field",
     [
-        (["delta-u"], {"sensing": {"n_lo": math.nan}}, "n_lo"),
+        (["delta-u"], {"sensing": {"split": math.nan}}, "split"),
         (["delta-u", "--n-in", "inf"], None, "n_in"),
         (["delta-u", "--r-db", "nan"], None, "r_db"),
         (["delta-u", "--delta-omega", "inf"], None, "delta_omega"),
@@ -517,20 +646,26 @@ def test_sweep_and_compare_honour_the_policy(command, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["grid", "fig2", "fig3", "fig4"])
 def test_fixed_channel_commands_reject_independent_policy(command, tmp_path, capsys):
+    # these fix their channels to the shared model, so they take no --policy
     out = tmp_path / "o.csv"
     args = [command, "--steps", "4", "--policy", "independent", "--out", str(out)]
-    code, _, err = run(args, capsys)
-    assert code == 1
-    assert "shared vacuum policy" in err
+    assert run(args, capsys) == (
+        1, "", build_parser().format_usage()
+        + "error: argument error: unrecognized arguments: --policy independent\n"
+    )
     assert not out.exists()
 
 
-def test_fixed_channel_commands_reject_independent_policy_from_config(tmp_path, capsys):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"channel": {"policy": "independent"}}))
-    code, _, err = run(["fig3", "--config", str(path), "--steps", "4"], capsys)
-    assert code == 1
-    assert "shared vacuum policy" in err
+def test_fixed_channel_commands_reject_independent_policy_from_config(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps({"channel": {"policy": "independent"}}))
+    assert run(["fig3", "--config", "cfg.json", "--steps", "4"], capsys) == (
+        1, "", "error: config entry 'cfg.json' has unknown key 'channel'; "
+        "it may hold sensing, sweep\n"
+    )
+    assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
 
 
 # A value each flag accepts, so a rejection is about the flag, not its value.
@@ -538,16 +673,19 @@ FLAG_VALUES = {
     "--r-db": "5", "--n-in": "1000", "--n-lo": "1", "--lambda0-nm": "815",
     "--delta-omega": "6e6", "--split": "0.5", "--snr": "1", "--eta": "0.5",
     "--eta1": "0.5", "--eta2": "0.5", "--steps": "5", "--format": "csv", "--out": "o.csv",
+    "--policy": "shared",
 }
 # (command, flag) pairs that were accepted but read by nothing
 DROPPED = [
-    *(("verify", flag) for flag in FLAG_VALUES),
+    *(("verify", flag) for flag in FLAG_VALUES if flag != "--policy"),
     *((command, flag) for command in ("grid", "compare", "fig2", "fig3", "fig4")
       for flag in ("--eta", "--eta1", "--eta2")),
     ("delta-u", "--steps"),
     # the local-oscillator photon number cancels in every offset a command prints
     *((command, "--n-lo") for command in ("delta-u", "sweep", "grid", "compare", "fig2", "fig3",
                                           "fig4")),
+    # these fix their channels to the shared model
+    *((command, "--policy") for command in ("grid", "fig2", "fig3", "fig4")),
 ]
 
 
@@ -598,9 +736,9 @@ def test_top_level_usage_lists_every_command(argv, code, message, capsys):
 
 def test_each_command_declares_only_the_flags_it_reads():
     flags = command_flags()
-    assert sum(map(len, flags.values())) <= 98
+    assert sum(map(len, flags.values())) <= 94
     assert flags["verify"] == {"--config", "--policy", "--tol", "--eta-steps"}
-    assert len(DROPPED) == 36
+    assert len(DROPPED) == 40
     assert not any(flag in flags[command] for command, flag in DROPPED)
 
 
@@ -766,11 +904,6 @@ _JSON_VALUES = recursive(
 )
 # often a float, so that a budget or a range can be legal
 _NUMBERS = _FLOATS | _JSON_VALUES
-# config section -> the keys its value type reads
-_SECTION_KEYS = {
-    "sensing": [f.name for f in fields(SensingConfig)],
-    "channel": [f.name for f in fields(ChannelPair)],
-}
 _GEOMETRY_FIELDS = fields(LinkGeometry)
 # a geometry block with every required field, or any subset of its fields
 _GEOMETRY_BLOCKS = fixed_dictionaries(
@@ -787,12 +920,13 @@ _LINK = (
     | fixed_dictionaries({}, optional={"path1": _BUDGET | _JSON_VALUES, "path2": _BUDGET})
     | _JSON_VALUES
 )
-_SWEEP = fixed_dictionaries({}, optional={
+# sweep-section key -> the values drawn for it
+_SWEEP_FIELDS = {
     "variable": sampled_from(SWEEP_VARIABLES) | _JSON_VALUES,
     "start": _NUMBERS,
     "stop": _NUMBERS,
     "steps": integers(-5, 40) | _JSON_VALUES,
-}) | _JSON_VALUES
+}
 
 
 def _comma_lists(parts):
@@ -814,10 +948,10 @@ _TEXT_FLAGS = {
 def _argv(draw, command):
     """(argv, config): ``command`` with random values for a random subset of its flags.
 
-    The flags are the command's own entry in the command table.  A --config
-    flag names ``config.json``, which holds ``config``: random JSON values
-    under the keys of the sensing and channel sections, and random link and
-    sweep sections.
+    The flags and config keys are the command's own entry in the command
+    table.  A --config flag names ``config.json``, which holds ``config``:
+    random JSON values under the sensing and channel keys the command reads,
+    and random link and sweep sections where it reads them.
     """
     argv = [command]
     for names, kwargs in COMMANDS[command][1]:
@@ -836,13 +970,19 @@ def _argv(draw, command):
             value = draw(_TEXT_FLAGS[flag])
         # --flag=value, so that a negative value parses as a value
         argv.append(f"{flag}={value!r}" if isinstance(value, float) else f"{flag}={value}")
+    reads = {}
+    for section, _, name in (key.partition(".") for key in COMMANDS[command][2]):
+        reads.setdefault(section, []).append(name)
     config = {
-        section: draw(dictionaries(sampled_from(keys), _JSON_VALUES, max_size=4))
-        for section, keys in _SECTION_KEYS.items()
+        section: draw(dictionaries(sampled_from(reads[section]), _JSON_VALUES, max_size=4))
+        for section in ("sensing", "channel")
+        if section in reads
     }
-    for section, values in (("link", _LINK), ("sweep", _SWEEP)):
-        if draw(booleans()):
-            config[section] = draw(values)
+    if "link" in reads and draw(booleans()):
+        config["link"] = draw(_LINK)
+    if "sweep" in reads and draw(booleans()):
+        keys = {key: _SWEEP_FIELDS[key] for key in reads["sweep"]}
+        config["sweep"] = draw(fixed_dictionaries({}, optional=keys) | _JSON_VALUES)
     return argv, config
 
 
@@ -924,18 +1064,24 @@ def _verify_with_config(tmp_path, capsys, config, *flags):
 
 
 @pytest.mark.parametrize(
-    "config",
+    "config, entry, key, allowed",
     [
-        {"sensing": {"r_db": -1}},
-        {"sensing": {"no_such_field": 1.0}},
-        {"link": {"eta_detector": 2.0}},
-        {"channel": {"eta1": 7.0}},
-        {"channel": {"eta1": "x", "policy": "shared"}, "sweep": {"steps": -3}},
+        ({"sensing": {"r_db": -1}}, None, "sensing", "channel"),
+        ({"sensing": {"no_such_field": 1.0}}, None, "sensing", "channel"),
+        ({"link": {"eta_detector": 2.0}}, None, "link", "channel"),
+        ({"channel": {"eta1": 7.0}}, "channel", "eta1", "policy"),
+        ({"channel": {"eta1": "x", "policy": "shared"}, "sweep": {"steps": -3}}, None, "sweep",
+         "channel"),
     ],
 )
-def test_verify_reads_only_the_policy_from_config(config, tmp_path, capsys):
-    plain = run(["verify"], capsys)
-    assert _verify_with_config(tmp_path, capsys, config) == plain
+def test_verify_rejects_each_non_policy_key_naming_it(
+    config, entry, key, allowed, tmp_path, capsys
+):
+    # the oracle reads only the vacuum policy; these used to be ignored
+    entry = entry or str(tmp_path / "cfg.json")
+    assert _verify_with_config(tmp_path, capsys, config) == (
+        1, "", f"error: config entry {entry!r} has unknown key {key!r}; it may hold {allowed}\n"
+    )
 
 
 def test_verify_takes_the_policy_from_config(tmp_path, capsys):
