@@ -8,8 +8,9 @@ are reported in these normalized units.  Recovering physical current units
 would additionally need the detector's electrical gain, which is outside
 this model.
 
-SWEEP_VARIABLES names the variables a sweep may run over; it lives here so
-the CLI can offer them as choices without loading the sweep layer.
+SWEEP_VARIABLES names the variables a sweep may run over, and POLICIES the
+vacuum-port policies of a channel pair; they live here so the CLI can offer
+them as choices without loading the sweep or sensing layer.
 
 Every value type and kernel checks its inputs where they are built with
 :func:`require_real` and :func:`require`, so each bad field is rejected
@@ -33,6 +34,7 @@ FIELD_SCALE = 1.0
 FLOAT_MAX = sys.float_info.max
 
 SWEEP_VARIABLES = ("eta_symmetric", "eta1", "eta2", "r_db", "n_in")
+POLICIES = ("shared", "independent")
 
 
 def require_real(name: str, value, integer: bool = False) -> None:
@@ -58,6 +60,12 @@ def require(name: str, values, ok, requirement: str) -> None:
         if np.ndim(values):
             values = np.asarray(values, dtype=float)[~ok].flat[0]
         raise ValueError(f"{name} must be {requirement}, got {values}")
+
+
+def require_policy(policy) -> None:
+    """Raise ValueError unless ``policy`` is one of POLICIES."""
+    if policy not in POLICIES:
+        raise ValueError(f"unknown vacuum policy {policy!r}")
 
 
 def format_distinct(template: str, values) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import require
+from .constants import require, require_policy
 
 __all__ = [
     "GaussianState",
@@ -237,8 +237,7 @@ def pure_loss(
         grows for all.
     """
     state._check_mode(mode)
-    if policy not in ("shared", "independent"):
-        raise ValueError(f"unknown vacuum policy {policy!r}")
+    require_policy(policy)
     eta = np.asarray(eta, dtype=float)
     require("transmissivity", eta, (eta >= 0.0) & (eta <= 1.0), "in [0, 1]")
     if np.all(eta == 1.0):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .constants import FLOAT_MAX, SPEED_OF_LIGHT, require, require_real
+from .constants import FLOAT_MAX, SPEED_OF_LIGHT, require, require_policy, require_real
 
 __all__ = [
     "SensingConfig",
@@ -160,8 +160,7 @@ class ChannelPair:
         for name, eta in (("eta1", self.eta1), ("eta2", self.eta2)):
             require_real(name, eta)
             require(name, eta, 0.0 <= eta <= 1.0, "in [0, 1]")
-        if self.policy not in ("shared", "independent"):
-            raise ValueError(f"unknown vacuum policy {self.policy!r}")
+        require_policy(self.policy)
 
 
 # LEO-link scale used by the CLI defaults and all figure presets: 815 nm
@@ -179,12 +178,10 @@ def photocurrent_mean_single(
     2*sqrt(N_path*N_lo) * [ (du/u0)*cos(th_p - th_lo)
                             + (Omega/sqrt(Omega^2+1))*sin(th_p - th_lo) ].
     """
-    if path == 1:
-        n_path, theta = cfg.n1, cfg.theta1
-    elif path == 2:
-        n_path, theta = cfg.n2, cfg.theta2
-    else:
-        raise ValueError(f"path must be 1 or 2, got {path}")
+    require("path", path, path in (1, 2), "1 or 2")
+    require_real("delta_u", delta_u)
+    require("delta_u", delta_u, abs(delta_u) <= FLOAT_MAX, "finite")
+    n_path, theta = (cfg.n1, cfg.theta1) if path == 1 else (cfg.n2, cfg.theta2)
     rel = theta - cfg.theta_lo
     big = cfg.big_omega
     return 2.0 * math.sqrt(n_path * cfg.n_lo) * (
@@ -252,8 +249,7 @@ def radicand(scheme: str, r, eta1, eta2=1.0, policy: str = "shared"):
     SQL: the TMSV_real radicand at r = 0.
     SMSV_real: eta1*e^-2r + (1-eta1); eta2 and the policy play no part.
     """
-    if policy not in ("shared", "independent"):
-        raise ValueError(f"unknown vacuum policy {policy!r}")
+    require_policy(policy)
     e1 = _unit("eta1", eta1)
     r = 0.0 if scheme == "SQL" else _squeezing(r)
     if scheme == "SMSV_real":
@@ -381,7 +377,7 @@ def advantage_boundary_eta1(r: float, eta2: float) -> float:
     upper root eta2/tanh^2(r/2) only re-enters [0, 1] for eta2 below
     tanh^2(r/2), where the advantage window closes again.)
     """
-    if r <= 0:
-        raise ValueError(f"boundary needs r > 0, got {r}")
+    require_real("r", r)
+    require("r", r, 0 < r <= FLOAT_MAX, "finite and > 0")
     require("eta2", eta2, 0.0 < eta2 <= 1.0, "in (0, 1]")
     return eta2 * math.tanh(0.5 * r) ** 2

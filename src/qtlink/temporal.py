@@ -19,6 +19,7 @@ scale.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -33,6 +34,7 @@ __all__ = [
     "shift_coefficients",
     "shift_expansion_check",
     "inner_product",
+    "report",
 ]
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
@@ -41,7 +43,7 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 # exp(-(delta_omega*u)^2), so +-5/delta_omega already reaches ~1e-11.
 _MIN_SPAN = 5.0
 _MIN_POINTS_PER_WIDTH = 16.0
-# ~1e6 samples already peak near 150 MB over tm-check's ten mode-function sets
+# tm-check samples two mode-function sets; at 2**20 points it peaks near 142 MB
 _MAX_GRID_POINTS = 2**20
 
 
@@ -157,6 +159,9 @@ def shift_coefficients(
     fundamental mode and c1 = (delta_omega*du)*sqrt(N)*e^{i theta} on the
     companion.  Valid for |du| << u0; a warning is raised past du/u0 = 0.1.
     """
+    for name, value in (("photon number", n_photons), ("theta", theta), ("delta_u", delta_u)):
+        require_real(name, value)
+        require(name, value, abs(value) <= FLOAT_MAX, "finite")
     require("photon number", n_photons, n_photons >= 0, ">= 0")
     ratio = abs(delta_u) / profile.u0
     if ratio > 0.1:
@@ -168,15 +173,20 @@ def shift_coefficients(
     return (1.0 + 1j * profile.omega0 * delta_u) * amp, (profile.delta_omega * delta_u) * amp
 
 
-def shift_expansion_check(profile: SpectralProfile, delta_u: float) -> float:
+def shift_expansion_check(profile: SpectralProfile, delta_u):
     """Residual of the first-order delay expansion, measured on the grid.
 
     Shifts y0 by delta_u, projects onto {y0, y1}, and returns the larger
     deviation of the two projections from the first-order coefficients
     (1 + i*omega0*du, delta_omega*du).  The basis is orthonormal, so the
     deviations are relative to the unit pulse norm; the residual shrinks
-    quadratically in delta_u.
+    quadratically in delta_u.  An array of shifts gives an array of their
+    residuals; y0 and y1 are sampled once for all, then each shift in turn.
     """
+    shifts = np.asarray(delta_u)
+    if shifts.ndim == 0:
+        require_real("delta_u", shifts.item())
+    require("delta_u", delta_u, abs(shifts) <= FLOAT_MAX, "finite")
     points_per_width = profile.grid_points / (2.0 * profile.grid_span)
     if profile.grid_span < _MIN_SPAN or points_per_width < _MIN_POINTS_PER_WIDTH:
         raise ValueError(
@@ -184,10 +194,39 @@ def shift_expansion_check(profile: SpectralProfile, delta_u: float) -> float:
             f"widths at {points_per_width:.1f} points/width "
             f"(need >= {_MIN_SPAN} and >= {_MIN_POINTS_PER_WIDTH})"
         )
-    y0, y1, _ = mode_functions(profile)
-    shifted = ModeFunction(y0.u, _sampled_fundamental(profile, y0.u, delta_u))
-    p0 = inner_product(y0, shifted)
-    p1 = inner_product(y1, shifted)
-    c0 = 1.0 + 1j * profile.omega0 * delta_u
-    c1 = profile.delta_omega * delta_u
-    return float(max(abs(p0 - c0), abs(p1 - c1)))
+    # z1 is dropped at once: held through the loop it adds 16 MB to the peak at 2**20 points
+    y0, y1 = mode_functions(profile)[:2]
+    residuals = np.empty(shifts.shape)
+    for index, du in np.ndenumerate(shifts.astype(float)):
+        shifted = ModeFunction(y0.u, _sampled_fundamental(profile, y0.u, du))
+        p0 = inner_product(y0, shifted)
+        p1 = inner_product(y1, shifted)
+        c0 = 1.0 + 1j * profile.omega0 * du
+        c1 = profile.delta_omega * du
+        residuals[index] = max(abs(p0 - c0), abs(p1 - c1))
+    return float(residuals) if residuals.ndim == 0 else residuals
+
+
+def report(profile: SpectralProfile) -> tuple[str, bool]:
+    """The tm-check report on ``profile`` and whether it passed; a coarse grid raises first."""
+    ratios = np.logspace(-4, -2, 9)
+    residuals = shift_expansion_check(profile, ratios * profile.u0)
+    slope = float(np.polyfit(np.log(ratios), np.log(residuals), 1)[0])
+    y0, y1, z1 = mode_functions(profile)
+    e0, e1, ez = (abs(mode.norm() - 1.0) for mode in (y0, y1, z1))
+    overlap01 = abs(inner_product(y0, y1))
+    big_omega = profile.big_omega
+    overlap_error = abs(inner_product(z1, y0)) - big_omega / math.sqrt(big_omega**2 + 1.0)
+    ok = overlap01 < 1e-8 and e0 < 1e-8 and ez < 1e-8 and abs(slope - 2.0) < 0.1
+    return "".join(f"{line}\n" for line in [
+        f"u0 = {profile.u0:.12e} s, Omega = {big_omega:.6f}",
+        f"carrier/spread ratio (monochromaticity): {profile.delta_omega / profile.omega0:.3e}",
+        f"|<y0,y0>-1| = {e0:.3e}",
+        f"|<y1,y1>-1| = {e1:.3e}",
+        f"|<z1,z1>-1| = {ez:.3e}",
+        f"|<y0,y1>|   = {overlap01:.3e}",
+        f"|<z1,y0>| - Omega/sqrt(Omega^2+1) = {overlap_error:.3e}",
+        *(f"du/u0 = {ratio:.3e} -> residual {res:.6e}" for ratio, res in zip(ratios, residuals)),
+        f"log-log residual slope = {slope:.4f} (expect 2)",
+        f"tm-check {'passed' if ok else 'FAILED'}",
+    ]), ok

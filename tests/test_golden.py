@@ -4,6 +4,8 @@ Each golden was written by the release that first shipped these formats and
 is never regenerated: a mismatch means an emitted number or string changed,
 which is a finding to explain, not a file to refresh.  The r_db sweep is the
 one that catches last-bit drift in sinh/cosh/exp of an array of r values.
+tm_check.txt is the default tm-check report, written before the report
+moved from the CLI into the temporal layer.
 """
 
 from pathlib import Path
@@ -32,3 +34,9 @@ def test_emitted_bytes_match_golden(name, tmp_path, capsys):
     assert main([*CASES[name], "--out", str(out)]) == 0
     capsys.readouterr()
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def test_tm_check_report_matches_golden(capsys):
+    assert main(["tm-check"]) == 0
+    out, err = capsys.readouterr()
+    assert (out.encode(), err) == ((GOLDEN / "tm_check.txt").read_bytes(), "")

@@ -22,9 +22,11 @@ from qtlink.sensing import (
     r_from_db,
     radicand,
 )
+from qtlink.temporal import SpectralProfile, shift_coefficients, shift_expansion_check
 from qtlink.verify import tmsv_chain_variance
 
 LEO = SensingConfig(r_db=5.0, n_in=1e3, lambda0=815e-9, delta_omega=2 * math.pi * 1e6)
+NATURAL = SpectralProfile(omega0=10.0, delta_omega=1.0)
 
 
 def test_r_from_db_values():
@@ -425,3 +427,32 @@ def test_radicand_keeps_nine_digits_at_the_level_bound(policy):
                 ref = (e1 + e2) * sh * sh + 1 + cross - (e1 * e2).sqrt() * sh2
                 worst = max(worst, abs(Decimal(float(got[i, j])) / ref - 1))
     assert worst < Decimal("1e-9")
+
+
+
+@pytest.mark.parametrize(
+    "fn, args, message",
+    [
+        (advantage_boundary_eta1, (math.nan, 0.5), "r must be finite and > 0, got nan"),
+        (advantage_boundary_eta1, (math.inf, 0.5), "r must be finite and > 0, got inf"),
+        (advantage_boundary_eta1, (0.0, 0.5), "r must be finite and > 0, got 0.0"),
+        (photocurrent_mean_single, (LEO, 1, math.nan), "delta_u must be finite, got nan"),
+        (photocurrent_mean_single, (LEO, 2, -math.inf), "delta_u must be finite, got -inf"),
+        (photocurrent_mean_single, (LEO, 1, True), "delta_u must be a real number, got True"),
+        (photocurrent_mean_single, (LEO, 3, 0.0), "path must be 1 or 2, got 3"),
+        (shift_coefficients, (NATURAL, math.nan, 0, 0), "photon number must be finite, got nan"),
+        (shift_coefficients, (NATURAL, math.inf, 0, 0), "photon number must be finite, got inf"),
+        (shift_coefficients, (NATURAL, -1.0, 0.0, 0.0), "photon number must be >= 0, got -1.0"),
+        (shift_coefficients, (NATURAL, 1.0, math.nan, 0.0), "theta must be finite, got nan"),
+        (shift_coefficients, (NATURAL, 1.0, 0.0, math.nan), "delta_u must be finite, got nan"),
+        (shift_expansion_check, (NATURAL, math.nan), "delta_u must be finite, got nan"),
+        (shift_expansion_check, (NATURAL, math.inf), "delta_u must be finite, got inf"),
+        (shift_expansion_check, (NATURAL, [0.0, math.nan]), "delta_u must be finite, got nan"),
+        (shift_expansion_check, (NATURAL, "0"), "delta_u must be a real number, got '0'"),
+    ],
+)
+def test_non_finite_scalar_inputs_are_rejected_naming_the_field(fn, args, message):
+    # each non-finite input here returned nan, or eta2 for r = inf, instead of an error
+    with pytest.raises(ValueError) as err:
+        fn(*args)
+    assert str(err.value) == message

@@ -149,6 +149,17 @@ def test_expansion_residual_loglog_slope_two():
     assert slope == pytest.approx(2.0, abs=0.1)
 
 
+def test_expansion_check_of_an_array_is_its_scalar_calls_bit_for_bit():
+    shifts = np.logspace(-4, -2, 9) * NATURAL.u0
+    residuals = shift_expansion_check(NATURAL, shifts)
+    assert residuals.shape == shifts.shape
+    for scalar in (shifts.tolist(), list(shifts)):  # Python floats, then numpy scalars
+        one_by_one = np.array([shift_expansion_check(NATURAL, du) for du in scalar])
+        assert residuals.tobytes() == one_by_one.tobytes()
+    for zero_d in (1e-3, np.float64(1e-3), np.asarray(1e-3)):
+        assert type(shift_expansion_check(NATURAL, zero_d)) is float
+
+
 def test_expansion_check_rejects_coarse_grid():
     coarse = SpectralProfile(10.0, 1.0, grid_points=64, grid_span=8.0)
     with pytest.raises(ValueError, match="grid too coarse"):
