@@ -10,27 +10,15 @@ keys its COMMANDS entry declares; anything else exits 1.  Exit codes:
 
 from __future__ import annotations
 
+import argparse
 import gc
+import math
+import sys
+from dataclasses import MISSING, asdict, fields, replace
 
-# Collection is paused while this module runs: what numpy's import and these
-# definitions build lives until the process ends, so a collection would walk
-# it and free nothing, and run() freezes it.  The caller's setting comes back
-# at the end of the module, or at once if an import fails.
-_GC_WAS_ENABLED = gc.isenabled()
-gc.disable()
-try:
-    import argparse
-    import math
-    import sys
-    from dataclasses import MISSING, asdict, fields, replace
-
-    # every layer is registered lazily by the package: binding one here loads nothing
-    from . import emit, link, sensing, sweep, temporal, verify
-    from .constants import POLICIES, SWEEP_VARIABLES
-except BaseException:
-    if _GC_WAS_ENABLED:
-        gc.enable()
-    raise
+# every layer is registered lazily by the package: binding one here loads nothing
+from . import emit, link, sensing, sweep, temporal, verify
+from .constants import POLICIES, SWEEP_VARIABLES
 
 
 class VerifyFailure(RuntimeError):
@@ -407,20 +395,24 @@ def main(argv=None) -> int:
 
 
 def run() -> int:
-    """Process entry of ``qtlink`` and ``python -m qtlink.cli``: ``main()`` on a frozen heap.
+    """Process entry of ``qtlink`` and ``python -m qtlink.cli``: ``main()`` with collection paused.
 
-    Everything the imports built lives until the process ends, so freezing it
-    moves it to the permanent generation, which no collection walks (the ones
-    at interpreter exit included).  ``main`` itself never freezes: tests and
-    the bench tracer call it in a process whose heap is theirs.
+    What the layers and numpy build as they load lives until the process
+    ends, so a collection during the command would walk it and free almost
+    nothing.  Afterwards the heap is frozen, so the collections at
+    interpreter exit skip it, and the caller's setting comes back.  ``main``
+    itself never touches the collector: tests and the bench tracer call it
+    in a process whose heap is theirs.
     """
-    gc.freeze()
-    return main()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+        if enabled:
+            gc.enable()
 
-
-# the pause opened before the imports ends here
-if _GC_WAS_ENABLED:
-    gc.enable()
 
 if __name__ == "__main__":
     raise SystemExit(run())

@@ -21,12 +21,12 @@ for an infinity and for an int too large for a double, where
 
 :func:`format_distinct` formats an array's values with one %-template,
 each distinct value once; the table emitters and the verify report use it.
+Nothing here imports numpy until an array reaches it, so a command that
+computes only Python reals never loads numpy.
 """
 
 import numbers
 import sys
-
-import numpy as np
 
 SPEED_OF_LIGHT = 299792458.0  # m/s
 HBAR = 2.0
@@ -51,15 +51,23 @@ def require_real(name: str, value, integer: bool = False) -> None:
 def require(name: str, values, ok, requirement: str) -> None:
     """Raise ``<name> must be <requirement>, got <value>`` unless ``ok`` holds everywhere.
 
-    ``values`` is a scalar, named as given, or an array, named by its first
-    element (as a float) where ``ok`` is False.  NaN fails every comparison,
-    so a range test written as ``ok`` rejects it.
+    ``ok`` is a bool, or an array of them.  ``values`` is a scalar, named as
+    given, or an array, named by its first element (as a float) where ``ok``
+    is False.  NaN fails every comparison, so a range test written as ``ok``
+    rejects it.
     """
-    ok = np.asarray(ok)
-    if not ok.all():
+    if isinstance(ok, bool):
+        if ok:
+            return
+    else:
+        import numpy as np
+
+        ok = np.asarray(ok)
+        if ok.all():
+            return
         if np.ndim(values):
             values = np.asarray(values, dtype=float)[~ok].flat[0]
-        raise ValueError(f"{name} must be {requirement}, got {values}")
+    raise ValueError(f"{name} must be {requirement}, got {values}")
 
 
 def require_policy(policy) -> None:
@@ -68,12 +76,14 @@ def require_policy(policy) -> None:
         raise ValueError(f"unknown vacuum policy {policy!r}")
 
 
-def format_distinct(template: str, values) -> np.ndarray:
+def format_distinct(template: str, values):
     """``template % v`` for each value of 1-d ``values``, formatting each distinct value once.
 
     Values are told apart by their bits, so -0.0 and 0.0 keep their own
     strings, as does every NaN payload.  Returns an object array of the strings.
     """
+    import numpy as np
+
     bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
     bits, index = np.unique(bits, return_inverse=True)
     strings = np.array([template % v for v in bits.view(float).tolist()], dtype=object)

@@ -6,18 +6,19 @@ with the offending path attached.  The SVG output needs no plotting
 dependency: curves are drawn on a log-scale axis, grids as filled cells
 with iso-lines extracted by marching squares.  The SVG string builders live
 in ``qtlink.svg``, loaded only when SVG is written, and ``json`` only when
-CSV or JSON is.
+CSV or JSON is.  numpy loads with the first table rendered, so ``write_text``
+(``delta-u --out``) never loads it.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .constants import FLOAT_MAX, format_distinct
 
-if TYPE_CHECKING:  # annotations only: delta-u --out writes through emit without sweep
+if TYPE_CHECKING:  # annotations only: delta-u --out writes through emit without sweep or numpy
+    import numpy as np
+
     from .sweep import SweepResult
 
 __all__ = [
@@ -37,6 +38,8 @@ def _cells(rows: np.ndarray, templates: list) -> tuple:
 
     Each distinct value of a column is formatted once.
     """
+    import numpy as np
+
     cells = np.empty(rows.shape, dtype=object)
     for k, template in enumerate(templates):
         cells[:, k] = format_distinct(template, rows[:, k])
@@ -130,6 +133,8 @@ def contour_segments(x: np.ndarray, y: np.ndarray, z: np.ndarray, level: float):
     crossings of those with corners on both sides of the level, the only
     ones that can hold one, are computed together.
     """
+    import numpy as np
+
     # Only comparisons and the ratio t below read z and level, so a scale by
     # a power of two leaves every segment as it is; near the float limit it
     # keeps the differences, the span and the saddle sum finite.

@@ -10,7 +10,12 @@ Covers four measurement schemes at a fixed photon budget N_in:
 * ``SMSV_real``   -- a single squeezed mode through one channel.
 
 One broadcasting kernel, :func:`delta_u`, evaluates every scheme over numpy
-arrays; the scalar ``delta_u_*`` functions are its 0-d case.
+arrays; the scalar ``delta_u_*`` functions are its 0-d case.  The kernel
+computes Python floats and ints with ``math`` and anything else with numpy,
+through the few primitives that :func:`_xp` picks, so a command that
+evaluates one point never loads numpy.  Both paths give the same bits: the
+square roots are correctly rounded either way, and sinh/cosh/exp always go
+through ``math``.
 
 The minimum offset is the delta_u at which the post-processed homodyne
 signal equals its own noise (SNR = 1); it scales linearly with any other
@@ -22,9 +27,9 @@ every delta_u.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
-
-import numpy as np
+from types import SimpleNamespace
 
 from .constants import FLOAT_MAX, SPEED_OF_LIGHT, require, require_policy, require_real
 
@@ -61,13 +66,41 @@ MAX_R_DB = 30.0
 _MAX_R = MAX_R_DB * math.log(10.0) / 20.0
 
 
+# numpy's names for the operations the kernel uses, over Python reals.  Where
+# math raises, these give what numpy gives: NaN for the square root of a
+# negative, the signed infinity (or NaN) for a zero denominator, so no float
+# error needs an errstate.
+_REALS = SimpleNamespace(
+    asarray=lambda value, dtype: dtype(value),
+    isfinite=math.isfinite,
+    any=bool,
+    sqrt=lambda x: math.sqrt(x) if x >= 0.0 else math.nan,
+    divide=lambda a, b: a / b if b else a * math.copysign(math.inf, b),
+    errstate=lambda **_: nullcontext(),
+)
+
+
+def _xp(*values):
+    """_REALS when every value is a Python float or int, else numpy.
+
+    The type must match exactly: an np.float64 is a float, and a bool an
+    int, but both take numpy's path, as every array does.
+    """
+    if all(type(value) in (float, int) for value in values):
+        return _REALS
+    import numpy
+
+    return numpy
+
+
 def r_from_db(r_db):
     """Squeezing magnitude from decibels: r_db = -10*log10(e^-2r), elementwise.
 
     Each level must be finite and in [0, MAX_R_DB].
     """
-    level = np.asarray(r_db, dtype=float)
-    require("squeezing level in dB", level, np.isfinite(level) & (level >= 0.0), "finite and >= 0")
+    xp = _xp(r_db)
+    level = xp.asarray(r_db, dtype=float)
+    require("squeezing level in dB", level, xp.isfinite(level) & (level >= 0.0), "finite and >= 0")
     require("squeezing level in dB", level, level <= MAX_R_DB, f"at most {MAX_R_DB:g}")
     return r_db * math.log(10.0) / 20.0
 
@@ -210,15 +243,16 @@ def post_variance_ideal(cfg: SensingConfig) -> float:
     )
 
 
-def _unit(name: str, eta) -> np.ndarray:
-    eta = np.asarray(eta, dtype=float)
+def _unit(name: str, eta):
+    eta = _xp(eta).asarray(eta, dtype=float)
     require(name, eta, (eta >= 0.0) & (eta <= 1.0), "in [0, 1]")
     return eta
 
 
 def _squeezing(r):
-    level = np.asarray(r, dtype=float)
-    require("squeezing magnitude", level, np.isfinite(level) & (level >= 0.0), "finite and >= 0")
+    xp = _xp(r)
+    level = xp.asarray(r, dtype=float)
+    require("squeezing magnitude", level, xp.isfinite(level) & (level >= 0.0), "finite and >= 0")
     require("squeezing magnitude", level, level <= _MAX_R, f"at most {_MAX_R} ({MAX_R_DB:g} dB)")
     return r
 
@@ -230,10 +264,11 @@ def _math(fn, r):
     which would move emitted bytes; r holds one value per squeezing level,
     so the elementwise loop is cheap.
     """
-    if np.ndim(r) == 0:
+    xp = _xp(r)
+    if xp is _REALS or xp.ndim(r) == 0:
         return fn(float(r))
-    r = np.asarray(r, dtype=float)
-    return np.fromiter(map(fn, r.flat), float, r.size).reshape(r.shape)
+    r = xp.asarray(r, dtype=float)
+    return xp.fromiter(map(fn, r.flat), float, r.size).reshape(r.shape)
 
 
 def radicand(scheme: str, r, eta1, eta2=1.0, policy: str = "shared"):
@@ -257,9 +292,10 @@ def radicand(scheme: str, r, eta1, eta2=1.0, policy: str = "shared"):
     if scheme not in ("TMSV_real", "SQL"):
         raise ValueError(f"no radicand for scheme {scheme!r}")
     e2 = _unit("eta2", eta2)
+    xp = _xp(r, e1, e2)
     sh, ch = _math(math.sinh, r), _math(math.cosh, r)
-    cross = np.sqrt((1.0 - e1) * (1.0 - e2)) if policy == "shared" else 0.0
-    return 1.0 + cross + sh * ((e1 + e2) * sh - 2.0 * np.sqrt(e1 * e2) * ch)
+    cross = xp.sqrt((1.0 - e1) * (1.0 - e2)) if policy == "shared" else 0.0
+    return 1.0 + cross + sh * ((e1 + e2) * sh - 2.0 * xp.sqrt(e1 * e2) * ch)
 
 
 def delta_u(
@@ -286,32 +322,34 @@ def delta_u(
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
+    xp = _xp(r, eta1, eta2, n1, n2, omega_rss, snr)
     for name, value in (("n1", n1), ("n2", n2)):
-        value = np.asarray(value, dtype=float)
-        require(name, value, np.isfinite(value) & (value >= 0.0), "finite and >= 0")
+        value = xp.asarray(value, dtype=float)
+        require(name, value, xp.isfinite(value) & (value >= 0.0), "finite and >= 0")
     for name, value in (("omega_rss", omega_rss), ("snr", snr)):
-        value = np.asarray(value, dtype=float)
-        require(name, value, np.isfinite(value) & (value > 0.0), "finite and > 0")
-    # an overflow reaches the final check as inf or nan instead of a warning
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        value = xp.asarray(value, dtype=float)
+        require(name, value, xp.isfinite(value) & (value > 0.0), "finite and > 0")
+    # an overflow or a zero denominator reaches the final check as inf or nan
+    # instead of a warning or an exception
+    with xp.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if scheme == "TMSV_ideal":
-            denom = math.sqrt(2.0) * (np.sqrt(n1) + np.sqrt(n2)) * omega_rss
-            value = _math(math.exp, -_squeezing(r)) / denom
+            denom = math.sqrt(2.0) * (xp.sqrt(n1) + xp.sqrt(n2)) * omega_rss
+            value = xp.divide(_math(math.exp, -_squeezing(r)), denom)
         elif scheme == "SMSV_real":
             noise = radicand(scheme, r, eta1)
-            e1 = np.asarray(eta1, dtype=float)
-            if np.any(e1 == 0.0):
+            e1 = xp.asarray(eta1, dtype=float)
+            if xp.any(e1 == 0.0):
                 raise ValueError("delta_u diverges with the channel fully opaque")
-            value = 0.5 * np.sqrt(noise / (e1 * (n1 + n2))) / omega_rss
+            value = 0.5 * xp.sqrt(xp.divide(noise, e1 * (n1 + n2))) / omega_rss
         else:
             q = radicand(scheme, r, eta1, eta2, policy)
-            e1, e2 = np.asarray(eta1, dtype=float), np.asarray(eta2, dtype=float)
-            if np.any(e1 + e2 <= 0.0):
+            e1, e2 = xp.asarray(eta1, dtype=float), xp.asarray(eta2, dtype=float)
+            if xp.any(e1 + e2 <= 0.0):
                 raise ValueError("delta_u diverges with both channels fully opaque")
-            denom = math.sqrt(2.0) * (np.sqrt(e1 * n1) + np.sqrt(e2 * n2)) * omega_rss
-            value = np.sqrt(q) / denom
+            denom = math.sqrt(2.0) * (xp.sqrt(e1 * n1) + xp.sqrt(e2 * n2)) * omega_rss
+            value = xp.divide(xp.sqrt(q), denom)
         out = snr * value
-    require("delta_u", out, np.isfinite(out) & (out > 0.0), "finite and > 0")
+    require("delta_u", out, xp.isfinite(out) & (out > 0.0), "finite and > 0")
     return out
 
 
@@ -325,8 +363,8 @@ def evaluate(
     n_in=None,
 ):
     """:func:`delta_u` at ``cfg``, with r_db or n_in optionally replaced by arrays."""
-    r = cfg.r if r_db is None else r_from_db(np.asarray(r_db, dtype=float))
-    n_in = cfg.n_in if n_in is None else np.asarray(n_in, dtype=float)
+    r = cfg.r if r_db is None else r_from_db(_xp(r_db).asarray(r_db, dtype=float))
+    n_in = cfg.n_in if n_in is None else _xp(n_in).asarray(n_in, dtype=float)
     if scheme == "SMSV_real":
         n1, n2 = n_in, 0.0
     else:

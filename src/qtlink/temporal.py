@@ -11,10 +11,14 @@ superposition excited by the delay is
 with weight du/u0 where u0 = 1/sqrt(omega0^2 + delta_omega^2).  Everything
 here is expressed in the light-cone coordinate u = t - z/c (seconds).
 
-Paper-scale carriers (Omega ~ 1e8) cannot be resolved on any practical
-sample grid, so grid-based checks are meant to run in natural units
-(omega0, delta_omega of order 1..10); the closed-form helpers accept any
-scale.
+The grid must resolve the envelope, not the carrier.  A paper-scale
+carrier (Omega ~ 1e8) aliases on any practical sample grid, but every
+integrand here multiplies the conjugate of one mode by another on the same
+carrier, so the carrier cancels up to the rounding of its phase, leaving at
+most the constant phase exp(i*omega0*du) of a delayed pulse.  The tm-check
+report therefore passes at paper-scale carriers on any grid that resolves
+the envelope, and does not test carrier sampling.  The closed-form helpers
+accept any scale.
 """
 
 from __future__ import annotations

@@ -1227,13 +1227,14 @@ def test_sweep_tabulates_the_default_n_in_range(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# the process entry: main() on a frozen import-time heap
+# the process entry: main() with collection paused, the heap frozen after it
 # ----------------------------------------------------------------------
 
 ROOT = Path(__file__).resolve().parents[1]
 
 # runs qtlink.cli as "python -m qtlink.cli" would, counting gc.freeze calls and
-# recording the freeze state when main is entered
+# the collections that start once main is entered, and recording the
+# collector's state when main is entered and when the module exits
 _ENTRY_PROBE = """
 import gc, json, runpy, sys
 freezes = []
@@ -1242,14 +1243,16 @@ gc.freeze = lambda: (freezes.append(1), freeze())[1]
 seen = {}
 def probe(frame, event, arg):
     if event == "call" and frame.f_code.co_name == "main" and "qtlink" in frame.f_code.co_filename:
-        seen.update(freezes=len(freezes), frozen=gc.get_freeze_count())
+        seen.update(freezes=len(freezes), enabled=gc.isenabled(), collections=0)
+        gc.callbacks.append(lambda phase, info: phase == "start" and seen.update(
+            collections=seen["collections"] + 1))
         sys.setprofile(None)
 sys.setprofile(probe)
 try:
     runpy.run_module("qtlink.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exit:
-    seen["rc"] = exit.code
-seen["total_freezes"] = len(freezes)
+    seen.update(rc=exit.code, total_freezes=len(freezes), enabled_after=gc.isenabled())
+    seen["frozen_after"] = gc.get_freeze_count() > 0
 print(json.dumps(seen))
 """
 
@@ -1270,56 +1273,64 @@ def test_main_in_process_freezes_nothing(capsys):
     assert gc.get_freeze_count() == before
 
 
-def test_module_entry_freezes_once_before_main():
-    rc, out, err = _python("-c", _ENTRY_PROBE, "delta-u", "--eta", "0.5")
-    assert (rc, err.count("\n")) == (0, 1), err
+@pytest.mark.parametrize(
+    "argv",
+    [["delta-u", "--eta", "0.5"], ["fig3", "--format", "svg"]],
+    ids=["delta-u", "fig3-svg"],
+)
+def test_module_entry_pauses_collection_across_main_and_freezes_once_after(argv, tmp_path):
+    rc, out, err = _python("-c", _ENTRY_PROBE, *argv, *(
+        ["--out", str(tmp_path / "fig3.svg")] if argv[0] == "fig3" else []))
+    assert rc == 0, err
     seen = json.loads(out.splitlines()[-1])
-    assert seen["freezes"] == 1 and seen["frozen"] > 0
-    assert (seen["rc"], seen["total_freezes"]) == (0, 1)
+    # main starts with collection off and nothing frozen, and no collection
+    # runs from there to the exit; the heap is frozen once, after main
+    assert seen == {"freezes": 0, "enabled": False, "collections": 0, "rc": 0,
+                    "total_freezes": 1, "enabled_after": True, "frozen_after": True}
 
 
-# imports qtlink.cli after the package, with collection on or off, and counts
-# the collections that start while cli.py's module code runs
+# imports qtlink.cli with collection on or off, then allocates twice the young
+# generation's threshold; records the young generation's size at the start of
+# each collection, and whether collection is left as found
 _IMPORT_GC_PROBE = """
-import gc, json, os, sys
-import qtlink
+import gc, json, sys
 
-CLI = os.path.join("qtlink", "cli.py")
-
-def in_cli():
-    frame = sys._getframe(1)
-    while frame is not None:
-        if frame.f_code.co_name == "<module>" and frame.f_code.co_filename.endswith(CLI):
-            return True
-        frame = frame.f_back
-    return False
-
-starts = []
-gc.callbacks.append(lambda phase, info: phase == "start" and starts.append(in_cli()))
+young = []
+gc.callbacks.append(lambda phase, info: phase == "start" and young.append(len(gc.get_objects(0))))
 if sys.argv[1] == "off":
     gc.disable()
-import qtlink.cli
-print(json.dumps({"in_cli": sum(starts), "enabled": gc.isenabled()}))
+from qtlink.cli import run
+enabled = gc.isenabled()
+junk = [[] for _ in range(2 * gc.get_threshold()[0])]
+print(json.dumps({"young": young, "enabled": enabled, "threshold": gc.get_threshold()[0]}))
 """
 
 
 @pytest.mark.parametrize("state", ["on", "off"])
-def test_cli_import_runs_no_collection_and_leaves_collection_as_found(state):
+def test_cli_import_runs_no_collection_over_the_import_heap(state):
     rc, out, err = _python("-c", _IMPORT_GC_PROBE, state)
     assert rc == 0, err
-    assert json.loads(out) == {"in_cli": 0, "enabled": state == "on"}
+    seen = json.loads(out)
+    assert seen["enabled"] == (state == "on")
+    # each collection the import or the allocations after it start walks an
+    # ordinary young generation, not a backlog of the import's objects
+    assert all(size <= 2 * seen["threshold"] for size in seen["young"]), seen
+    if state == "off":
+        assert seen["young"] == []
 
 
-def test_console_script_names_the_freezing_entry():
+def test_console_script_names_the_pausing_entry():
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as handle:
         target = tomllib.load(handle)["project"]["scripts"]["qtlink"]
     module, _, name = target.partition(":")
-    # the script target, called in a fresh process with main patched, sees a frozen heap
+    # the script target, called in a fresh process with main patched, runs main
+    # with collection off and nothing frozen, then leaves collection on over a frozen heap
     code = (
         f"import gc, importlib; entry = importlib.import_module({module!r}); "
-        f"entry.main = lambda: gc.get_freeze_count() > 0 and 7; "
-        f"raise SystemExit(getattr(entry, {name!r})())"
+        f"entry.main = lambda: not gc.isenabled() and gc.get_freeze_count() == 0 and 7; "
+        f"rc = getattr(entry, {name!r})(); "
+        f"raise SystemExit(rc if gc.isenabled() and gc.get_freeze_count() > 0 else 9)"
     )
     assert _python("-c", code) == (7, "", "")
 

@@ -1,6 +1,6 @@
 """The broadcasting offset kernel: exactness against the scalar API, the
-paper's limit identities and advantage boundary as properties, and
-element-wise validation."""
+paper's limit identities and advantage boundary as properties, element-wise
+validation, and the math path for Python reals against the numpy path."""
 
 import math
 import warnings
@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtlink.sensing import (
+    MAX_R_DB,
     ChannelPair,
     SensingConfig,
     advantage_boundary_eta1,
@@ -183,3 +184,84 @@ def test_kernel_rejects_bad_photon_counts_and_scales(scheme, name, bad, requirem
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^{name} must be finite and {requirement}"):
             delta_u(scheme, 0.5, 0.5, 0.5, **args)
+
+
+# ----------------------------------------------------------------------
+# Python reals go through math, arrays through numpy: same bits, same errors
+# ----------------------------------------------------------------------
+
+SCHEMES = ["TMSV_ideal", "TMSV_real", "SQL", "SMSV_real"]
+TINY = [0.0, -0.0, 5e-324, 1e-310, 1e-300]
+BAD = [float("nan"), float("inf"), -float("inf"), -1.0]
+# valid values most of the time, the edges and the invalid ones often enough
+squeezings = st.floats(0.0, 3.5) | st.sampled_from([r_from_db(MAX_R_DB), 3.46, *BAD])
+levels_db = st.floats(0.0, 31.0) | st.sampled_from([30.0, *BAD])
+transmissivities = st.floats(0.0, 1.0) | st.sampled_from([*TINY, 1.0, 1.1, *BAD])
+counts = st.floats(0.0, 1e6) | st.floats() | st.sampled_from([*TINY, 1e308, *BAD])
+scales = st.floats(1e13, 1e17) | st.floats() | st.sampled_from([*TINY, 1e-200, 1e300, *BAD])
+
+
+def _outcome(fn, *args):
+    """("value", bits) of ``fn(*args)``, element 0 for an array, or ("error", message)."""
+    try:
+        value = fn(*args)
+    except ValueError as err:
+        return "error", str(err)
+    if isinstance(value, np.ndarray):
+        assert value.shape == (1,)
+        value = value[0]
+    else:
+        assert type(value) is float
+    return "value", np.float64(value).tobytes()
+
+
+def _same_on_reals_and_arrays(fn, *args):
+    assert all(type(a) is float for a in args)
+    reals = _outcome(fn, *args)
+    assert reals == _outcome(fn, *(np.array([a]) for a in args))
+    return reals
+
+
+@settings(deadline=None, max_examples=300)
+@given(r=squeezings, eta1=transmissivities, eta2=transmissivities, n1=counts, n2=counts,
+       omega_rss=scales, snr=scales)
+@pytest.mark.parametrize("policy", ["shared", "independent"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_delta_u_on_python_floats_is_element_zero_of_the_array_call(
+    scheme, policy, r, eta1, eta2, n1, n2, omega_rss, snr
+):
+    def offset(*args):
+        return delta_u(scheme, *args, policy)
+
+    _same_on_reals_and_arrays(offset, r, eta1, eta2, n1, n2, omega_rss, snr)
+
+
+@settings(deadline=None, max_examples=200)
+@given(r=squeezings, eta1=transmissivities, eta2=transmissivities)
+@pytest.mark.parametrize("policy", ["shared", "independent"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_radicand_on_python_floats_is_element_zero_of_the_array_call(
+    scheme, policy, r, eta1, eta2
+):
+    _same_on_reals_and_arrays(lambda *args: radicand(scheme, *args, policy), r, eta1, eta2)
+
+
+@settings(deadline=None, max_examples=200)
+@given(r_db=levels_db)
+def test_r_from_db_on_a_python_float_is_element_zero_of_the_array_call(r_db):
+    _same_on_reals_and_arrays(r_from_db, r_db)
+
+
+# (r, eta1, eta2, n1, n2, omega_rss) at which every scheme's denominator is 0 or subnormal
+DENOMINATORS = {
+    "zero photons": (0.5, 0.5, 0.5, 0.0, 0.0, 1e15),
+    "underflow to 0": (0.5, 0.5, 0.5, 5e-324, 5e-324, 1e-300),
+    "subnormal": (0.5, 0.5, 0.5, 1e-200, 1e-200, 1e-210),
+}
+
+
+@pytest.mark.parametrize("case", list(DENOMINATORS))
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_zero_or_underflowing_denominator_ends_in_the_array_error(scheme, case):
+    outcome = _same_on_reals_and_arrays(lambda *a: delta_u(scheme, *a), *DENOMINATORS[case], 1.0)
+    assert outcome == ("error", "delta_u must be finite and > 0, got inf")

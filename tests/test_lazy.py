@@ -2,7 +2,8 @@
 
 Importing the CLI executes no layer, and each command executes only the
 layers it runs: the others stay registered but never executed, while every
-name the package re-exports still resolves.  Each check runs in a fresh
+name the package re-exports still resolves.  numpy loads only with the first
+array: delta-u never loads it.  Each check runs in a fresh
 interpreter, since this test process has long since loaded them all.
 """
 
@@ -58,14 +59,16 @@ rc = qtlink.cli.main(sys.argv[2:])
 print(json.dumps({"import": after_import, "main": unloaded(), "rc": rc}))
 """
 
-# json is left out of this probe's own imports, so it shows whether qtlink loaded it
-PROBE_JSON = """
+# the module named first (json, numpy) is left out of this probe's own
+# imports, so it shows whether qtlink loaded it
+PROBE_LOADED = """
 import sys
 import qtlink.cli
 
-after_import = "json" in sys.modules
-rc = qtlink.cli.main(sys.argv[1:])
-print('{"import": %d, "main": %d, "rc": %d}' % (after_import, "json" in sys.modules, rc))
+name = sys.argv[1]
+after_import = name in sys.modules
+rc = qtlink.cli.main(sys.argv[2:])
+print('{"import": %d, "main": %d, "rc": %d}' % (after_import, name in sys.modules, rc))
 """
 
 PROBE_NAMES = """
@@ -130,12 +133,47 @@ def test_each_command_executes_only_the_layers_it_runs(command):
     assert record["main"] == {name: name in UNUSED_BY[command] for name in LAYERS}
 
 
-def test_delta_u_out_writes_through_emit_without_the_sweep_layer(tmp_path):
+def test_delta_u_out_writes_through_emit_without_the_sweep_layer_or_numpy(tmp_path):
     out = tmp_path / "du.csv"
     record = _python(PROBE_CLI, json.dumps(LAYERS), "delta-u", "--out", str(out))
     assert record["rc"] == 0
     assert out.exists()
     assert record["main"] == {name: name not in ("sensing", "emit") for name in LAYERS}
+    loaded = _python(PROBE_LOADED, "numpy", "delta-u", "--out", str(out))
+    assert loaded == {"import": 0, "main": 0, "rc": 0}
+
+
+LINK_CONFIG = {
+    "sensing": {"r_db": 7.0},
+    "link": {
+        "path1": {
+            "geometry": {"range_m": 5e5, "tx_waist_m": 0.1, "rx_aperture_m": 0.5,
+                         "wavelength_m": 815e-9, "pointing_jitter_rad": 1e-7},
+            "eta_detector": 0.9,
+        },
+        "path2": {"eta_diffraction": 0.8, "eta_pointing": 0.9, "eta_detector": 0.95},
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["delta-u"], 0),
+        (["delta-u", "--r-db", "9", "--eta", "0.7", "--format", "json"], 0),
+        (["delta-u", "--config", "{config}"], 0),
+        (["compare", "--steps", "5", "--out", "{out}/compare.csv"], 1),
+        (["verify"], 1),
+        (["tm-check"], 1),
+        (["fig3", "--steps", "5", "--format", "svg", "--out", "{out}/fig3.svg"], 1),
+    ],
+    ids=["delta-u", "delta-u-json", "delta-u-link", "compare", "verify", "tm-check", "fig3"],
+)
+def test_numpy_loads_only_for_commands_that_build_arrays(argv, loaded, tmp_path):
+    config = tmp_path / "link.json"
+    config.write_text(json.dumps(LINK_CONFIG))
+    argv = [arg.format(config=config, out=tmp_path) for arg in argv]
+    assert _python(PROBE_LOADED, "numpy", *argv) == {"import": 0, "main": loaded, "rc": 0}
 
 
 @pytest.mark.parametrize(
@@ -143,7 +181,7 @@ def test_delta_u_out_writes_through_emit_without_the_sweep_layer(tmp_path):
     [(["delta-u"], 0), (["delta-u", "--format", "json"], 1), (["tm-check"], 0), (["verify"], 0)],
 )
 def test_json_loads_only_to_read_a_config_file_or_write_json(argv, loaded):
-    assert _python(PROBE_JSON, *argv) == {"import": 0, "main": loaded, "rc": 0}
+    assert _python(PROBE_LOADED, "json", *argv) == {"import": 0, "main": loaded, "rc": 0}
 
 
 def test_every_exported_name_resolves():
