@@ -124,14 +124,15 @@ def write_text(text: str, fmt: str, path: str) -> None:
         raise OSError(f"could not write {fmt} output to {path!r}: {err}") from err
 
 
-def contour_segments(x: np.ndarray, y: np.ndarray, z: np.ndarray, level: float):
+def contour_segments(x: np.ndarray, y: np.ndarray, z: np.ndarray, level: float) -> np.ndarray:
     """Iso-line segments of z(x, y) at ``level`` by marching squares.
 
     z is indexed [i, j] for (x[i], y[j]).  Saddle cells are disambiguated
-    with the cell-center average.  Returns ((xa, ya), (xb, yb)) pairs in
-    row-major cell order.  Cells are classified in one array pass, and the
-    crossings of those with corners on both sides of the level, the only
-    ones that can hold one, are computed together.
+    with the cell-center average.  Returns an (n, 4) float array with one
+    (xa, ya, xb, yb) row per segment, in row-major cell order.  Cells are
+    classified in one array pass, and the crossings of those with corners
+    on both sides of the level, the only ones that can hold one, are
+    computed together.
     """
     import numpy as np
 
@@ -176,6 +177,4 @@ def contour_segments(x: np.ndarray, y: np.ndarray, z: np.ndarray, level: float):
     nth = np.arange(len(cell)) - np.repeat(np.cumsum(halves) - halves, halves)
     a = start[cell] + nth * np.where(joined[cell], 1, 2)
     b = a + np.where(joined[cell], 3 - 2 * nth, 1)
-    return list(zip(
-        zip(cx[a].tolist(), cy[a].tolist()), zip(cx[b].tolist(), cy[b].tolist())
-    ))
+    return np.stack([cx[a], cy[a], cx[b], cy[b]], axis=1)

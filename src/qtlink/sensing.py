@@ -317,8 +317,8 @@ def delta_u(
       the whole budget n1 + n2 in one mode through channel 1.
 
     Each value is scaled by ``snr``.  Every argument and the result are
-    checked element by element, NaN included: n1 and n2 finite and >= 0,
-    omega_rss and snr finite and > 0.
+    checked element by element, NaN included: n1 and n2 finite and >= 0
+    with n1 + n2 > 0, omega_rss and snr finite and > 0.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
@@ -326,6 +326,9 @@ def delta_u(
     for name, value in (("n1", n1), ("n2", n2)):
         value = xp.asarray(value, dtype=float)
         require(name, value, xp.isfinite(value) & (value >= 0.0), "finite and >= 0")
+    with xp.errstate(over="ignore"):  # a sum past the largest double is still > 0
+        total = xp.asarray(n1, dtype=float) + xp.asarray(n2, dtype=float)
+    require("n1 + n2", total, total > 0.0, "> 0")
     for name, value in (("omega_rss", omega_rss), ("snr", snr)):
         value = xp.asarray(value, dtype=float)
         require(name, value, xp.isfinite(value) & (value > 0.0), "finite and > 0")

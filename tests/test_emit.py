@@ -115,8 +115,8 @@ def test_contour_segments_linear_field():
     z = x[:, None] + y[None, :]
     level = 0.73
     segments = contour_segments(x, y, z, level)
-    assert segments
-    for (xa, ya), (xb, yb) in segments:
+    assert segments.dtype == float and segments.shape[1:] == (4,) and len(segments)
+    for xa, ya, xb, yb in segments.tolist():
         # every endpoint of a linear field's iso-line satisfies x + y = level
         assert xa + ya == pytest.approx(level, abs=1e-12)
         assert xb + yb == pytest.approx(level, abs=1e-12)
@@ -128,7 +128,7 @@ def test_contour_segments_circle_level_count():
     z = x[:, None] ** 2 + y[None, :] ** 2
     segments = contour_segments(x, y, z, 0.5)
     # total polyline length should approximate the circle circumference
-    length = sum(np.hypot(b[0] - a[0], b[1] - a[1]) for a, b in segments)
+    length = sum(np.hypot(xb - xa, yb - ya) for xa, ya, xb, yb in segments.tolist())
     assert length == pytest.approx(2 * np.pi * np.sqrt(0.5), rel=0.01)
 
 
@@ -158,7 +158,7 @@ def test_write_result_files(tmp_path, small_fig2, small_fig3):
 
 def _contour_every_cell(x, y, z, level):
     # the marching-squares walk over every cell, as a reference for the
-    # classified scan
+    # classified scan: one [xa, ya, xb, yb] row per segment
     span = float(np.max(z) - np.min(z)) or 1.0
     z = np.where(z == level, level + 1e-12 * span, z)
     segments = []
@@ -178,15 +178,15 @@ def _contour_every_cell(x, y, z, level):
                     t = (level - za) / (zb - za)
                     crossings.append((xa + t * (xb - xa), ya + t * (yb - ya)))
             if len(crossings) == 2:
-                segments.append((crossings[0], crossings[1]))
+                segments.append([*crossings[0], *crossings[1]])
             elif len(crossings) == 4:
                 center = sum(c[2] for c in corners) / 4.0
                 if (center - level) * (corners[0][2] - level) >= 0.0:
-                    segments.append((crossings[0], crossings[3]))
-                    segments.append((crossings[1], crossings[2]))
+                    segments.append([*crossings[0], *crossings[3]])
+                    segments.append([*crossings[1], *crossings[2]])
                 else:
-                    segments.append((crossings[0], crossings[1]))
-                    segments.append((crossings[2], crossings[3]))
+                    segments.append([*crossings[0], *crossings[1]])
+                    segments.append([*crossings[2], *crossings[3]])
     return segments
 
 
@@ -198,7 +198,7 @@ def test_classified_contour_scan_equals_full_scan(seed):
     # a rough field full of saddles, with some corners exactly on the level
     z = np.round(rng.normal(size=(23, 19)), 1)
     for level in (0.0, 0.3, -0.5, 5.0):
-        assert contour_segments(x, y, z, level) == _contour_every_cell(x, y, z, level)
+        assert contour_segments(x, y, z, level).tolist() == _contour_every_cell(x, y, z, level)
 
 
 def test_contour_segments_match_the_full_scan_on_a_saddle_rich_field():
@@ -210,7 +210,7 @@ def test_contour_segments_match_the_full_scan_on_a_saddle_rich_field():
     z[::7, ::5] = 0.0  # corners exactly on level 0
     for level in (0.0, 0.02, -0.3, 0.6):
         segments = contour_segments(x, y, z, level)
-        assert segments == _contour_every_cell(x, y, z, level)
+        assert segments.tolist() == _contour_every_cell(x, y, z, level)
     assert len(contour_segments(x, y, z, 0.0)) > 1000
 
 
@@ -229,7 +229,7 @@ def test_contour_segments_skip_cells_whose_corner_stays_on_the_level():
     crossings = sum(((a < level) & (level < b)) | ((b < level) & (level < a)) for a, b in edges)
     assert (crossings == 1).any() and (crossings == 2).any()
     segments = contour_segments(x, y, z, level)
-    assert segments == _contour_every_cell(x, y, z, level)
+    assert segments.tolist() == _contour_every_cell(x, y, z, level)
     assert len(segments) == (crossings == 2).sum() + 2 * (crossings == 4).sum()
 
 
@@ -243,9 +243,9 @@ def test_contour_segments_keep_their_crossings_at_any_scale(scale):
     y = np.linspace(-1.0, 1.0, 19)
     z = np.clip(np.round(rng.normal(size=(23, 19)), 1), -1.0, 1.0)
     for level in (0.0, 0.3, -0.5):
-        assert contour_segments(x, y, z * scale, level * scale) == contour_segments(
+        assert contour_segments(x, y, z * scale, level * scale).tolist() == contour_segments(
             x, y, z, level
-        )
+        ).tolist()
 
 
 # Reference renderers: json.dumps with an indent (the pure-Python encoder) and

@@ -254,7 +254,6 @@ def test_r_from_db_on_a_python_float_is_element_zero_of_the_array_call(r_db):
 
 # (r, eta1, eta2, n1, n2, omega_rss) at which every scheme's denominator is 0 or subnormal
 DENOMINATORS = {
-    "zero photons": (0.5, 0.5, 0.5, 0.0, 0.0, 1e15),
     "underflow to 0": (0.5, 0.5, 0.5, 5e-324, 5e-324, 1e-300),
     "subnormal": (0.5, 0.5, 0.5, 1e-200, 1e-200, 1e-210),
 }
@@ -265,3 +264,32 @@ DENOMINATORS = {
 def test_zero_or_underflowing_denominator_ends_in_the_array_error(scheme, case):
     outcome = _same_on_reals_and_arrays(lambda *a: delta_u(scheme, *a), *DENOMINATORS[case], 1.0)
     assert outcome == ("error", "delta_u must be finite and > 0, got inf")
+
+
+# (r, eta1, eta2, omega_rss, snr) of one case per scheme; without the photon
+# check, SMSV_real's ended in nan and every other in inf
+NO_PHOTONS = {
+    "TMSV_ideal": (0.5, 0.5, 0.5, 1e15, 1.0),
+    "TMSV_real": (0.5, 0.5, 0.5, 1e15, 1.0),
+    "SQL": (0.5, 0.5, 0.5, 1e15, 1.0),
+    "SMSV_real": (0.0, 1.0, 0.0, 1e13, 1e13),
+}
+
+
+@pytest.mark.parametrize("n1, n2, total", [(0.0, 0.0, "0.0"), (0.0, -0.0, "0.0"),
+                                           (-0.0, -0.0, "-0.0")])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_no_photons_at_all_are_rejected_on_both_paths(scheme, n1, n2, total):
+    r, eta1, eta2, omega_rss, snr = NO_PHOTONS[scheme]
+    outcome = _same_on_reals_and_arrays(
+        lambda *a: delta_u(scheme, *a), r, eta1, eta2, n1, n2, omega_rss, snr
+    )
+    assert outcome == ("error", f"n1 + n2 must be > 0, got {total}")
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_no_photons_in_one_element_names_that_element(scheme):
+    r, eta1, eta2, omega_rss, snr = NO_PHOTONS[scheme]
+    n1, n2 = np.array([500.0, 0.0, 1e308]), np.array([0.0, 0.0, 1e308])
+    with pytest.raises(ValueError, match=r"^n1 \+ n2 must be > 0, got 0.0$"):
+        delta_u(scheme, r, eta1, eta2, n1, n2, omega_rss, snr)
