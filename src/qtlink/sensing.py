@@ -343,7 +343,7 @@ def delta_u(
             e1 = xp.asarray(eta1, dtype=float)
             if xp.any(e1 == 0.0):
                 raise ValueError("delta_u diverges with the channel fully opaque")
-            value = 0.5 * xp.sqrt(xp.divide(noise, e1 * (n1 + n2))) / omega_rss
+            value = 0.5 * xp.sqrt(xp.divide(noise, e1 * total)) / omega_rss
         else:
             q = radicand(scheme, r, eta1, eta2, policy)
             e1, e2 = xp.asarray(eta1, dtype=float), xp.asarray(eta2, dtype=float)

@@ -36,8 +36,8 @@ def _document(title: str, body: list) -> str:
     ])
 
 
-def _axes(x0: float, x1: float, x_name: str, y_axis: list, marks: bool) -> list:
-    """The frame, six x ticks (with tick marks if ``marks``), ``y_axis`` and the x label."""
+def _axes(x0: float, x1: float, x_name: str, y_ticks: list, marks: bool) -> list:
+    """Frame, x ticks, ``(pixel, label)`` y ticks, x label; ``marks`` adds tick and grid lines."""
     parts = [
         f'<rect x="{_ML}" y="{_MT}" width="{_W - _ML - _MR}" '
         f'height="{_H - _MT - _MB}" fill="none" stroke="black"/>'
@@ -52,8 +52,21 @@ def _axes(x0: float, x1: float, x_name: str, y_axis: list, marks: bool) -> list:
         parts.append(
             f'<text x="{px:.1f}" y="{_H - _MB + 18}" text-anchor="middle">{tick:.3g}</text>'
         )
-    x_label = f'<text x="{(_ML + _W - _MR) / 2:.1f}" y="{_H - 12}" text-anchor="middle">'
-    return [*parts, *y_axis, f"{x_label}{x_name}</text>"]
+    for py, label in y_ticks:
+        if marks:
+            parts.append(
+                f'<line x1="{_ML - 5}" y1="{py:.1f}" x2="{_ML}" y2="{py:.1f}" stroke="black"/>'
+            )
+            parts.append(
+                f'<line x1="{_ML}" y1="{py:.1f}" x2="{_W - _MR}" y2="{py:.1f}" '
+                f'stroke="#dddddd"/>'
+            )
+        parts.append(f'<text x="{_ML - 8}" y="{py + 4:.1f}" text-anchor="end">{label}</text>')
+    parts.append(
+        f'<text x="{(_ML + _W - _MR) / 2:.1f}" y="{_H - 12}" '
+        f'text-anchor="middle">{x_name}</text>'
+    )
+    return parts
 
 
 def _x_to_px(x, x0, x1):
@@ -68,7 +81,9 @@ def curves(result: SweepResult) -> str:
     """A 1-d result's ``du_`` columns (else all the rest) against its first, on a log axis."""
     x_name = result.columns[0]
     # dimensionless companion columns (e.g. ratios) stay out of the log plot
-    y_names = [c for c in result.columns[1:] if c.startswith("du_")] or result.columns[1:]
+    y_names = [c for c in result.columns[1:] if c.startswith("du_")] or list(
+        result.columns[1:]
+    )
     xs = result.column(x_name)
     x0, x1 = float(xs.min()), float(xs.max())
     all_y = np.concatenate([result.column(c) for c in y_names])
@@ -79,14 +94,7 @@ def curves(result: SweepResult) -> str:
     if ly1 == ly0:
         ly1 += 1
 
-    decades = []
-    for decade in range(ly0, ly1 + 1):
-        py = _y_to_px(decade, ly0, ly1)
-        decades += [
-            f'<line x1="{_ML - 5}" y1="{py:.1f}" x2="{_ML}" y2="{py:.1f}" stroke="black"/>',
-            f'<line x1="{_ML}" y1="{py:.1f}" x2="{_W - _MR}" y2="{py:.1f}" stroke="#dddddd"/>',
-            f'<text x="{_ML - 8}" y="{py + 4:.1f}" text-anchor="end">1e{decade}</text>',
-        ]
+    decades = [(_y_to_px(d, ly0, ly1), f"1e{d}") for d in range(ly0, ly1 + 1)]
     parts = _axes(x0, x1, x_name, decades, marks=True)
     points = np.empty((len(xs), 2))
     points[:, 0] = _x_to_px(xs, x0, x1)
@@ -96,14 +104,16 @@ def curves(result: SweepResult) -> str:
         # math.log10, not np.log10: the two differ in the last bit on some values
         logs = np.fromiter(map(math.log10, result.column(name).tolist()), float, len(xs))
         points[:, 1] = _y_to_px(logs, ly0, ly1)
-        ly = _MT + 16 + 16 * k
-        parts += [
+        parts.append(
             f'<polyline points="{template % tuple(points.ravel().tolist())}" fill="none" '
-            f'stroke="{color}" stroke-width="1.5"/>',
+            f'stroke="{color}" stroke-width="1.5"/>'
+        )
+        ly = _MT + 16 + 16 * k
+        parts.append(
             f'<line x1="{_W - _MR - 150}" y1="{ly}" x2="{_W - _MR - 125}" '
-            f'y2="{ly}" stroke="{color}" stroke-width="1.5"/>',
-            f'<text x="{_W - _MR - 120}" y="{ly + 4}">{name}</text>',
-        ]
+            f'y2="{ly}" stroke="{color}" stroke-width="1.5"/>'
+        )
+        parts.append(f'<text x="{_W - _MR - 120}" y="{ly + 4}">{name}</text>')
     return _document(result.meta.get("preset", {}).get("name", "sweep"), parts)
 
 
@@ -160,15 +170,11 @@ def grid(result: SweepResult, levels=None) -> str:
             ends[:, 0::2] = _x_to_px(ends[:, 0::2], x0, x1)
             ends[:, 1::2] = _y_to_px(ends[:, 1::2], y0, y1)
             path = " ".join(["M %.2f %.2f L %.2f %.2f"] * len(ends)) % tuple(ends.ravel().tolist())
-            parts += [
-                f'<path d="{path}" fill="none" stroke="black" stroke-width="1"/>',
+            parts.append(f'<path d="{path}" fill="none" stroke="black" stroke-width="1"/>')
+            parts.append(
                 f'<text x="{_W - _MR - 5}" y="{_MT + 14 + 14 * row}" '
-                f'text-anchor="end">level {level:.3e}</text>',
-            ]
-    y_ticks = [
-        f'<text x="{_ML - 8}" y="{_y_to_px(tick, y0, y1) + 4:.1f}" '
-        f'text-anchor="end">{tick:.3g}</text>'
-        for tick in np.linspace(y0, y1, 6).tolist()
-    ]
+                f'text-anchor="end">level {level:.3e}</text>'
+            )
+    y_ticks = [(_y_to_px(t, y0, y1), f"{t:.3g}") for t in np.linspace(y0, y1, 6).tolist()]
     parts += _axes(x0, x1, result.columns[0], y_ticks, marks=False)
     return _document(result.meta.get("preset", {}).get("name", "grid"), parts)

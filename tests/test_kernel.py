@@ -266,6 +266,15 @@ def test_zero_or_underflowing_denominator_ends_in_the_array_error(scheme, case):
     assert outcome == ("error", "delta_u must be finite and > 0, got inf")
 
 
+def test_smsv_real_denominator_of_exactly_zero_ends_in_the_array_error():
+    # eta1 * (n1 + n2) underflows to 0 past the photon check, so the math path
+    # divides by an exact zero; the other schemes stay finite here
+    outcome = _same_on_reals_and_arrays(
+        lambda *a: delta_u("SMSV_real", *a), 0.5, 5e-324, 0.5, 0.05, 0.05, 1e15, 1.0
+    )
+    assert outcome == ("error", "delta_u must be finite and > 0, got inf")
+
+
 # (r, eta1, eta2, omega_rss, snr) of one case per scheme; without the photon
 # check, SMSV_real's ended in nan and every other in inf
 NO_PHOTONS = {
