@@ -338,7 +338,8 @@ COMMANDS = {
         _flag("--variable", choices=SWEEP_VARIABLES),
         _flag("--start", type=float),
         _flag("--stop", type=float),
-        _flag("--schemes", default="TMSV,SQL,SMSV", help="comma list from TMSV,SQL,SMSV"),
+        _flag("--schemes", default=lambda: ",".join(sensing.SWEPT),
+              help="comma list from %(default)s"),
     ), SENSING_KEYS + CHANNEL_KEYS + ("sweep.variable",) + RANGE_KEYS, _cmd_table),
     "grid": ("advantage over an (eta1, eta2) grid", TABLE + LEVELS + (
         _flag("--quantity", choices=("advantage", "delta_u"), default="advantage"),
@@ -379,6 +380,9 @@ def build_parser(command: str | None = None) -> _Parser:
         help_text, flags, _, run = COMMANDS[name]
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         for names, kwargs in flags:
+            # a default that reads a layer is a function, so only its command loads the layer
+            if callable(kwargs.get("default")):
+                kwargs = {**kwargs, "default": kwargs["default"]()}
             p.add_argument(*names, **kwargs)
         p.set_defaults(run=run)
     return parser

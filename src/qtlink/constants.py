@@ -13,8 +13,9 @@ vacuum-port policies of a channel pair; they live here so the CLI can offer
 them as choices without loading the sweep or sensing layer.
 
 Every value type and kernel checks its inputs where they are built with
-:func:`require_real` and :func:`require`, so each bad field is rejected
-with one message shape, ``<field> must be <requirement>, got <value>``.
+:func:`require_real`, :func:`require_finite` and :func:`require`, so each
+bad field is rejected with one message shape, ``<field> must be
+<requirement>, got <value>``.
 FLOAT_MAX bounds a finite field: ``abs(value) <= FLOAT_MAX`` fails for NaN,
 for an infinity and for an int too large for a double, where
 ``math.isfinite`` would raise OverflowError on that int.
@@ -46,6 +47,12 @@ def require_real(name: str, value, integer: bool = False) -> None:
     if isinstance(value, bool) or not isinstance(value, kind):
         noun = "an integer" if integer else "a real number"
         raise ValueError(f"{name} must be {noun}, got {value!r}")
+
+
+def require_finite(name: str, value) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is a finite real number."""
+    require_real(name, value)
+    require(name, value, abs(value) <= FLOAT_MAX, "finite")
 
 
 def require(name: str, values, ok, requirement: str) -> None:

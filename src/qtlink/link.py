@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .constants import FLOAT_MAX, require, require_real
+from .constants import FLOAT_MAX, require, require_finite, require_real
 
 __all__ = [
     "LinkGeometry",
@@ -35,9 +35,7 @@ class LinkGeometry:
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            require_real(f.name, value)
-            require(f.name, value, abs(value) <= FLOAT_MAX, "finite")
+            require_finite(f.name, getattr(self, f.name))
         for name in ("range_m", "tx_waist_m", "rx_aperture_m", "wavelength_m"):
             require(name, getattr(self, name), getattr(self, name) > 0, "> 0")
         jitter = self.pointing_jitter_rad

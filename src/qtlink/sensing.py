@@ -9,8 +9,10 @@ Covers four measurement schemes at a fixed photon budget N_in:
 * ``SQL``         -- the r = 0 (unentangled) baseline of the same setup,
 * ``SMSV_real``   -- a single squeezed mode through one channel.
 
-One broadcasting kernel, :func:`delta_u`, evaluates every scheme over numpy
-arrays; the scalar ``delta_u_*`` functions are its 0-d case.  The kernel
+:data:`SCHEMES` names them, with their sweep aliases and table columns.  One
+broadcasting kernel, :func:`delta_u`, evaluates every scheme over numpy
+arrays; :func:`evaluate` is the one adapter from a config, its channel and
+any array axes to it; the scalar ``delta_u_*`` functions call it.  The kernel
 computes Python floats and ints with ``math`` and anything else with numpy,
 through the few primitives that :func:`_xp` picks, so a command that
 evaluates one point never loads numpy.  Both paths give the same bits: the
@@ -31,7 +33,9 @@ from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
-from .constants import FLOAT_MAX, SPEED_OF_LIGHT, require, require_policy, require_real
+from .constants import (
+    FLOAT_MAX, SPEED_OF_LIGHT, require, require_finite, require_policy, require_real
+)
 
 __all__ = [
     "SensingConfig",
@@ -40,6 +44,7 @@ __all__ = [
     "MAX_R_DB",
     "r_from_db",
     "SCHEMES",
+    "SWEPT",
     "radicand",
     "delta_u",
     "evaluate",
@@ -55,7 +60,15 @@ __all__ = [
 ]
 
 
-SCHEMES = ("TMSV_ideal", "TMSV_real", "SQL", "SMSV_real")
+# kernel scheme -> (its sweep alias, its table column); no table holds TMSV_ideal
+SCHEMES = {
+    "TMSV_ideal": (None, None),
+    "TMSV_real": ("TMSV", "du_tmsv"),
+    "SQL": ("SQL", "du_sql"),
+    "SMSV_real": ("SMSV", "du_smsv"),
+}
+# sweep alias -> kernel scheme, in the table's order
+SWEPT = {alias: scheme for scheme, (alias, _) in SCHEMES.items() if alias}
 
 # The largest squeezing level accepted, in dB.  The factored TMSV radicand
 # (see radicand) still cancels between its sinh^2 r and sinh r*cosh r terms
@@ -131,8 +144,7 @@ class SensingConfig:
             value = getattr(self, f.name)
             if value is None and f.name in ("lambda0", "omega0"):
                 continue
-            require_real(f.name, value)
-            require(f.name, value, abs(value) <= FLOAT_MAX, "finite")
+            require_finite(f.name, value)
         require("r_db", self.r_db, self.r_db >= 0, ">= 0")
         require("n_in", self.n_in, self.n_in > 0, "> 0")
         require("n_lo", self.n_lo, self.n_lo > 0, "> 0")
@@ -212,8 +224,7 @@ def photocurrent_mean_single(
                             + (Omega/sqrt(Omega^2+1))*sin(th_p - th_lo) ].
     """
     require("path", path, path in (1, 2), "1 or 2")
-    require_real("delta_u", delta_u)
-    require("delta_u", delta_u, abs(delta_u) <= FLOAT_MAX, "finite")
+    require_finite("delta_u", delta_u)
     n_path, theta = (cfg.n1, cfg.theta1) if path == 1 else (cfg.n2, cfg.theta2)
     rel = theta - cfg.theta_lo
     big = cfg.big_omega
@@ -318,10 +329,11 @@ def delta_u(
 
     Each value is scaled by ``snr``.  Every argument and the result are
     checked element by element, NaN included: n1 and n2 finite and >= 0
-    with n1 + n2 > 0, omega_rss and snr finite and > 0.
+    with n1 + n2 > 0 (and sqrt(eta1*n1) + sqrt(eta2*n2) > 0 for TMSV_real
+    and SQL), omega_rss and snr finite and > 0.
     """
     if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; pick one of {SCHEMES}")
+        raise ValueError(f"unknown scheme {scheme!r}; pick one of {tuple(SCHEMES)}")
     xp = _xp(r, eta1, eta2, n1, n2, omega_rss, snr)
     for name, value in (("n1", n1), ("n2", n2)):
         value = xp.asarray(value, dtype=float)
@@ -349,8 +361,9 @@ def delta_u(
             e1, e2 = xp.asarray(eta1, dtype=float), xp.asarray(eta2, dtype=float)
             if xp.any(e1 + e2 <= 0.0):
                 raise ValueError("delta_u diverges with both channels fully opaque")
-            denom = math.sqrt(2.0) * (xp.sqrt(e1 * n1) + xp.sqrt(e2 * n2)) * omega_rss
-            value = xp.divide(xp.sqrt(q), denom)
+            amplitude = xp.sqrt(e1 * n1) + xp.sqrt(e2 * n2)
+            require("sqrt(eta1*n1) + sqrt(eta2*n2)", amplitude, amplitude > 0.0, "> 0")
+            value = xp.divide(xp.sqrt(q), math.sqrt(2.0) * amplitude * omega_rss)
         out = snr * value
     require("delta_u", out, xp.isfinite(out) & (out > 0.0), "finite and > 0")
     return out
@@ -359,41 +372,40 @@ def delta_u(
 def evaluate(
     scheme: str,
     cfg: SensingConfig,
-    eta1=1.0,
-    eta2=1.0,
-    policy: str = "shared",
+    ch: ChannelPair = ChannelPair(1.0, 1.0),
+    *,
+    eta1=None,
+    eta2=None,
     r_db=None,
     n_in=None,
 ):
-    """:func:`delta_u` at ``cfg``, with r_db or n_in optionally replaced by arrays."""
+    """:func:`delta_u` of ``scheme`` at ``cfg`` and ``ch``, with any of eta1, eta2,
+    r_db and n_in given replaced by arrays, which broadcast against each other."""
+    eta1 = ch.eta1 if eta1 is None else eta1
+    eta2 = ch.eta2 if eta2 is None else eta2
     r = cfg.r if r_db is None else r_from_db(_xp(r_db).asarray(r_db, dtype=float))
     n_in = cfg.n_in if n_in is None else _xp(n_in).asarray(n_in, dtype=float)
     if scheme == "SMSV_real":
         n1, n2 = n_in, 0.0
     else:
         n1, n2 = cfg.split * n_in, (1.0 - cfg.split) * n_in
-    return delta_u(scheme, r, eta1, eta2, n1, n2, cfg.omega_rss, cfg.snr, policy)
-
-
-def _offset(scheme: str, cfg: SensingConfig, ch: ChannelPair | None = None) -> float:
-    channel = () if ch is None else (ch.eta1, ch.eta2, ch.policy)
-    return float(evaluate(scheme, cfg, *channel))
+    return delta_u(scheme, r, eta1, eta2, n1, n2, cfg.omega_rss, cfg.snr, ch.policy)
 
 
 def delta_u_tmsv_ideal(cfg: SensingConfig) -> float:
     """Minimum offset of the lossless entangled scheme (reduces to
     e^-r/(2*sqrt(N_in)*sqrt(omega0^2+delta_omega^2)) at the even split)."""
-    return _offset("TMSV_ideal", cfg)
+    return float(evaluate("TMSV_ideal", cfg))
 
 
 def delta_u_tmsv_real(cfg: SensingConfig, ch: ChannelPair) -> float:
     """Minimum offset of the entangled scheme through lossy channels."""
-    return _offset("TMSV_real", cfg, ch)
+    return float(evaluate("TMSV_real", cfg, ch))
 
 
 def delta_u_sql(cfg: SensingConfig, ch: ChannelPair) -> float:
     """Unentangled baseline: the lossy-scheme offset at r = 0."""
-    return _offset("SQL", cfg, ch)
+    return float(evaluate("SQL", cfg, ch))
 
 
 def delta_u_smsv_real(cfg: SensingConfig, eta1: float) -> float:
@@ -401,7 +413,7 @@ def delta_u_smsv_real(cfg: SensingConfig, eta1: float) -> float:
 
     Equals the ideal entangled value at eta1 = 1.
     """
-    return _offset("SMSV_real", cfg, ChannelPair(eta1, 1.0))
+    return float(evaluate("SMSV_real", cfg, ChannelPair(eta1, 1.0)))
 
 
 def quantum_advantage(cfg: SensingConfig, ch: ChannelPair) -> float:

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import sensing
-from .constants import FLOAT_MAX, SWEEP_VARIABLES, require, require_real
+from .constants import SWEEP_VARIABLES, require, require_finite, require_real
 from .sensing import PAPER_SCALE_CONFIG, ChannelPair, SensingConfig
 
 __all__ = [
@@ -30,8 +30,6 @@ __all__ = [
     "MAX_STEPS",
     "MAX_GRID_STEPS",
 ]
-
-SCHEMES = ("TMSV", "SQL", "SMSV")
 
 
 def require_variable(variable) -> None:
@@ -58,9 +56,7 @@ class Range:
 
     def __post_init__(self):
         for name in ("start", "stop"):
-            value = getattr(self, name)
-            require_real(name, value)
-            require(name, value, abs(value) <= FLOAT_MAX, "finite")
+            require_finite(name, getattr(self, name))
         require_real("steps", self.steps, integer=True)
         require("steps", self.steps, self.steps >= 2, ">= 2")
         require("steps", self.steps, self.steps <= MAX_STEPS, f"<= {MAX_STEPS}")
@@ -134,20 +130,6 @@ def _echo(config: SensingConfig, channel: ChannelPair | None = None) -> dict:
     return out
 
 
-_SCHEME_COLUMNS = {"TMSV": "du_tmsv", "SQL": "du_sql", "SMSV": "du_smsv"}
-_KERNEL_SCHEMES = {"TMSV": "TMSV_real", "SQL": "SQL", "SMSV": "SMSV_real"}
-
-
-def _mesh(scheme: str, cfg: SensingConfig, ch: ChannelPair, **axes) -> np.ndarray:
-    """One scheme's offsets with any of eta1, eta2, r_db, n_in replaced by arrays.
-
-    The arrays broadcast against each other; every other input comes from
-    ``cfg`` and ``ch``.
-    """
-    axes = {"eta1": ch.eta1, "eta2": ch.eta2, **axes}
-    return sensing.evaluate(_KERNEL_SCHEMES[scheme], cfg, policy=ch.policy, **axes)
-
-
 def _table(*columns) -> np.ndarray:
     """Broadcast the columns to one shape and lay them out as rows (C order)."""
     return np.stack([c.ravel() for c in np.broadcast_arrays(*columns)], axis=1)
@@ -158,23 +140,24 @@ def run_sweep(
     rng: Range,
     config: SensingConfig = PAPER_SCALE_CONFIG,
     channel: ChannelPair = ChannelPair(1.0, 1.0),
-    schemes: tuple = SCHEMES,
+    schemes: tuple = tuple(sensing.SWEPT),
 ) -> SweepResult:
     """Evaluate the requested schemes at every point of a one-variable sweep.
 
-    ``variable`` sets the config fields that :data:`VARIABLES` maps it to;
-    every other input comes from ``config`` and ``channel``.
+    ``schemes`` holds aliases of :data:`sensing.SWEPT`.  ``variable`` sets
+    the config fields that :data:`VARIABLES` maps it to; every other input
+    comes from ``config`` and ``channel``.
     """
     require_variable(variable)
-    unknown = set(schemes) - set(SCHEMES)
+    unknown = set(schemes) - set(sensing.SWEPT)
     if unknown or not schemes:
-        raise ValueError(f"schemes must be a nonempty subset of {SCHEMES}")
+        raise ValueError(f"schemes must be a nonempty subset of {tuple(sensing.SWEPT)}")
     _require_domain(variable, rng)
-    kept = [s for s in SCHEMES if s in schemes]
+    kept = [scheme for alias, scheme in sensing.SWEPT.items() if alias in schemes]
     values = rng.values()
     axes = dict.fromkeys(VARIABLES[variable][0], values)
-    du = [_mesh(s, config, channel, **axes) for s in kept]
-    columns = [variable] + [_SCHEME_COLUMNS[s] for s in kept]
+    du = [sensing.evaluate(scheme, config, channel, **axes) for scheme in kept]
+    columns = [variable] + [sensing.SCHEMES[scheme][1] for scheme in kept]
     meta = _echo(config, channel)
     meta["sweep"] = {"variable": variable, **asdict(rng)}
     return SweepResult(columns, _table(values, *du), meta)
@@ -197,17 +180,15 @@ def run_grid(
         require("steps", rng.steps, rng.steps <= MAX_GRID_STEPS, f"<= {MAX_GRID_STEPS}")
     if quantity not in ("advantage", "delta_u"):
         raise ValueError(f"unknown grid quantity {quantity!r}")
-    ch = ChannelPair(1.0, 1.0)
-    e1 = eta1_range.values()[:, None]
-    e2 = eta2_range.values()[None, :]
-    du_tmsv = _mesh("TMSV", config, ch, eta1=e1, eta2=e2)
+    mesh = {"eta1": eta1_range.values()[:, None], "eta2": eta2_range.values()[None, :]}
+    du_tmsv = sensing.evaluate("TMSV_real", config, **mesh)
     if quantity == "advantage":
         columns = ["eta1", "eta2", "advantage", "sign"]
-        adv = _mesh("SQL", config, ch, eta1=e1, eta2=e2) - du_tmsv
-        rows = _table(e1, e2, adv, np.sign(adv))
+        adv = sensing.evaluate("SQL", config, **mesh) - du_tmsv
+        rows = _table(*mesh.values(), adv, np.sign(adv))
     else:
-        columns = ["eta1", "eta2", "du_tmsv"]
-        rows = _table(e1, e2, du_tmsv)
+        columns = ["eta1", "eta2", sensing.SCHEMES["TMSV_real"][1]]
+        rows = _table(*mesh.values(), du_tmsv)
     meta = _echo(config)
     meta["grid"] = {
         "eta1": asdict(eta1_range),
@@ -227,18 +208,16 @@ def run_compare_smsv(
     """Single-mode vs two-mode comparison along a symmetric-loss (eta_symmetric) sweep."""
     _require_domain("eta_symmetric", rng)
     eta = rng.values()
-    du = {s: _mesh(s, config, channel, eta1=eta, eta2=eta) for s in SCHEMES}
-    rows = _table(eta, du["TMSV"], du["SMSV"], du["SQL"], du["SMSV"] / du["TMSV"])
+    shown = ("TMSV_real", "SMSV_real", "SQL")
+    du = {s: sensing.evaluate(s, config, channel, eta1=eta, eta2=eta) for s in shown}
+    rows = _table(eta, *du.values(), du["SMSV_real"] / du["TMSV_real"])
     meta = _echo(config)
     # the etas are swept: echo the policy alone, and only when not the default
     if channel.policy != "shared":
         meta["channel"] = {"policy": channel.policy}
     meta["sweep"] = {"variable": "eta_symmetric", **asdict(rng)}
-    return SweepResult(["eta", "du_tmsv", "du_smsv", "du_sql", "ratio"], rows, meta)
-
-
-def _label_db(r_db: float) -> str:
-    return f"du_tmsv_{r_db:g}db"
+    columns = ["eta", *(sensing.SCHEMES[s][1] for s in shown), "ratio"]
+    return SweepResult(columns, rows, meta)
 
 
 def preset_fig2(
@@ -251,16 +230,17 @@ def preset_fig2(
     Each level labels its column ``du_tmsv_{r_db:g}db``; levels whose labels
     repeat (3 and 3.0, or 3 and 3.0000001) are rejected.
     """
-    columns = ["eta"] + ["du_sql"] + [_label_db(r) for r in r_dbs]
+    tmsv, sql = sensing.SCHEMES["TMSV_real"][1], sensing.SCHEMES["SQL"][1]
+    columns = ["eta", sql] + [f"{tmsv}_{r:g}db" for r in r_dbs]
     repeated = [c for c in columns if columns.count(c) > 1]
     if repeated:
         raise ValueError(f"r_dbs repeat the column label {repeated[0]}")
-    cfg, ch = config or PAPER_SCALE_CONFIG, ChannelPair(1.0, 1.0)
+    cfg = config or PAPER_SCALE_CONFIG
     eta = eta_range.values()
-    du_sql = _mesh("SQL", cfg, ch, eta1=eta, eta2=eta)
+    du_sql = sensing.evaluate("SQL", cfg, eta1=eta, eta2=eta)
     # one row of offsets per squeezing level; each becomes a column
     levels = np.array(r_dbs, dtype=float)[:, None]
-    du_tmsv = _mesh("TMSV", cfg, ch, eta1=eta, eta2=eta, r_db=levels)
+    du_tmsv = sensing.evaluate("TMSV_real", cfg, eta1=eta, eta2=eta, r_db=levels)
     rows = _table(eta, du_sql, *du_tmsv)
     meta = _echo(cfg)
     meta["preset"] = {"name": "fig2", "r_dbs": list(r_dbs), **asdict(eta_range)}

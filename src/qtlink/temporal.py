@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import FLOAT_MAX, require, require_real
+from .constants import FLOAT_MAX, require, require_finite, require_real
 
 __all__ = [
     "SpectralProfile",
@@ -67,9 +67,7 @@ class SpectralProfile:
 
     def __post_init__(self):
         for name in ("omega0", "delta_omega", "grid_span"):
-            value = getattr(self, name)
-            require_real(name, value)
-            require(name, value, abs(value) <= FLOAT_MAX, "finite")
+            require_finite(name, getattr(self, name))
         require_real("grid_points", self.grid_points, integer=True)
         require("omega0", self.omega0, self.omega0 > 0, "> 0")
         require("delta_omega", self.delta_omega, self.delta_omega > 0, "> 0")
@@ -164,8 +162,7 @@ def shift_coefficients(
     companion.  Valid for |du| << u0; a warning is raised past du/u0 = 0.1.
     """
     for name, value in (("photon number", n_photons), ("theta", theta), ("delta_u", delta_u)):
-        require_real(name, value)
-        require(name, value, abs(value) <= FLOAT_MAX, "finite")
+        require_finite(name, value)
     require("photon number", n_photons, n_photons >= 0, ">= 0")
     ratio = abs(delta_u) / profile.u0
     if ratio > 0.1:

@@ -35,7 +35,7 @@ from qtlink import cli
 from qtlink.cli import COMMANDS, build_parser, main
 from qtlink.constants import SWEEP_VARIABLES
 from qtlink.link import LinkGeometry
-from qtlink.sensing import PAPER_SCALE_CONFIG, ChannelPair, SensingConfig
+from qtlink.sensing import PAPER_SCALE_CONFIG, SCHEMES, SWEPT, ChannelPair, SensingConfig
 from qtlink.sweep import MAX_GRID_STEPS, MAX_STEPS
 from qtlink.verify import MAX_ETA_STEPS
 
@@ -137,6 +137,28 @@ def test_sweep_subcommand(tmp_path, capsys):
     lines = out_path.read_text().splitlines()
     assert lines[1] == "r_db,du_tmsv"
     assert len(lines) == 8
+
+
+def test_schemes_flag_accepts_exactly_the_table_aliases_in_any_case(tmp_path, capsys):
+    aliases = ",".join(SWEPT)
+    assert build_parser("sweep").parse_args(["sweep"]).schemes == aliases
+    code, out, _ = _exit(["sweep", "--help"], capsys)
+    assert code == 0 and f"comma list from {aliases}" in out
+    out_path = tmp_path / "s.csv"
+    base = ["sweep", "--steps", "3", "--out", str(out_path)]
+    for alias, scheme in SWEPT.items():
+        for spelled in (alias, alias.lower(), alias.capitalize()):
+            assert run([*base, "--schemes", spelled], capsys)[0] == 0
+            assert out_path.read_text().splitlines()[1] == f"eta_symmetric,{SCHEMES[scheme][1]}"
+    assert run([*base, "--schemes", aliases.lower()], capsys)[0] == 0
+    header = ",".join(["eta_symmetric", *(SCHEMES[s][1] for s in SWEPT.values())])
+    assert out_path.read_text().splitlines()[1] == header
+    # kernel names and columns that are not aliases (SQL is both), and anything else
+    names = [*SCHEMES, *(column for _, column in SCHEMES.values() if column), "X"]
+    for other in [name for name in names if name.upper() not in SWEPT]:
+        code, stdout, err = run([*base, "--schemes", other], capsys)
+        assert (code, stdout) == (1, "")
+        assert err == "error: schemes must be a nonempty subset of ('TMSV', 'SQL', 'SMSV')\n"
 
 
 def test_verify_passes(capsys):

@@ -3,6 +3,7 @@ paper's limit identities and advantage boundary as properties, element-wise
 validation, and the math path for Python reals against the numpy path."""
 
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -51,9 +52,10 @@ checked = settings(deadline=None, max_examples=60)
 def test_kernel_on_a_mesh_equals_scalar_wrappers_exactly(r_db, e1, e2, policy, split):
     cfg = replace(LEO, r_db=r_db, split=split)
     mesh1, mesh2 = np.array(e1)[:, None], np.array(e2)[None, :]
-    tmsv = evaluate("TMSV_real", cfg, mesh1, mesh2, policy)
-    sql = evaluate("SQL", cfg, mesh1, mesh2, policy)
-    smsv = evaluate("SMSV_real", cfg, mesh1)
+    ch = ChannelPair(1.0, 1.0, policy)
+    tmsv = evaluate("TMSV_real", cfg, ch, eta1=mesh1, eta2=mesh2)
+    sql = evaluate("SQL", cfg, ch, eta1=mesh1, eta2=mesh2)
+    smsv = evaluate("SMSV_real", cfg, eta1=mesh1)
     assert tmsv.shape == sql.shape == (len(e1), len(e2))
     for i, a in enumerate(e1):
         assert smsv[i, 0] == delta_u_smsv_real(cfg, a)
@@ -70,9 +72,9 @@ def test_array_of_squeezing_levels_matches_per_level_configs(levels, eta1, eta2)
     # An r array is evaluated with math per element, so it must agree with
     # one scalar config per level to the last bit.
     column = np.array(levels)[:, None]
-    grid = evaluate("TMSV_real", LEO, eta1, eta2, r_db=column)
+    grid = evaluate("TMSV_real", LEO, eta1=eta1, eta2=eta2, r_db=column)
     ideal = evaluate("TMSV_ideal", LEO, r_db=column)
-    smsv = evaluate("SMSV_real", LEO, eta1, r_db=column)
+    smsv = evaluate("SMSV_real", LEO, eta1=eta1, r_db=column)
     for k, r_db in enumerate(levels):
         cfg = replace(LEO, r_db=r_db)
         assert grid[k, 0] == delta_u_tmsv_real(cfg, ChannelPair(eta1, eta2))
@@ -107,7 +109,8 @@ def test_advantage_changes_sign_at_the_boundary(r_db, eta2):
     assert below < 0.0 < above
     # the same flip on a grid row evaluated in one kernel call
     row = np.array([0.95 * boundary, 1.05 * boundary])
-    adv = evaluate("SQL", cfg, row, eta2) - evaluate("TMSV_real", cfg, row, eta2)
+    axes = dict(eta1=row, eta2=eta2)
+    adv = evaluate("SQL", cfg, **axes) - evaluate("TMSV_real", cfg, **axes)
     assert np.array_equal(np.sign(adv), [-1.0, 1.0])
 
 
@@ -135,25 +138,25 @@ def test_scalar_inputs_give_zero_d_values_and_arrays_broadcast():
 def test_kernel_rejects_any_bad_eta_element(scheme, bad):
     eta = np.array([0.2, 0.5, bad, 0.9])
     with pytest.raises(ValueError, match="eta1 must be in"):
-        evaluate(scheme, LEO, eta, 0.5)
+        evaluate(scheme, LEO, eta1=eta, eta2=0.5)
     if scheme != "SMSV_real":
         with pytest.raises(ValueError, match="eta2 must be in"):
-            evaluate(scheme, LEO, 0.5, eta)
+            evaluate(scheme, LEO, eta1=0.5, eta2=eta)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
 def test_kernel_rejects_bad_squeezing(bad):
     with pytest.raises(ValueError, match="squeezing"):
-        evaluate("TMSV_real", LEO, 0.5, 0.5, r_db=np.array([3.0, bad]))
+        evaluate("TMSV_real", LEO, eta1=0.5, eta2=0.5, r_db=np.array([3.0, bad]))
     with pytest.raises(ValueError, match="squeezing"):
         delta_u("TMSV_ideal", bad, 1.0, 1.0, 500.0, 500.0, 1e15, 1.0)
 
 
 def test_kernel_checks_every_result():
     with pytest.raises(ValueError, match="diverges"):
-        evaluate("TMSV_real", LEO, np.array([0.5, 0.0]), np.array([0.5, 0.0]))
+        evaluate("TMSV_real", LEO, eta1=np.array([0.5, 0.0]), eta2=np.array([0.5, 0.0]))
     with pytest.raises(ValueError, match="diverges"):
-        evaluate("SMSV_real", LEO, np.array([0.5, 0.0]))
+        evaluate("SMSV_real", LEO, eta1=np.array([0.5, 0.0]))
     with pytest.raises(ValueError, match="delta_u must be finite and > 0"):
         # valid arguments whose second offset underflows to 0
         delta_u("TMSV_real", 0.5, 0.5, 0.5, 500.0, 500.0, np.array([1e15, 1e300]), 1e-30)
@@ -252,6 +255,9 @@ def test_r_from_db_on_a_python_float_is_element_zero_of_the_array_call(r_db):
     _same_on_reals_and_arrays(r_from_db, r_db)
 
 
+# TMSV_real's and SQL's error when each path has no photons or no transmission
+NO_AMPLITUDE_ERROR = "sqrt(eta1*n1) + sqrt(eta2*n2) must be > 0, got 0.0"
+
 # (r, eta1, eta2, n1, n2, omega_rss) at which every scheme's denominator is 0 or subnormal
 DENOMINATORS = {
     "underflow to 0": (0.5, 0.5, 0.5, 5e-324, 5e-324, 1e-300),
@@ -263,7 +269,31 @@ DENOMINATORS = {
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_zero_or_underflowing_denominator_ends_in_the_array_error(scheme, case):
     outcome = _same_on_reals_and_arrays(lambda *a: delta_u(scheme, *a), *DENOMINATORS[case], 1.0)
-    assert outcome == ("error", "delta_u must be finite and > 0, got inf")
+    if case == "underflow to 0" and scheme in ("TMSV_real", "SQL"):
+        # 0.5 * 5e-324 rounds to 0, so the two-path amplitude is 0 before any division
+        assert outcome == ("error", NO_AMPLITUDE_ERROR)
+    else:
+        assert outcome == ("error", "delta_u must be finite and > 0, got inf")
+
+
+# (r, eta1, eta2, n1, n2) where each path has either no photons or no transmission
+NO_AMPLITUDE = [
+    (0.5, 0.0, 0.5, 500.0, 0.0),
+    (0.5, 0.5, 0.0, 0.0, 500.0),
+    (0.0, 0.0, 1.0, 1e308, -0.0),
+]
+
+
+@pytest.mark.parametrize("args", NO_AMPLITUDE)
+@pytest.mark.parametrize("policy", ["shared", "independent"])
+@pytest.mark.parametrize("scheme", ["TMSV_real", "SQL"])
+def test_no_amplitude_on_either_path_is_rejected_by_name_on_both_paths(scheme, policy, args):
+    outcome = _same_on_reals_and_arrays(lambda *a: delta_u(scheme, *a, policy), *args, 1e15, 1.0)
+    assert outcome == ("error", NO_AMPLITUDE_ERROR)
+    # one such element among valid ones is named as that element
+    eta1, n2 = np.array([0.5, 0.0]), np.array([500.0, 0.0])
+    with pytest.raises(ValueError, match=f"^{re.escape(NO_AMPLITUDE_ERROR)}$"):
+        delta_u(scheme, 0.5, eta1, 0.5, 500.0, n2, 1e15, 1.0, policy)
 
 
 def test_smsv_real_denominator_of_exactly_zero_ends_in_the_array_error():

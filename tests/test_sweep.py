@@ -3,9 +3,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qtlink.constants import SWEEP_VARIABLES
-from qtlink.sensing import ChannelPair, SensingConfig, delta_u_tmsv_real
+from qtlink.constants import POLICIES, SWEEP_VARIABLES
+from qtlink.sensing import (
+    SCHEMES,
+    ChannelPair,
+    SensingConfig,
+    delta_u_smsv_real,
+    delta_u_sql,
+    delta_u_tmsv_ideal,
+    delta_u_tmsv_real,
+    evaluate,
+)
 from qtlink.sweep import (
     MAX_GRID_STEPS,
     MAX_STEPS,
@@ -151,12 +162,60 @@ def test_grid_rejects_an_axis_past_the_grid_limit_before_evaluating(axis, monkey
     def no_evaluation(*args, **kwargs):
         raise AssertionError("evaluated")
 
-    monkeypatch.setattr("qtlink.sweep._mesh", no_evaluation)
+    monkeypatch.setattr("qtlink.sensing.evaluate", no_evaluation)
     ranges = [Range(0.01, 1.0, 5), Range(0.01, 1.0, 5)]
     ranges[axis] = Range(0.01, 1.0, MAX_GRID_STEPS + 1)
     with pytest.raises(ValueError) as err:
         run_grid(*ranges)
     assert str(err.value) == f"steps must be <= {MAX_GRID_STEPS}, got {MAX_GRID_STEPS + 1}"
+
+
+# kernel scheme -> its scalar wrapper, called with a config and a channel
+WRAPPERS = {
+    "TMSV_ideal": lambda cfg, ch: delta_u_tmsv_ideal(cfg),
+    "TMSV_real": delta_u_tmsv_real,
+    "SQL": delta_u_sql,
+    "SMSV_real": lambda cfg, ch: delta_u_smsv_real(cfg, ch.eta1),
+}
+
+
+@settings(deadline=None, max_examples=25)
+@given(
+    r_db=st.floats(0.0, 15.0),
+    eta1=st.floats(1e-6, 1.0),
+    eta2=st.floats(0.0, 1.0),
+    split=st.floats(0.05, 0.95),
+)
+@pytest.mark.parametrize("policy", POLICIES)
+@pytest.mark.parametrize("scheme", list(SCHEMES))
+def test_wrappers_evaluate_and_tables_name_their_columns_from_the_scheme_table(
+    scheme, policy, r_db, eta1, eta2, split
+):
+    cfg = replace(PAPER_SCALE_CONFIG, r_db=r_db, split=split)
+    ch = ChannelPair(eta1, eta2, policy)
+    # the etas and the policy a scheme ignores may take any value
+    value = WRAPPERS[scheme](cfg, ch)
+    assert type(value) is float
+    assert value.hex() == float(evaluate(scheme, cfg, ch)).hex()
+    assert value.hex() == float(evaluate(scheme, cfg, ch, n_in=np.array([cfg.n_in]))[0]).hex()
+    alias, column = SCHEMES[scheme]
+    if alias is None:
+        return
+    rng = Range(0.2, 1.0, 5)
+    eta = rng.values()
+    swept = run_sweep("eta1", rng, cfg, ch, (alias,))
+    assert swept.columns == ["eta1", column]
+    assert np.array_equal(swept.column(column), evaluate(scheme, cfg, ch, eta1=eta))
+    compared = run_compare_smsv(rng, cfg, ch)
+    names = [SCHEMES[s][1] for s in ("TMSV_real", "SMSV_real", "SQL")]
+    assert compared.columns == ["eta", *names, "ratio"]
+    assert np.array_equal(compared.column(column), evaluate(scheme, cfg, ch, eta1=eta, eta2=eta))
+    fig2 = preset_fig2(cfg, (r_db,), rng)
+    tmsv_level = f"{SCHEMES['TMSV_real'][1]}_{r_db:g}db"
+    assert fig2.columns == ["eta", SCHEMES["SQL"][1], tmsv_level]
+    if scheme != "SMSV_real":
+        label = tmsv_level if scheme == "TMSV_real" else column
+        assert np.array_equal(fig2.column(label), evaluate(scheme, cfg, eta1=eta, eta2=eta))
 
 
 def test_grid_contour_points():
