@@ -272,12 +272,12 @@ _BUILDERS = {
 
 
 def _cmd_table(args) -> int:
-    """Every table command: resolve, build its SweepResult, emit it."""
-    cfg, ch, bounds = _resolve(args)
-    result = _BUILDERS[args.command](args, cfg, ch, bounds)
+    """Every table command: check --levels, resolve, build its SweepResult, emit it."""
     levels = _comma_list(args, "levels")
     if levels is not None and args.format != "svg":
         raise ValueError("--levels needs --format svg")
+    cfg, ch, bounds = _resolve(args)
+    result = _BUILDERS[args.command](args, cfg, ch, bounds)
     path = args.out or f"{args.command}.{args.format}"
     emit.write_result(result, args.format, path, levels=levels)
     print(f"wrote {path}")

@@ -20,8 +20,9 @@ FLOAT_MAX bounds a finite field: ``abs(value) <= FLOAT_MAX`` fails for NaN,
 for an infinity and for an int too large for a double, where
 ``math.isfinite`` would raise OverflowError on that int.
 
-:func:`format_distinct` formats an array's values with one %-template,
-each distinct value once; the table emitters and the verify report use it.
+:func:`format_rows` fills a line template once per row of a table's
+columns, formatting each distinct value of a column once; it is the one
+formatter of CSV rows, JSON rows and verify report lines.
 Nothing here imports numpy until an array reaches it, so a command that
 computes only Python reals never loads numpy.
 """
@@ -83,15 +84,25 @@ def require_policy(policy) -> None:
         raise ValueError(f"unknown vacuum policy {policy!r}")
 
 
-def format_distinct(template: str, values):
-    """``template % v`` for each value of 1-d ``values``, formatting each distinct value once.
+def format_rows(line: str, columns, templates, sep: str = "") -> str:
+    """``line`` filled once per row of the aligned 1-d ``columns``, the rows joined with ``sep``.
 
-    Values are told apart by their bits, so -0.0 and 0.0 keep their own
-    strings, as does every NaN payload.  Returns an object array of the strings.
+    Column k fills its slots with ``templates[k] % value``, formatting each
+    distinct value once; where ``templates[k]`` is None its values, strings,
+    fill them as they are.  Values are told apart by their bits, so -0.0 and
+    0.0 keep their own strings, as does every NaN payload.
     """
     import numpy as np
 
-    bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
-    bits, index = np.unique(bits, return_inverse=True)
-    strings = np.array([template % v for v in bits.view(float).tolist()], dtype=object)
-    return strings[index]
+    n = len(columns[0]) if len(columns) else 0
+    lines = sep.join([line] * n)
+    cells = np.empty((n, len(columns)), dtype=object)
+    for k, (values, template) in enumerate(zip(columns, templates)):
+        if template is None:
+            cells[:, k] = values
+            continue
+        bits = np.ascontiguousarray(values, dtype=float).view(np.int64)
+        bits, index = np.unique(bits, return_inverse=True)
+        strings = np.array([template % v for v in bits.view(float).tolist()], dtype=object)
+        cells[:, k] = strings[index]
+    return lines % tuple(cells.ravel().tolist())

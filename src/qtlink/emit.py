@@ -7,14 +7,15 @@ dependency: curves are drawn on a log-scale axis, grids as filled cells
 with iso-lines extracted by marching squares.  The SVG string builders live
 in ``qtlink.svg``, loaded only when SVG is written, and ``json`` only when
 CSV or JSON is.  numpy loads with the first table rendered, so ``write_text``
-(``delta-u --out``) never loads it.
+(``delta-u --out``) never loads it.  ``constants.format_rows`` fills the
+CSV and JSON rows, as it fills the verify report's lines.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .constants import FLOAT_MAX, format_distinct
+from .constants import FLOAT_MAX, format_rows
 
 if TYPE_CHECKING:  # annotations only: delta-u --out writes through emit without sweep or numpy
     import numpy as np
@@ -33,41 +34,26 @@ __all__ = [
 _FORMATS = ("csv", "json", "svg")
 
 
-def _cells(rows: np.ndarray, templates: list) -> tuple:
-    """Every value of ``rows``, row by row, as ``templates[column] % value``.
-
-    Each distinct value of a column is formatted once.
-    """
-    import numpy as np
-
-    cells = np.empty(rows.shape, dtype=object)
-    for k, template in enumerate(templates):
-        cells[:, k] = format_distinct(template, rows[:, k])
-    return tuple(cells.ravel().tolist())
-
-
 def render_csv(result: SweepResult) -> str:
     """Header, one comment line echoing the config, 9-significant-digit rows.
 
-    The ``sign`` column prints as an integer.  Every row comes from one
-    %-format template, applied to the whole table's formatted values in one
-    call.
+    The ``sign`` column prints as an integer.
     """
     import json
 
     templates = ["%d" if c == "sign" else "%.8e" for c in result.columns]
     row = ",".join(["%s"] * len(templates)) + "\n"
     head = f"# config: {json.dumps(result.meta, sort_keys=True)}\n{','.join(result.columns)}\n"
-    return head + "".join([row] * len(result.rows)) % _cells(result.rows, templates)
+    return head + format_rows(row, result.rows.T, templates)
 
 
 def render_json(result: SweepResult) -> str:
     """``json.dumps(payload, sort_keys=True, indent=2)`` of the result, plus a newline.
 
     With an indent, json falls back to its pure-Python encoder, so only the
-    small part of the payload goes through it.  The rows are formatted with
-    one %-format of a row template, at json's indentation, and spliced in at
-    the "rows" key; a finite float prints as its repr, as json prints it.
+    small part of the payload goes through it.  The rows are filled into a
+    row template at json's indentation and spliced in at the "rows" key; a
+    finite float prints as its repr, as json prints it.
     """
     import json
 
@@ -86,7 +72,7 @@ def render_json(result: SweepResult) -> str:
     # a row is at depth 2 and its values at depth 3; a raw newline cannot sit
     # inside a JSON string, so the top-level key is the only match
     row = "[\n      " + ",\n      ".join(["%s"] * rows.shape[1]) + "\n    ]"
-    body = ",\n    ".join([row] * rows.shape[0]) % _cells(rows, ["%r"] * rows.shape[1])
+    body = format_rows(row, rows.T, ["%r"] * rows.shape[1], sep=",\n    ")
     head, _, tail = text.partition('\n  "rows": null')
     return head + '\n  "rows": [\n    ' + body + "\n  ]" + tail
 

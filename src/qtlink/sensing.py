@@ -315,7 +315,8 @@ def delta_u(
     """Minimum measurable offset of ``scheme``, broadcast over array arguments.
 
     Any argument but ``scheme`` and ``policy`` may be an array; the result
-    has their broadcast shape (a 0-d value when all are scalars).  n1 and n2
+    has the broadcast shape of them all, those the scheme does not read
+    included (a 0-d value when all are scalars).  n1 and n2
     are the photons sent down paths 1 and 2, omega_rss = 1/u0.
 
     * TMSV_ideal: e^-r / (sqrt(2)*(sqrt(n1)+sqrt(n2))*omega_rss); the etas
@@ -366,7 +367,11 @@ def delta_u(
             value = xp.divide(xp.sqrt(q), math.sqrt(2.0) * amplitude * omega_rss)
         out = snr * value
     require("delta_u", out, xp.isfinite(out) & (out > 0.0), "finite and > 0")
-    return out
+    if xp is _REALS:
+        return out
+    # a scheme that ignores an argument still takes its shape
+    shape = xp.broadcast_shapes(*map(xp.shape, (r, eta1, eta2, n1, n2, omega_rss, snr)))
+    return out if xp.shape(out) == shape else xp.broadcast_to(out, shape).copy()
 
 
 def evaluate(

@@ -14,17 +14,17 @@ broadcast matrix products rather than a chain of validated states per
 every squeezing level at once.  The two-mode chain runs once per level: it
 takes the eta axis as a column (eta1) and a row (eta2), so the first loss
 runs once per eta1 and only the second loss and the readout carry the
-eta1 x eta2 mesh, whose size MAX_ETA_STEPS bounds.
+eta1 x eta2 mesh, whose size MAX_ETA_STEPS bounds.  The report's lines are
+filled by ``constants.format_rows``, the formatter of the CSV and JSON rows.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import FLOAT_MAX, format_distinct, require, require_real
+from .constants import FLOAT_MAX, format_rows, require, require_real
 from .gaussian import beam_splitter, homodyne_variance, pure_loss, squeeze_single, vacuum
 from .sensing import r_from_db, radicand
 
@@ -74,14 +74,12 @@ def smsv_chain_variance(
 
 
 # One report line per point, filled from a chain's columns in order plus its
-# verdict; the grid columns (r_db and the etas) arrive as their %-4g strings.
+# verdict; a grid column (r_db or an eta) prints as %-4g.
 _LINES = {
-    "two_mode": "  two-mode  r_db=%s eta1=%s eta2=%s "
-    "formula=%.12e oracle=%.12e rel_err=%.3e %s\n",
-    "single_mode": "  one-mode  r_db=%s eta=%s "
-    "formula=%.12e oracle=%.12e rel_err=%.3e %s\n",
+    "two_mode": "  two-mode  r_db=%s eta1=%s eta2=%s formula=%s oracle=%s rel_err=%s %s\n",
+    "single_mode": "  one-mode  r_db=%s eta=%s formula=%s oracle=%s rel_err=%s %s\n",
 }
-_GRID_COLUMNS = ("r_db", "eta1", "eta2", "eta")
+_TEMPLATES = {"formula": "%.12e", "oracle": "%.12e", "rel_err": "%.3e"}
 
 
 @dataclass
@@ -130,8 +128,8 @@ class VerifyReport:
     def text(self) -> str:
         """The whole report: a header, one line per point, the notes, a verdict line.
 
-        Each chain's lines come from one %-format of its line template over
-        the whole chain; each distinct grid value is formatted once.
+        Each chain's lines are filled by :func:`format_rows`, which formats
+        each distinct value of a column once.
         """
         parts = [
             f"verify: policy={self.policy} tolerance={self.tolerance:g} "
@@ -139,16 +137,11 @@ class VerifyReport:
         ]
         for name in ("two_mode", "single_mode"):
             columns = getattr(self, name)
-            verdicts = np.where(columns["rel_err"] <= self.tolerance, "ok", "FAIL").tolist()
-            cells = zip(
-                *(
-                    format_distinct("%-4g", c).tolist() if key in _GRID_COLUMNS else c.tolist()
-                    for key, c in columns.items()
-                ),
-                verdicts,
-            )
-            values = tuple(itertools.chain.from_iterable(cells))
-            parts.append("".join([_LINES[name]] * len(verdicts)) % values)
+            # two shared strings, not one string object per point
+            ok = columns["rel_err"] <= self.tolerance
+            verdicts = np.array(["FAIL", "ok"], dtype=object)[ok.astype(int)]
+            templates = [*(_TEMPLATES.get(key, "%-4g") for key in columns), None]
+            parts.append(format_rows(_LINES[name], [*columns.values(), verdicts], templates))
         parts += [f"  note: {note}\n" for note in self.notes]
         parts.append(f"verify: max_rel_err={self.max_rel_err:.3e} passed={self.passed}\n")
         return "".join(parts)

@@ -1219,6 +1219,30 @@ def test_a_step_count_past_its_limit_exits_1_writing_nothing(
 
 
 @pytest.mark.parametrize(
+    "args, builder",
+    [
+        (["grid", "--steps", "500", "--format", "csv"], "run_grid"),
+        (["fig3", "--format", "json"], "preset_fig3"),
+        # a bad range too: the --levels error is the one reported
+        (["grid", "--steps", "1", "--format", "csv"], "run_grid"),
+    ],
+)
+def test_levels_off_svg_exit_1_before_the_table_is_built(
+    args, builder, tmp_path, monkeypatch, capsys
+):
+    # a 500-step grid used to be built, ~0.16 s, before --levels was checked
+    def no_table(*args, **kwargs):
+        raise AssertionError("the table was built")
+
+    monkeypatch.setattr(f"qtlink.sweep.{builder}", no_table)
+    monkeypatch.chdir(tmp_path)
+    assert run([*args, "--levels", "1e-18"], capsys) == (
+        1, "", "error: --levels needs --format svg\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "geometry, named",
     [
         ({"range_m": 1.0, "tx_waist_m": 1e200}, "range_m=1.0, tx_waist_m=1e+200"),

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qtlink.constants import format_rows
 from qtlink.emit import (
     contour_segments,
     render_csv,
@@ -331,3 +332,38 @@ def test_renderers_match_the_reference_renderers_on_fig3_at_100_steps():
     result = preset_fig3(eta_range=Range(0.01, 1.0, 100))
     assert render_json(result) == _json_reference(result)
     assert render_csv(result) == _csv_reference(result)
+
+
+# NaNs with a payload and with the sign bit set, besides the plain one
+_NANS = [float(x) for x in np.array([0x7FF8000000000000, 0x7FF8000000000001, -0x0008000000000000,
+                                     0x7FF0000000000001], dtype=np.int64).view(float)]
+
+
+@st.composite
+def _format_columns(draw):
+    """(columns, templates): float columns from a small pool that repeats, or string columns."""
+    n_rows = draw(st.integers(0, 8))
+    columns, templates = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        template = draw(st.sampled_from(["%r", "%.8e", "%.12e", "%.3e", "%-4g", None]))
+        if template is None:
+            cell = st.sampled_from(["ok", "FAIL", "", "%s", "a\nb"])
+            values = np.array(draw(st.lists(cell, min_size=n_rows, max_size=n_rows)), dtype=str)
+        else:
+            x = draw(st.floats(allow_nan=False, allow_infinity=False))
+            pool = [0.0, -0.0, 5e-324, x, float(np.nextafter(x, 0.0)), float("inf"), -float("inf")]
+            cell = st.sampled_from([*pool, *_NANS])
+            values = np.array(draw(st.lists(cell, min_size=n_rows, max_size=n_rows)), dtype=float)
+        columns.append(values)
+        templates.append(template)
+    return columns, templates
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=_format_columns(), sep=st.sampled_from(["", ",\n    "]))
+def test_format_rows_equals_a_fill_of_each_value(case, sep):
+    columns, templates = case
+    line = "[" + "|".join(["%s"] * len(columns)) + "]\n"
+    plain = "[" + "|".join(template or "%s" for template in templates) + "]\n"
+    rows = zip(*(column.tolist() for column in columns))
+    assert format_rows(line, columns, templates, sep) == sep.join(plain % row for row in rows)

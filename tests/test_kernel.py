@@ -131,6 +131,9 @@ def test_scalar_inputs_give_zero_d_values_and_arrays_broadcast():
     assert np.ndim(delta_u("TMSV_real", *args)) == 0
     out = delta_u("TMSV_real", np.array([0.1, 0.5]), np.ones((3, 1)), *args[2:])
     assert out.shape == (3, 2)
+    # the shape of an argument the scheme does not read is kept
+    assert evaluate("TMSV_ideal", LEO, eta1=np.array([0.5, 0.6])).shape == (2,)
+    assert delta_u("SMSV_real", *args[:2], np.ones(3), *args[3:]).shape == (3,)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5])
@@ -236,7 +239,18 @@ def test_delta_u_on_python_floats_is_element_zero_of_the_array_call(
     def offset(*args):
         return delta_u(scheme, *args, policy)
 
-    _same_on_reals_and_arrays(offset, r, eta1, eta2, n1, n2, omega_rss, snr)
+    args = (r, eta1, eta2, n1, n2, omega_rss, snr)
+    reals = _same_on_reals_and_arrays(offset, *args)
+    # each argument twice along an axis of its own: the result spans all
+    # seven axes, those of the arguments the scheme does not read included
+    spread = [np.full((1,) * k + (2,) + (1,) * (6 - k), a) for k, a in enumerate(args)]
+    try:
+        value = offset(*spread)
+    except ValueError as err:
+        assert reals == ("error", str(err))
+        return
+    assert reals[0] == "value" and value.shape == (2,) * 7 and value.flags.writeable
+    assert (value.view(np.int64) == np.frombuffer(reals[1], np.int64)).all()
 
 
 @settings(deadline=None, max_examples=200)

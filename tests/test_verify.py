@@ -1,3 +1,4 @@
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +123,7 @@ _etas = (
     | st.floats(0.0, 1.0)
 )
 _values = st.floats(1e-300, 1e300)
+_NAN_SIGNED = float(np.array([-0x0008000000000000], dtype=np.int64).view(float)[0])
 
 
 @st.composite
@@ -133,13 +135,19 @@ def _reports(draw):
         st.sampled_from([0.0, tolerance, float(np.nextafter(tolerance, 2.0)), 10.0 * tolerance])
         | st.floats(0.0, 2.0 * tolerance)
     )
+    # formula and oracle: any magnitude, or a pool that repeats one drawn value
+    # beside -0.0, NaN with and without its sign bit, and the infinities
+    x = draw(_values)
+    values = _values | st.sampled_from(
+        [x, 0.0, -0.0, float("nan"), _NAN_SIGNED, float("inf"), -float("inf")]
+    )
 
     def rows(eta_names):
         out = []
         for _ in range(draw(st.integers(0, 6))):
             row = {"r_db": draw(_r_dbs)}
             row.update((name, draw(_etas)) for name in eta_names)
-            row.update(formula=draw(_values), oracle=draw(_values), rel_err=draw(errs))
+            row.update(formula=draw(values), oracle=draw(values), rel_err=draw(errs))
             row["ok"] = row["rel_err"] <= tolerance
             out.append(row)
         return out
@@ -147,6 +155,12 @@ def _reports(draw):
     policy = draw(st.sampled_from(["shared", "independent"]))
     notes = draw(st.lists(st.text(max_size=12), max_size=3))
     return policy, tolerance, rows(("eta1", "eta2")), rows(("eta",)), notes
+
+
+def _bits(rows):
+    """``rows`` with each float as its bytes, so that a NaN equals itself and -0.0 is not 0.0."""
+    return [{k: v if type(v) is bool else struct.pack("d", v) for k, v in row.items()}
+            for row in rows]
 
 
 def _columns(rows, eta_names):
@@ -171,6 +185,15 @@ def test_report_text_matches_the_per_row_formatter(case):
     assert report.max_rel_err == (max(row["rel_err"] for row in rows) if rows else 0.0)
     # the derived views equal the old rows: same values, keys in the same order
     for view, old in ((report.two_mode_rows, two_rows), (report.single_mode_rows, one_rows)):
-        assert view == old
+        assert _bits(view) == _bits(old)
         assert [list(row) for row in view] == [list(row) for row in old]
         assert all(type(row["ok"]) is bool for row in view)
+
+
+@pytest.mark.parametrize("policy", ["shared", "independent"])
+def test_report_text_matches_the_per_row_formatter_on_the_dense_grid(policy):
+    # 3,720 points, most of them distinct: the bench's verify-dense report
+    report = verify.run_verify(policy=policy, eta_steps=30)
+    assert report.text() == _reference_text(
+        policy, report.tolerance, report.two_mode_rows, report.single_mode_rows, report.notes
+    )
