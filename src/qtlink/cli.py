@@ -6,6 +6,9 @@ config file (sections "sensing", "channel", "link", "sweep") with any flag
 overriding the file.  Each subcommand accepts only the flags and config
 keys its COMMANDS entry declares; anything else exits 1.  Exit codes:
 0 success, 1 validation or usage error, 2 verify failure, 3 I/O error.
+
+A COMMANDS entry is the whole command: its help, flags and config keys, and
+the function that runs it and returns its exit code.
 """
 
 from __future__ import annotations
@@ -14,15 +17,11 @@ import argparse
 import gc
 import math
 import sys
-from dataclasses import MISSING, asdict, fields, replace
+from dataclasses import MISSING, fields, replace
 
 # every layer is registered lazily by the package: binding one here loads nothing
 from . import emit, link, sensing, sweep, temporal, verify
 from .constants import POLICIES, SWEEP_VARIABLES
-
-
-class VerifyFailure(RuntimeError):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -188,11 +187,9 @@ def _resolve(args):
     if getattr(args, "lambda0_nm", None) is not None:
         sensing_cfg["lambda0"] *= 1e-9
         sensing_cfg.pop("omega0", None)
-    defaults = asdict(sensing.PAPER_SCALE_CONFIG)
     if sensing_cfg.get("omega0") is not None:
-        defaults["lambda0"] = None
-    defaults.update(sensing_cfg)
-    cfg = sensing.SensingConfig(**defaults)
+        sensing_cfg.setdefault("lambda0", None)
+    cfg = replace(sensing.PAPER_SCALE_CONFIG, **sensing_cfg)
 
     channel_cfg = _layer(args, file_cfg, "channel", reads.get("channel", ()))
     links = _link_etas(file_cfg)
@@ -200,7 +197,7 @@ def _resolve(args):
         channel_cfg = {**etas, **channel_cfg}
     ch = sensing.ChannelPair(**{"eta1": 1.0, "eta2": 1.0, **channel_cfg})
     bounds = _layer(args, file_cfg, "sweep", reads.get("sweep", ()))
-    if args.command == "sweep":
+    if "variable" in reads.get("sweep", ()):
         _require_unset_swept(args, file_cfg, links, bounds.setdefault("variable", "eta_symmetric"))
     return cfg, ch, bounds
 
@@ -252,36 +249,20 @@ def _range(bounds: dict, default: sweep.Range | None = None) -> sweep.Range:
     return replace(default or sweep.ETA_RANGE, **bounds)
 
 
-def _sweep(args, cfg, ch, bounds) -> sweep.SweepResult:
-    variable = bounds["variable"]
-    rng = _range(bounds, sweep.VARIABLES[variable][1])
-    schemes = _comma_list(args, "schemes", str.upper)
-    return sweep.run_sweep(variable, rng, cfg, ch, schemes)
+def _table(build):
+    """Handler of a table command: check --levels, resolve, emit build(args, cfg, ch, bounds)."""
+    def handle(args) -> int:
+        levels = _comma_list(args, "levels")
+        if levels is not None and args.format != "svg":
+            raise ValueError("--levels needs --format svg")
+        cfg, ch, bounds = _resolve(args)
+        result = build(args, cfg, ch, bounds)
+        path = args.out or f"{args.command}.{args.format}"
+        emit.write_result(result, args.format, path, levels=levels)
+        print(f"wrote {path}")
+        return 0
 
-
-# table command -> builder of its SweepResult from (args, config, channel,
-# the merged sweep section)
-_BUILDERS = {
-    "sweep": _sweep,
-    "grid": lambda a, cfg, ch, sw: sweep.run_grid(_range(sw), _range(sw), cfg, a.quantity),
-    "compare": lambda a, cfg, ch, sw: sweep.run_compare_smsv(_range(sw), cfg, ch),
-    "fig2": lambda a, cfg, ch, sw: sweep.preset_fig2(cfg, _comma_list(a, "r_dbs"), _range(sw)),
-    "fig3": lambda a, cfg, ch, sw: sweep.preset_fig3(cfg, _range(sw)),
-    "fig4": lambda a, cfg, ch, sw: sweep.preset_fig4(cfg, _range(sw)),
-}
-
-
-def _cmd_table(args) -> int:
-    """Every table command: check --levels, resolve, build its SweepResult, emit it."""
-    levels = _comma_list(args, "levels")
-    if levels is not None and args.format != "svg":
-        raise ValueError("--levels needs --format svg")
-    cfg, ch, bounds = _resolve(args)
-    result = _BUILDERS[args.command](args, cfg, ch, bounds)
-    path = args.out or f"{args.command}.{args.format}"
-    emit.write_result(result, args.format, path, levels=levels)
-    print(f"wrote {path}")
-    return 0
+    return handle
 
 
 def _cmd_delta_u(args) -> int:
@@ -312,11 +293,11 @@ def _cmd_verify(args) -> int:
     _, ch, _ = _resolve(args)
     report = verify.run_verify(tolerance=args.tol, policy=ch.policy, eta_steps=args.eta_steps)
     sys.stdout.write(report.text())
-    if not report.passed:
-        raise VerifyFailure(
-            f"oracle cross-check failed: max relative error {report.max_rel_err:.3e}"
-        )
-    return 0
+    if report.passed:
+        return 0
+    print(f"error: oracle cross-check failed: max relative error {report.max_rel_err:.3e}",
+          file=sys.stderr)
+    return 2
 
 
 def _cmd_tm_check(args) -> int:
@@ -340,12 +321,17 @@ COMMANDS = {
         _flag("--stop", type=float),
         _flag("--schemes", default=lambda: ",".join(sensing.SWEPT),
               help="comma list from %(default)s"),
-    ), SENSING_KEYS + CHANNEL_KEYS + ("sweep.variable",) + RANGE_KEYS, _cmd_table),
+    ), SENSING_KEYS + CHANNEL_KEYS + ("sweep.variable",) + RANGE_KEYS, _table(
+        lambda a, cfg, ch, sw: sweep.run_sweep(
+            sw["variable"], _range(sw, sweep.VARIABLES[sw["variable"]][1]), cfg, ch,
+            _comma_list(a, "schemes", str.upper)))),
     "grid": ("advantage over an (eta1, eta2) grid", TABLE + LEVELS + (
         _flag("--quantity", choices=("advantage", "delta_u"), default="advantage"),
-    ), SENSING_KEYS + RANGE_KEYS, _cmd_table),
+    ), SENSING_KEYS + RANGE_KEYS, _table(
+        lambda a, cfg, ch, sw: sweep.run_grid(_range(sw), _range(sw), cfg, a.quantity))),
     "compare": ("single-mode vs two-mode comparison sweep", CONFIG + SENSING + POLICY + OUTPUT,
-                SENSING_KEYS + ("channel.policy",) + RANGE_KEYS, _cmd_table),
+                SENSING_KEYS + ("channel.policy",) + RANGE_KEYS,
+                _table(lambda a, cfg, ch, sw: sweep.run_compare_smsv(_range(sw), cfg, ch))),
     "verify": ("cross-check closed forms against the oracle", CONFIG + POLICY + (
         _flag("--tol", type=float, default=1e-9),
         _flag("--eta-steps", type=int, help="refine the eta grid"),
@@ -358,9 +344,12 @@ COMMANDS = {
     ), (), _cmd_tm_check),
     "fig2": ("reproduce the fig2 preset", TABLE + (
         _flag("--r-dbs", default="3,7,11,15", help="comma list of squeezing levels"),
-    ), SENSING_KEYS + RANGE_KEYS, _cmd_table),
-    "fig3": ("reproduce the fig3 preset", TABLE + LEVELS, SENSING_KEYS + RANGE_KEYS, _cmd_table),
-    "fig4": ("reproduce the fig4 preset", TABLE, SENSING_KEYS + RANGE_KEYS, _cmd_table),
+    ), SENSING_KEYS + RANGE_KEYS, _table(
+        lambda a, cfg, ch, sw: sweep.preset_fig2(cfg, _comma_list(a, "r_dbs"), _range(sw)))),
+    "fig3": ("reproduce the fig3 preset", TABLE + LEVELS, SENSING_KEYS + RANGE_KEYS, _table(
+        lambda a, cfg, ch, sw: sweep.preset_fig3(cfg, _range(sw)))),
+    "fig4": ("reproduce the fig4 preset", TABLE, SENSING_KEYS + RANGE_KEYS, _table(
+        lambda a, cfg, ch, sw: sweep.preset_fig4(cfg, _range(sw)))),
 }
 
 
@@ -371,7 +360,8 @@ def build_parser(command: str | None = None) -> _Parser:
     and errors read the same either way.
     """
     # no prefix matching: verify --eta would otherwise set --eta-steps
-    parser = _Parser(prog="qtlink", description=__doc__, allow_abbrev=False)
+    # the help shows the module docstring but its last paragraph, which is for the code's readers
+    parser = _Parser(prog="qtlink", description=__doc__.rpartition("\n\n")[0], allow_abbrev=False)
     built = [command] if command in COMMANDS else list(COMMANDS)
     # the usage line lists every command even when one subparser is built
     metavar = "{" + ",".join(COMMANDS) + "}" if len(built) == 1 else None
@@ -393,9 +383,9 @@ def main(argv=None) -> int:
     try:
         args = build_parser(argv[0] if argv else None).parse_args(argv)
         return args.run(args)
-    except (VerifyFailure, ValueError, TypeError, OSError) as err:
+    except (ValueError, TypeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2 if isinstance(err, VerifyFailure) else 3 if isinstance(err, OSError) else 1
+        return 3 if isinstance(err, OSError) else 1
 
 
 def run() -> int:

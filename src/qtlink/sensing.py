@@ -146,6 +146,7 @@ class SensingConfig:
                 continue
             require_finite(f.name, value)
         require("r_db", self.r_db, self.r_db >= 0, ">= 0")
+        r_from_db(self.r_db)
         require("n_in", self.n_in, self.n_in > 0, "> 0")
         require("n_lo", self.n_lo, self.n_lo > 0, "> 0")
         if not 0.0 < self.split < 1.0:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -764,6 +765,80 @@ def test_each_command_declares_only_the_flags_it_reads():
     assert not any(flag in flags[command] for command, flag in DROPPED)
 
 
+# README's shorthand in its flags table and in its config keys table: the
+# prose that defines each term, the term, and what it stands for
+_README_FLAG_TERMS = {
+    '"sensing" stands for `--r-db --n-in --lambda0-nm --delta-omega --split --snr`':
+        ("sensing", ["--r-db", "--n-in", "--lambda0-nm", "--delta-omega", "--split", "--snr"]),
+    '"etas" for `--eta --eta1 --eta2`': ("etas", ["--eta", "--eta1", "--eta2"]),
+    '"table" for `--config`, sensing, `--steps`, `--format csv|json|svg` and `--out`':
+        ("table", ["--config", "sensing", "--steps", "--format csv|json|svg", "--out"]),
+}
+_README_KEY_TERMS = {
+    '"sensing" stands for the `sensing` keys `r_db`, `n_in`, `lambda0`, `omega0`, '
+    '`delta_omega`, `split` and `snr`':
+        ("sensing", [f"sensing.{key}" for key in (
+            "r_db", "n_in", "lambda0", "omega0", "delta_omega", "split", "snr")]),
+    '"range" for the `sweep` keys `start`, `stop` and `steps`':
+        ("range", ["sweep.start", "sweep.stop", "sweep.steps"]),
+}
+
+
+def _readme_table(header):
+    """Each command of README's table under ``header`` to the parts of its second cell."""
+    lines = (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+    rows = {}
+    for line in lines[lines.index(header) + 2:]:
+        if not line.startswith("|"):
+            return rows
+        first, second = re.split(r"(?<!\\)\|", line)[1:-1]
+        for command in first.split(","):
+            rows[command.strip(" `")] = [
+                part.strip(" `").replace("\\|", "|") for part in second.split(", ")
+            ]
+
+
+def _readme_terms(terms):
+    """Each shorthand term of ``terms`` to what it stands for, once its prose is in README."""
+    prose = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    assert [text for text in terms if text not in prose] == []
+    return dict(terms.values())
+
+
+def _expand(parts, terms):
+    """``parts`` with each shorthand term replaced, recursively, by what it stands for."""
+    return [
+        word for part in parts
+        for word in (_expand(terms[part], terms) if part in terms else [part])
+    ]
+
+
+def test_readme_flags_table_matches_the_commands():
+    terms = _readme_terms(_README_FLAG_TERMS)
+    rows = _readme_table("| Command | Flags |")
+    assert sorted(rows) == sorted(COMMANDS)
+    for command, parts in rows.items():
+        declared = {names[0]: kwargs.get("choices") for names, kwargs in COMMANDS[command][1]}
+        written = [part.split(" ") for part in _expand(parts, terms)]
+        assert sorted(flag for flag, *_ in written) == sorted(declared), command
+        # a flag written with its choices, as `--format csv|json`, lists all of them
+        for flag, *choices in written:
+            assert not choices or choices[0].split("|") == list(declared[flag]), command
+
+
+def test_readme_config_keys_table_matches_the_commands():
+    terms = _readme_terms(_README_KEY_TERMS)
+    rows = _readme_table("| Command | Config keys read |")
+    assert sorted(rows) == sorted(COMMANDS)
+    for command, parts in rows.items():
+        if parts[0].startswith("none:"):
+            parts = []
+        elif parts[0].startswith("as "):  # as `delta-u`, plus `sweep.variable` and range
+            extra = parts[1].removeprefix("plus ").replace("`", "").split(" and ")
+            parts = rows[parts[0].removeprefix("as ").strip("`")] + extra
+        assert sorted(_expand(parts, terms)) == sorted(COMMANDS[command][2]), command
+
+
 @pytest.mark.parametrize("command, flag", DROPPED)
 def test_dropped_flag_exits_1_writing_nothing(command, flag, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -1388,10 +1463,16 @@ def test_console_script_names_the_pausing_entry():
         (["tm-check", "--points", "8"], 1),
         (["verify", "--tol", "1e-17"], 2),
         (["delta-u", "--config", "/no/such.json"], 3),
+        (["fig4", "--steps", "9", "--out", "{tmp}/f.csv"], 0),
+        (["grid", "--format", "csv", "--levels", "1e-18"], 1),
+        (["compare", "--steps", "5", "--out", "/no/such/dir/c.csv"], 3),
+        (["tm-check"], 0),
     ],
-    ids=["ok", "validation", "verify-failure", "io"],
+    ids=["ok", "validation", "verify-failure", "io", "table", "table-validation", "table-io",
+         "tm-check"],
 )
-def test_module_entry_prints_and_exits_as_main(argv, code, capsys):
+def test_module_entry_prints_and_exits_as_main(argv, code, tmp_path, capsys):
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     expected = run(argv, capsys)
     assert expected[0] == code
     assert _python("-m", "qtlink.cli", *argv) == expected

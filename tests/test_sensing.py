@@ -7,6 +7,7 @@ import pytest
 
 from qtlink.sensing import (
     MAX_R_DB,
+    PAPER_SCALE_CONFIG,
     ChannelPair,
     SensingConfig,
     advantage_boundary_eta1,
@@ -334,6 +335,15 @@ def test_config_validation():
         ChannelPair(1.2, 0.5)
     with pytest.raises(ValueError):
         ChannelPair(0.5, 0.5, policy="other")
+
+
+def test_config_rejects_squeezing_past_the_level_bound_where_it_is_built():
+    # such a config used to build and fail only once an evaluation read cfg.r
+    with pytest.raises(ValueError, match=r"^squeezing level in dB must be at most 30, got 30\.5$"):
+        SensingConfig(r_db=30.5)
+    with pytest.raises(ValueError, match=r"^squeezing level in dB must be at most 30, got 31\.0$"):
+        replace(PAPER_SCALE_CONFIG, r_db=31.0)
+    assert SensingConfig(r_db=30.0).r == r_from_db(MAX_R_DB)
 
 
 def test_config_accepts_omega0_directly():
