@@ -17,11 +17,10 @@ import argparse
 import gc
 import math
 import sys
-from dataclasses import MISSING, fields, replace
 
 # every layer is registered lazily by the package: binding one here loads nothing
 from . import emit, link, sensing, sweep, temporal, verify
-from .constants import POLICIES, SWEEP_VARIABLES
+from .constants import POLICIES, REQUIRED, SWEEP_VARIABLES, replace
 
 
 class _Parser(argparse.ArgumentParser):
@@ -135,13 +134,9 @@ def _budget_eta(parent: dict, key: str, name: str) -> float:
     if "geometry" in entry:
         _require_keys(entry, ("geometry", "eta_detector"), name)
         block = _section(entry, "geometry", f"{name}.geometry")
-        geometry_fields = fields(link.LinkGeometry)
-        _require_keys(
-            block,
-            tuple(f.name for f in geometry_fields),
-            f"{name}.geometry",
-            tuple(f.name for f in geometry_fields if f.default is MISSING),
-        )
+        geometry = link.LinkGeometry.FIELDS
+        required = tuple(key for key, default in geometry.items() if default is REQUIRED)
+        _require_keys(block, tuple(geometry), f"{name}.geometry", required)
         geom = link.LinkGeometry(**block)
         return link.compose_eta(
             link.diffraction_eta(geom), link.pointing_eta(geom), entry.get("eta_detector", 1.0)

@@ -25,6 +25,12 @@ columns, formatting each distinct value of a column once; it is the one
 formatter of CSV rows, JSON rows and verify report lines.
 Nothing here imports numpy until an array reaches it, so a command that
 computes only Python reals never loads numpy.
+
+:class:`Record` is the base of every value type: ``FIELDS`` maps its
+annotated class attributes to their defaults (:data:`REQUIRED` if none).  It
+binds arguments as a function would, checks them in ``__post_init__``, is
+frozen and generates no code; :func:`asdict` gives its field values and
+:func:`replace` rebuilds it with some changed, checked again.
 """
 
 import numbers
@@ -37,6 +43,58 @@ FLOAT_MAX = sys.float_info.max
 
 SWEEP_VARIABLES = ("eta_symmetric", "eta1", "eta2", "r_db", "n_in")
 POLICIES = ("shared", "independent")
+
+REQUIRED = object()  # the default of a Record field that has none
+
+
+class Record:
+    """A frozen value type; ``FIELDS`` maps its annotated class attributes to their defaults."""
+
+    def __init_subclass__(cls):
+        names = cls.__dict__.get("__annotations__", {})
+        cls.FIELDS = {name: cls.__dict__.get(name, REQUIRED) for name in names}
+
+    def __init__(self, *args, **kwargs):
+        given = dict(zip(self.FIELDS, args))
+        extra = [key for key in kwargs if key not in self.FIELDS or key in given]
+        values = {**self.FIELDS, **given, **kwargs}
+        missing = [key for key, value in values.items() if value is REQUIRED]
+        if len(args) > len(self.FIELDS) or extra or missing:
+            raise TypeError(f"{type(self).__name__}({', '.join(self.FIELDS)}) got {len(args)} "
+                            f"positional, unknown or repeated {extra} and missing {missing}")
+        for key, value in values.items():
+            object.__setattr__(self, key, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, key, value=None):
+        raise AttributeError(f"{type(self).__name__} is frozen: cannot change {key!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return asdict(self) == asdict(other)
+
+    def __hash__(self):
+        return hash(tuple(asdict(self).values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{key}={value!r}" for key, value in asdict(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+def asdict(record: Record) -> dict:
+    """Each field name of ``record`` mapped to its value, in declared order."""
+    return {key: getattr(record, key) for key in record.FIELDS}
+
+
+def replace(record: Record, /, **changes) -> Record:
+    """A new record of ``record``'s type, its fields but ``changes`` kept; checked again."""
+    return type(record)(**{**asdict(record), **changes})
 
 
 def require_real(name: str, value, integer: bool = False) -> None:

@@ -18,11 +18,9 @@ algebra, read the homodyne variance off the covariance matrix, and compare.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .constants import require, require_policy
+from .constants import Record, require, require_policy
 
 __all__ = [
     "GaussianState",
@@ -36,8 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GaussianState:
+class GaussianState(Record):
     """Covariance matrix of n zero-mean optical modes, or a stack of them.
 
     Attributes:

@@ -10,9 +10,7 @@ eta directly, so nothing here gates the physics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-
-from .constants import FLOAT_MAX, require, require_finite, require_real
+from .constants import FLOAT_MAX, Record, require, require_finite, require_real
 
 __all__ = [
     "LinkGeometry",
@@ -23,8 +21,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LinkGeometry:
+class LinkGeometry(Record):
     """Geometry of one free-space path."""
 
     range_m: float
@@ -34,8 +31,8 @@ class LinkGeometry:
     pointing_jitter_rad: float = 0.0
 
     def __post_init__(self):
-        for f in fields(self):
-            require_finite(f.name, getattr(self, f.name))
+        for name in self.FIELDS:
+            require_finite(name, getattr(self, name))
         for name in ("range_m", "tx_waist_m", "rx_aperture_m", "wavelength_m"):
             require(name, getattr(self, name), getattr(self, name) > 0, "> 0")
         jitter = self.pointing_jitter_rad

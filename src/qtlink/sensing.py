@@ -30,11 +30,10 @@ from __future__ import annotations
 
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
 from .constants import (
-    FLOAT_MAX, SPEED_OF_LIGHT, require, require_finite, require_policy, require_real
+    FLOAT_MAX, SPEED_OF_LIGHT, Record, require, require_finite, require_policy, require_real
 )
 
 __all__ = [
@@ -118,8 +117,7 @@ def r_from_db(r_db):
     return r_db * math.log(10.0) / 20.0
 
 
-@dataclass(frozen=True)
-class SensingConfig:
+class SensingConfig(Record):
     """Scalar parameters of one timing measurement.
 
     Exactly one of ``lambda0`` (m) or ``omega0`` (rad/s) must be given.
@@ -140,11 +138,11 @@ class SensingConfig:
     snr: float = 1.0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is None and f.name in ("lambda0", "omega0"):
+        for name in self.FIELDS:
+            value = getattr(self, name)
+            if value is None and name in ("lambda0", "omega0"):
                 continue
-            require_finite(f.name, value)
+            require_finite(name, value)
         require("r_db", self.r_db, self.r_db >= 0, ">= 0")
         r_from_db(self.r_db)
         require("n_in", self.n_in, self.n_in > 0, "> 0")
@@ -194,8 +192,7 @@ class SensingConfig:
         return (1.0 - self.split) * self.n_in
 
 
-@dataclass(frozen=True)
-class ChannelPair:
+class ChannelPair(Record):
     """Effective transmissivities of the two paths and their vacuum-port policy."""
 
     eta1: float

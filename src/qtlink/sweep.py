@@ -7,12 +7,10 @@ byte-stable and can be golden-tested.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-
 import numpy as np
 
 from . import sensing
-from .constants import SWEEP_VARIABLES, require, require_finite, require_real
+from .constants import SWEEP_VARIABLES, Record, asdict, require, require_finite, require_real
 from .sensing import PAPER_SCALE_CONFIG, ChannelPair, SensingConfig
 
 __all__ = [
@@ -48,8 +46,7 @@ MAX_STEPS = 10**5
 MAX_GRID_STEPS = 500
 
 
-@dataclass(frozen=True)
-class Range:
+class Range(Record):
     start: float
     stop: float
     steps: int
@@ -94,8 +91,7 @@ def _require_domain(variable: str, rng: Range) -> None:
         raise ValueError("n_in sweeps must stay positive")
 
 
-@dataclass
-class SweepResult:
+class SweepResult(Record):
     """Tabulated sweep output: column names, a 2-D float array of rows, config echo.
 
     Grid results set ``grid_shape`` = (n_eta1, n_eta2); their rows run over
@@ -104,7 +100,7 @@ class SweepResult:
 
     columns: list
     rows: np.ndarray
-    meta: dict = field(default_factory=dict)
+    meta: dict | None = None
     grid_shape: tuple | None = None
 
     def __post_init__(self):
@@ -117,7 +113,8 @@ class SweepResult:
         if not finite.all():
             bad = rows[~finite][0].tolist()
             raise ValueError(f"non-finite value in sweep row {bad}")
-        self.rows = rows
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "meta", {} if self.meta is None else self.meta)
 
     def column(self, name: str) -> np.ndarray:
         return self.rows[:, self.columns.index(name)]

@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import FLOAT_MAX, require, require_finite, require_real
+from .constants import FLOAT_MAX, Record, require, require_finite, require_real
 
 __all__ = [
     "SpectralProfile",
@@ -51,8 +50,7 @@ _MIN_POINTS_PER_WIDTH = 16.0
 _MAX_GRID_POINTS = 2**20
 
 
-@dataclass(frozen=True)
-class SpectralProfile:
+class SpectralProfile(Record):
     """Carrier, spectral spread and sampling grid of a pulsed mode.
 
     ``grid_span`` is measured in units of 1/delta_omega, i.e. samples cover
@@ -100,8 +98,7 @@ class SpectralProfile:
         return np.linspace(-half, half, self.grid_points)
 
 
-@dataclass(frozen=True)
-class ModeFunction:
+class ModeFunction(Record):
     """Complex mode amplitudes sampled on a uniform u grid."""
 
     u: np.ndarray

@@ -20,11 +20,9 @@ filled by ``constants.format_rows``, the formatter of the CSV and JSON rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .constants import FLOAT_MAX, format_rows, require, require_real
+from .constants import FLOAT_MAX, Record, format_rows, require, require_real
 from .gaussian import beam_splitter, homodyne_variance, pure_loss, squeeze_single, vacuum
 from .sensing import r_from_db, radicand
 
@@ -82,8 +80,7 @@ _LINES = {
 _TEMPLATES = {"formula": "%.12e", "oracle": "%.12e", "rel_err": "%.3e"}
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(Record):
     """Oracle variances against the closed forms, one array per column per chain.
 
     ``two_mode`` maps r_db, eta1, eta2, formula, oracle and rel_err, in that
@@ -96,7 +93,10 @@ class VerifyReport:
     tolerance: float
     two_mode: dict
     single_mode: dict
-    notes: list = field(default_factory=list)
+    notes: list | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "notes", [] if self.notes is None else self.notes)
 
     @property
     def max_rel_err(self) -> float:

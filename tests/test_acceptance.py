@@ -7,12 +7,12 @@ report.  Tolerances are fixed here, not tuned elsewhere.
 import contextlib
 import io
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qtlink.cli import main as cli_main
+from qtlink.constants import replace
 from qtlink.emit import render_csv
 from qtlink.sensing import (
     ChannelPair,

@@ -10,7 +10,6 @@ import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +33,7 @@ from hypothesis.strategies import (
 
 from qtlink import cli
 from qtlink.cli import COMMANDS, build_parser, main
-from qtlink.constants import SWEEP_VARIABLES
+from qtlink.constants import REQUIRED, SWEEP_VARIABLES, asdict
 from qtlink.link import LinkGeometry
 from qtlink.sensing import PAPER_SCALE_CONFIG, SCHEMES, SWEPT, ChannelPair, SensingConfig
 from qtlink.sweep import MAX_GRID_STEPS, MAX_STEPS
@@ -544,8 +543,8 @@ def test_a_changed_config_key_changes_the_rows_or_exits_1(command, key, tmp_path
 
 
 def test_the_perturbed_keys_cover_every_config_key():
-    keys = {f"sensing.{f.name}" for f in fields(SensingConfig)}
-    keys |= {f"channel.{f.name}" for f in fields(ChannelPair)}
+    keys = {f"sensing.{name}" for name in SensingConfig.FIELDS}
+    keys |= {f"channel.{name}" for name in ChannelPair.FIELDS}
     keys |= {"link", "sweep.variable", "sweep.start", "sweep.stop", "sweep.steps"}
     assert set(_PERTURBED) == keys
     assert set(_PERTURBED_BASE) == {
@@ -1001,12 +1000,14 @@ _JSON_VALUES = recursive(
 )
 # often a float, so that a budget or a range can be legal
 _NUMBERS = _FLOATS | _JSON_VALUES
-_GEOMETRY_FIELDS = fields(LinkGeometry)
+_GEOMETRY_FIELDS = LinkGeometry.FIELDS
 # a geometry block with every required field, or any subset of its fields
 _GEOMETRY_BLOCKS = fixed_dictionaries(
-    {f.name: _NUMBERS for f in _GEOMETRY_FIELDS if f.default is MISSING},
-    optional={f.name: _NUMBERS for f in _GEOMETRY_FIELDS if f.default is not MISSING},
-) | dictionaries(sampled_from([f.name for f in _GEOMETRY_FIELDS]), _NUMBERS, max_size=5)
+    {name: _NUMBERS for name, default in _GEOMETRY_FIELDS.items() if default is REQUIRED},
+    optional={
+        name: _NUMBERS for name, default in _GEOMETRY_FIELDS.items() if default is not REQUIRED
+    },
+) | dictionaries(sampled_from(list(_GEOMETRY_FIELDS)), _NUMBERS, max_size=5)
 # one path's budget: its loss factors, or a geometry block and a detector factor
 _BUDGET = dictionaries(
     sampled_from(["eta_diffraction", "eta_pointing", "eta_detector"]), _NUMBERS, max_size=3

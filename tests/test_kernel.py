@@ -5,13 +5,13 @@ validation, and the math path for Python reals against the numpy path."""
 import math
 import re
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtlink.constants import replace
 from qtlink.sensing import (
     MAX_R_DB,
     ChannelPair,

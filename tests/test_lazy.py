@@ -15,6 +15,8 @@ from pathlib import Path
 
 import pytest
 
+from qtlink.cli import COMMANDS
+
 ROOT = Path(__file__).resolve().parents[1]
 
 # module -> the names the package has always re-exported from it
@@ -182,6 +184,33 @@ def test_numpy_loads_only_for_commands_that_build_arrays(argv, loaded, tmp_path)
 )
 def test_json_loads_only_to_read_a_config_file_or_write_json(argv, loaded):
     assert _python(PROBE_LOADED, "json", *argv) == {"import": 0, "main": loaded, "rc": 0}
+
+
+# the value types are Records, so no command loads dataclasses; numpy imports
+# inspect itself, so only delta-u, which never loads numpy, shows that saving
+@pytest.mark.parametrize("name", ["dataclasses", "inspect"])
+@pytest.mark.parametrize(
+    "argv",
+    [["delta-u"], ["delta-u", "--format", "json"], ["delta-u", "--config", "{config}"],
+     ["delta-u", "--out", "{out}/du.csv"]],
+    ids=["csv", "json", "link", "out"],
+)
+def test_delta_u_imports_neither_dataclasses_nor_inspect(name, argv, tmp_path):
+    config = tmp_path / "link.json"
+    config.write_text(json.dumps(LINK_CONFIG))
+    argv = [arg.format(config=config, out=tmp_path) for arg in argv]
+    assert _python(PROBE_LOADED, name, *argv) == {"import": 0, "main": 0, "rc": 0}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_no_command_imports_dataclasses(command, tmp_path):
+    flags = {names[0] for names, _ in COMMANDS[command][1]}
+    argv = [command]
+    if "--steps" in flags:
+        argv += ["--steps", "5"]
+    if "--out" in flags:
+        argv += ["--out", str(tmp_path / f"{command}.out")]
+    assert _python(PROBE_LOADED, "dataclasses", *argv) == {"import": 0, "main": 0, "rc": 0}
 
 
 def test_every_exported_name_resolves():

@@ -1,10 +1,12 @@
 import math
-from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
+from qtlink.constants import REQUIRED, asdict, replace
+from qtlink.gaussian import GaussianState
+from qtlink.link import LinkGeometry
 from qtlink.sensing import (
     MAX_R_DB,
     PAPER_SCALE_CONFIG,
@@ -23,8 +25,14 @@ from qtlink.sensing import (
     r_from_db,
     radicand,
 )
-from qtlink.temporal import SpectralProfile, shift_coefficients, shift_expansion_check
-from qtlink.verify import tmsv_chain_variance
+from qtlink.sweep import Range, SweepResult
+from qtlink.temporal import (
+    ModeFunction,
+    SpectralProfile,
+    shift_coefficients,
+    shift_expansion_check,
+)
+from qtlink.verify import VerifyReport, tmsv_chain_variance
 
 LEO = SensingConfig(r_db=5.0, n_in=1e3, lambda0=815e-9, delta_omega=2 * math.pi * 1e6)
 NATURAL = SpectralProfile(omega0=10.0, delta_omega=1.0)
@@ -466,3 +474,65 @@ def test_non_finite_scalar_inputs_are_rejected_naming_the_field(fn, args, messag
     with pytest.raises(ValueError) as err:
         fn(*args)
     assert str(err.value) == message
+
+
+# record type -> (every field's value in declared order, a change its checks
+# reject and their error); ModeFunction and VerifyReport check nothing
+_ARRAY = np.ones((2, 2))
+_RECORDS = {
+    SensingConfig: (
+        dict(r_db=5.0, n_in=1e3, n_lo=1.0, theta1=0.0, theta2=0.0, theta_lo=0.0,
+             lambda0=815e-9, omega0=None, delta_omega=2e6, split=0.5, snr=1.0),
+        {"n_in": 0.0}, "n_in must be > 0, got 0.0"),
+    ChannelPair: (dict(eta1=0.6, eta2=0.8, policy="shared"),
+                  {"eta1": 1.5}, "eta1 must be in [0, 1], got 1.5"),
+    LinkGeometry: (
+        dict(range_m=5e5, tx_waist_m=0.1, rx_aperture_m=0.5, wavelength_m=815e-9,
+             pointing_jitter_rad=1e-7),
+        {"range_m": -1.0}, "range_m must be > 0, got -1.0"),
+    Range: (dict(start=0.0, stop=1.0, steps=5), {"steps": 1}, "steps must be >= 2, got 1"),
+    SweepResult: (dict(columns=["a", "b"], rows=_ARRAY, meta={"k": 1}, grid_shape=(1, 2)),
+                  {"columns": ["a"]}, "row width does not match column count"),
+    GaussianState: (dict(n_modes=1, cov=np.eye(2), shared_port=None),
+                    {"n_modes": 0}, "n_modes must be >= 1, got 0"),
+    SpectralProfile: (dict(omega0=10.0, delta_omega=1.0, grid_points=64, grid_span=8.0),
+                      {"grid_points": 8}, "grid_points must be >= 16, got 8"),
+    ModeFunction: (dict(u=_ARRAY[0], samples=_ARRAY[1]), None, None),
+    VerifyReport: (
+        dict(policy="shared", tolerance=1e-9, two_mode={"rel_err": _ARRAY[0]},
+             single_mode={"rel_err": _ARRAY[1]}, notes=["n"]),
+        None, None),
+}
+
+
+@pytest.mark.parametrize("cls", list(_RECORDS), ids=lambda cls: cls.__name__)
+def test_every_value_type_keeps_the_record_contract(cls):
+    values, bad, message = _RECORDS[cls]
+    record = cls(**values)
+    assert list(asdict(record)) == list(values) == list(cls.FIELDS)
+    assert cls(*values.values()) == record
+    assert replace(record) == record
+    first = next(iter(values))
+    for change in (lambda: setattr(record, first, values[first]),
+                   lambda: delattr(record, first), lambda: setattr(record, "extra", 1)):
+        with pytest.raises(AttributeError):
+            change()
+    if bad is not None:
+        with pytest.raises(ValueError) as built:
+            cls(**{**values, **bad})
+        with pytest.raises(ValueError) as replaced:
+            replace(record, **bad)
+        assert str(built.value) == str(replaced.value) == message
+    required = {key: values[key] for key, default in cls.FIELDS.items() if default is REQUIRED}
+    # an unknown, a repeated, one too many, and (where a field has no default) a missing argument
+    calls = [((), {**values, "extra": 1}), ((values[first],), values), ((*values.values(), 1), {})]
+    if required:
+        calls.append(((), dict(list(required.items())[1:])))
+    for args, kwargs in calls:
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+    # a list or dict left to its default is each record's own
+    for key in ("meta", "notes"):
+        if key in cls.FIELDS:
+            own = [getattr(cls(**required), key) for _ in range(2)]
+            assert own[0] == type(own[0])() and own[0] is not own[1]

@@ -1,12 +1,11 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtlink.constants import POLICIES, SWEEP_VARIABLES
+from qtlink.constants import POLICIES, SWEEP_VARIABLES, replace
 from qtlink.sensing import (
     SCHEMES,
     ChannelPair,
