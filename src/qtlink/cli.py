@@ -6,9 +6,6 @@ config file (sections "sensing", "channel", "link", "sweep") with any flag
 overriding the file.  Each subcommand accepts only the flags and config
 keys its COMMANDS entry declares; anything else exits 1.  Exit codes:
 0 success, 1 validation or usage error, 2 verify failure, 3 I/O error.
-
-A COMMANDS entry is the whole command: its help, flags and config keys, and
-the function that runs it and returns its exit code.
 """
 
 from __future__ import annotations
@@ -302,8 +299,8 @@ def _cmd_tm_check(args) -> int:
     return 0 if passed else 1
 
 
-# command -> (help, flags, config keys, handler of the parsed args); grid and
-# the figures fix their channels to the shared model, verify reads the policy
+# command -> (help, flags, config keys, handler that runs it and returns its exit code),
+# the whole command; grid and the figures fix the shared channel model, verify reads the policy
 COMMANDS = {
     "delta-u": ("evaluate all schemes at one point", CONFIG + SENSING + ETAS + POLICY + (
         _flag("--format", choices=("csv", "json"), default="csv",
@@ -355,8 +352,7 @@ def build_parser(command: str | None = None) -> _Parser:
     and errors read the same either way.
     """
     # no prefix matching: verify --eta would otherwise set --eta-steps
-    # the help shows the module docstring but its last paragraph, which is for the code's readers
-    parser = _Parser(prog="qtlink", description=__doc__.rpartition("\n\n")[0], allow_abbrev=False)
+    parser = _Parser(prog="qtlink", description=__doc__, allow_abbrev=False)
     built = [command] if command in COMMANDS else list(COMMANDS)
     # the usage line lists every command even when one subparser is built
     metavar = "{" + ",".join(COMMANDS) + "}" if len(built) == 1 else None

@@ -68,15 +68,9 @@ class GaussianState(Record):
         """Leading batch axes; () for a single state."""
         return self.cov.shape[:-2]
 
-    def mode_block(self, mode: int) -> np.ndarray:
-        """2x2 covariance block of a single mode, shape (..., 2, 2)."""
-        i = 2 * self._check_mode(mode)
-        return self.cov[..., i : i + 2, i : i + 2]
-
-    def _check_mode(self, mode: int) -> int:
+    def _check_mode(self, mode: int) -> None:
         if not 0 <= mode < self.n_modes:
             raise ValueError(f"mode {mode} out of range for {self.n_modes}-mode state")
-        return mode
 
 
 def _symmetric(cov: np.ndarray) -> bool:

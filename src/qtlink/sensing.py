@@ -143,7 +143,6 @@ class SensingConfig(Record):
             if value is None and name in ("lambda0", "omega0"):
                 continue
             require_finite(name, value)
-        require("r_db", self.r_db, self.r_db >= 0, ">= 0")
         r_from_db(self.r_db)
         require("n_in", self.n_in, self.n_in > 0, "> 0")
         require("n_lo", self.n_lo, self.n_lo > 0, "> 0")
@@ -221,6 +220,7 @@ def photocurrent_mean_single(
     2*sqrt(N_path*N_lo) * [ (du/u0)*cos(th_p - th_lo)
                             + (Omega/sqrt(Omega^2+1))*sin(th_p - th_lo) ].
     """
+    require_real("path", path, integer=True)
     require("path", path, path in (1, 2), "1 or 2")
     require_finite("delta_u", delta_u)
     n_path, theta = (cfg.n1, cfg.theta1) if path == 1 else (cfg.n2, cfg.theta2)
@@ -435,5 +435,6 @@ def advantage_boundary_eta1(r: float, eta2: float) -> float:
     """
     require_real("r", r)
     require("r", r, 0 < r <= FLOAT_MAX, "finite and > 0")
+    require_real("eta2", eta2)
     require("eta2", eta2, 0.0 < eta2 <= 1.0, "in (0, 1]")
     return eta2 * math.tanh(0.5 * r) ** 2

@@ -80,14 +80,12 @@ VARIABLES = {
 
 
 def _require_domain(variable: str, rng: Range) -> None:
-    """Raise ValueError unless every value of ``rng`` is a legal ``variable``."""
+    """Raise ValueError unless every value of ``rng`` is a legal ``variable``: every eta
+    axis is checked here, as a scheme may read no eta2, and the kernel bounds r_db."""
     if variable.startswith("eta"):
         if rng.start <= 0 or rng.stop > 1.0:
             raise ValueError("eta sweeps must stay inside (0, 1]")
-    elif variable == "r_db":
-        if rng.start < 0:
-            raise ValueError("r_db sweeps must start at >= 0")
-    elif rng.start <= 0:
+    elif variable == "n_in" and rng.start <= 0:
         raise ValueError("n_in sweeps must stay positive")
 
 
@@ -171,9 +169,8 @@ def run_grid(
     Advantage rows carry the signed value plus a sign column so that
     no-advantage regions can be extracted without re-deriving them.
     """
-    for rng in (eta1_range, eta2_range):
-        if rng.start <= 0 or rng.stop > 1.0:
-            raise ValueError("eta grids must stay inside (0, 1]")
+    for variable, rng in (("eta1", eta1_range), ("eta2", eta2_range)):
+        _require_domain(variable, rng)
         require("steps", rng.steps, rng.steps <= MAX_GRID_STEPS, f"<= {MAX_GRID_STEPS}")
     if quantity not in ("advantage", "delta_u"):
         raise ValueError(f"unknown grid quantity {quantity!r}")
@@ -218,7 +215,7 @@ def run_compare_smsv(
 
 
 def preset_fig2(
-    config: SensingConfig | None = None,
+    config: SensingConfig = PAPER_SCALE_CONFIG,
     r_dbs: tuple = (3.0, 7.0, 11.0, 15.0),
     eta_range: Range = ETA_RANGE,
 ) -> SweepResult:
@@ -232,35 +229,33 @@ def preset_fig2(
     repeated = [c for c in columns if columns.count(c) > 1]
     if repeated:
         raise ValueError(f"r_dbs repeat the column label {repeated[0]}")
-    cfg = config or PAPER_SCALE_CONFIG
+    _require_domain("eta_symmetric", eta_range)
     eta = eta_range.values()
-    du_sql = sensing.evaluate("SQL", cfg, eta1=eta, eta2=eta)
+    du_sql = sensing.evaluate("SQL", config, eta1=eta, eta2=eta)
     # one row of offsets per squeezing level; each becomes a column
     levels = np.array(r_dbs, dtype=float)[:, None]
-    du_tmsv = sensing.evaluate("TMSV_real", cfg, eta1=eta, eta2=eta, r_db=levels)
+    du_tmsv = sensing.evaluate("TMSV_real", config, eta1=eta, eta2=eta, r_db=levels)
     rows = _table(eta, du_sql, *du_tmsv)
-    meta = _echo(cfg)
+    meta = _echo(config)
     meta["preset"] = {"name": "fig2", "r_dbs": list(r_dbs), **asdict(eta_range)}
     return SweepResult(columns, rows, meta)
 
 
 def preset_fig3(
-    config: SensingConfig | None = None,
+    config: SensingConfig = PAPER_SCALE_CONFIG,
     eta_range: Range = ETA_RANGE,
 ) -> SweepResult:
     """Advantage surface over asymmetric (eta1, eta2) at fixed 5 dB squeezing."""
-    cfg = config or PAPER_SCALE_CONFIG
-    result = run_grid(eta_range, eta_range, cfg, "advantage")
+    result = run_grid(eta_range, eta_range, config, "advantage")
     result.meta["preset"] = {"name": "fig3", **asdict(eta_range)}
     return result
 
 
 def preset_fig4(
-    config: SensingConfig | None = None,
+    config: SensingConfig = PAPER_SCALE_CONFIG,
     eta_range: Range = ETA_RANGE,
 ) -> SweepResult:
     """Single-mode vs two-mode offset curves over symmetric loss at 5 dB."""
-    cfg = config or PAPER_SCALE_CONFIG
-    result = run_compare_smsv(eta_range, cfg)
+    result = run_compare_smsv(eta_range, config)
     result.meta["preset"] = {"name": "fig4", **asdict(eta_range)}
     return result

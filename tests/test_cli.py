@@ -365,6 +365,40 @@ def test_bad_config_json_exits_1(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("config", [[1, 2], "sensing", 5, None])
+def test_config_file_whose_top_level_is_not_an_object_exits_1(config, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert run(["delta-u", "--config", str(path)], capsys) == (
+        1, "", f"error: config file {str(path)!r} must hold a JSON object\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["delta-u", "--r-db", "-1"], ["compare", "--r-db", "-1"],
+     ["sweep", "--variable", "r_db", "--start", "-1", "--steps", "3"]],
+)
+def test_a_negative_squeezing_level_is_named_by_the_kernel(args, tmp_path, monkeypatch, capsys):
+    # the kernel's bound names it, as it names a level past 30 dB, whether set or swept
+    monkeypatch.chdir(tmp_path)
+    assert run(args, capsys) == (
+        1, "", "error: squeezing level in dB must be finite and >= 0, got -1.0\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["sweep", "compare", "grid", "fig2", "fig3", "fig4"])
+def test_an_eta_axis_past_one_exits_1_naming_the_bound(command, tmp_path, monkeypatch, capsys):
+    # fig2 used to fail in the kernel, naming a sample: eta1 ... got 1.1275
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"sweep": {"stop": 1.5, "steps": 5}}))
+    assert run([command, "--config", "cfg.json"], capsys) == (
+        1, "", "error: eta sweeps must stay inside (0, 1]\n"
+    )
+    assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
+
 @pytest.mark.parametrize(
     "args, config, name",
     [

@@ -91,6 +91,19 @@ def test_svg_curves_exclude_ratio_column(small_fig4):
     assert ">ratio<" not in text
 
 
+def test_svg_curves_reject_a_non_positive_value():
+    result = SweepResult(["eta", "du_x"], [[0.1, 1e-18], [0.5, 0.0]])
+    with pytest.raises(ValueError, match="^log-scale curve plot needs strictly positive values$"):
+        render_svg(result)
+
+
+def test_svg_curves_of_one_power_of_ten_span_one_decade():
+    text = render_svg(SweepResult(["eta", "du_x"], [[0.1, 1e-3], [0.5, 1e-3]]))
+    labels = [node.text for node in ET.fromstring(text).iter() if node.text in ("1e-3", "1e-2")]
+    assert labels == ["1e-3", "1e-2"]
+    assert 'points="70.00,430.00 700.00,430.00"' in text  # on the lower decade line
+
+
 def test_svg_grid_cells_and_contours(small_fig3):
     text = render_svg(small_fig3, levels=[0.5e-18, 1.0e-18, 1.5e-18, 1.9e-18])
     ET.fromstring(text)

@@ -88,8 +88,8 @@ def test_beam_splitter_eta_zero_swaps_modes():
     st = squeeze_single(vacuum(2), 0, 0.8, 0.0)
     out = beam_splitter(st, 0, 1, 0.0)
     # squeezed block moves to mode 1; sign flip is irrelevant for covariances
-    assert np.allclose(out.mode_block(1), st.mode_block(0), atol=1e-14)
-    assert np.allclose(out.mode_block(0), np.eye(2), atol=1e-14)
+    assert np.allclose(out.cov[2:4, 2:4], st.cov[0:2, 0:2], atol=1e-14)
+    assert np.allclose(out.cov[0:2, 0:2], np.eye(2), atol=1e-14)
 
 
 def test_balanced_splitter_builds_entangled_pair():
@@ -220,6 +220,15 @@ def test_homodyne_pattern_validation():
         homodyne_variance(vacuum(2), (0.0, 0.0))
     with pytest.raises(ValueError, match="pattern addresses 2 modes, state has 1"):
         homodyne_variance(vacuum(1), (1.0, 1.0))
+    with pytest.raises(ValueError, match="^coefficients must be a 1-d vector$"):
+        homodyne_variance(vacuum(2), [[1.0], [1.0]])
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (4, 2), (3, 3, 4), (4,)])
+def test_state_rejects_a_cov_of_the_wrong_shape(shape):
+    with pytest.raises(ValueError) as err:
+        GaussianState(2, np.zeros(shape))
+    assert str(err.value) == f"cov must have shape (..., 4, 4), got {shape}"
 
 
 def test_state_validation_rejects_asymmetric_cov():
@@ -294,7 +303,7 @@ def test_stacked_squeeze_and_splitter_match_scalar_calls():
     etas = np.array([0.1, 0.5, 1.0])
     st = beam_splitter(squeeze_single(vacuum(2), 0, rs, 0.4), 0, 1, etas)
     assert st.cov.shape == (3, 4, 4)
-    assert st.mode_block(1).shape == (3, 2, 2)
+    assert st.cov[..., 2:4, 2:4].shape == (3, 2, 2)
     for k in range(3):
         one = beam_splitter(squeeze_single(vacuum(2), 0, float(rs[k]), 0.4), 0, 1, float(etas[k]))
         assert np.array_equal(st.cov[k], one.cov)
@@ -408,7 +417,7 @@ def test_shared_loss_after_independent_loss_reuses_the_first_port():
     assert st.n_modes == 4
     assert st.shared_port == 2
     # the port is read, never written: it is still vacuum
-    assert np.array_equal(st.mode_block(2), np.eye(2))
+    assert np.array_equal(st.cov[4:6, 4:6], np.eye(2))
     # X0 = sqrt(eta1) a - sqrt(1-eta1) v, and
     # X1 = sqrt(eta3 eta2) b - sqrt(eta3 (1-eta2)) w - sqrt(1-eta3) v,
     # with v the original vacuum port and w the independent one

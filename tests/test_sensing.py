@@ -72,6 +72,13 @@ def test_photocurrent_mean_quadrature_phase_saturates():
     assert mean == pytest.approx(2 * math.sqrt(cfg.n1 * cfg.n_lo), rel=1e-9)
 
 
+def test_photocurrent_mean_of_path_two_reads_its_own_photons_and_phase():
+    cfg = replace(LEO, split=0.2, theta2=math.pi / 2.0, n_lo=1e6)
+    expected = 2 * math.sqrt(800 * 1e6)  # N_2 = (1 - split) * N_in
+    assert photocurrent_mean_single(cfg, 2, 0.0) == pytest.approx(expected, rel=1e-9)
+    assert photocurrent_mean_single(cfg, 1, 0.0) == 0.0
+
+
 def test_photocurrent_mean_rejects_bad_path():
     with pytest.raises(ValueError):
         photocurrent_mean_single(LEO, 3, 0.0)
@@ -458,6 +465,13 @@ def test_radicand_keeps_nine_digits_at_the_level_bound(policy):
         (photocurrent_mean_single, (LEO, 2, -math.inf), "delta_u must be finite, got -inf"),
         (photocurrent_mean_single, (LEO, 1, True), "delta_u must be a real number, got True"),
         (photocurrent_mean_single, (LEO, 3, 0.0), "path must be 1 or 2, got 3"),
+        (photocurrent_mean_single, (LEO, True, 0.0), "path must be an integer, got True"),
+        (photocurrent_mean_single, (LEO, 1.0, 0.0), "path must be an integer, got 1.0"),
+        (photocurrent_mean_single, (LEO, 2.0, 0.0), "path must be an integer, got 2.0"),
+        # eta2 used to fail in `<` without its name, or pass as True
+        (advantage_boundary_eta1, (0.3, "x"), "eta2 must be a real number, got 'x'"),
+        (advantage_boundary_eta1, (0.3, None), "eta2 must be a real number, got None"),
+        (advantage_boundary_eta1, (0.3, True), "eta2 must be a real number, got True"),
         (shift_coefficients, (NATURAL, math.nan, 0, 0), "photon number must be finite, got nan"),
         (shift_coefficients, (NATURAL, math.inf, 0, 0), "photon number must be finite, got inf"),
         (shift_coefficients, (NATURAL, -1.0, 0.0, 0.0), "photon number must be >= 0, got -1.0"),
@@ -536,3 +550,11 @@ def test_every_value_type_keeps_the_record_contract(cls):
         if key in cls.FIELDS:
             own = [getattr(cls(**required), key) for _ in range(2)]
             assert own[0] == type(own[0])() and own[0] is not own[1]
+
+
+def test_records_hash_by_value_and_never_equal_another_type():
+    one, other = ChannelPair(0.6, 0.8), ChannelPair(0.6, 0.8)
+    assert one is not other and hash(one) == hash(other) == hash((0.6, 0.8, "shared"))
+    assert len({one, other, ChannelPair(0.6, 0.9)}) == 2
+    assert one.__eq__((0.6, 0.8, "shared")) is NotImplemented
+    assert one != (0.6, 0.8, "shared") and one != Range(0.6, 0.8, 2)

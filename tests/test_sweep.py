@@ -169,6 +169,43 @@ def test_grid_rejects_an_axis_past_the_grid_limit_before_evaluating(axis, monkey
     assert str(err.value) == f"steps must be <= {MAX_GRID_STEPS}, got {MAX_GRID_STEPS + 1}"
 
 
+# every builder of a table with an eta axis, the axis given as ``rng``; the
+# SMSV-only eta2 sweep reads no eta2 in the kernel, so only the rule stops it
+_ETA_AXES = {
+    "sweep-eta_symmetric": lambda rng: run_sweep("eta_symmetric", rng),
+    "sweep-eta1": lambda rng: run_sweep("eta1", rng),
+    "sweep-eta2-smsv": lambda rng: run_sweep("eta2", rng, schemes=("SMSV",)),
+    "compare": run_compare_smsv,
+    "grid-eta1": lambda rng: run_grid(rng, Range(0.1, 1.0, 3)),
+    "grid-eta2": lambda rng: run_grid(Range(0.1, 1.0, 3), rng),
+    "fig2": lambda rng: preset_fig2(eta_range=rng),
+    "fig3": lambda rng: preset_fig3(eta_range=rng),
+    "fig4": lambda rng: preset_fig4(eta_range=rng),
+}
+
+
+@pytest.mark.parametrize("rng", [Range(0.0, 1.0, 5), Range(0.5, 1.5, 5), Range(-0.5, 0.5, 5)])
+@pytest.mark.parametrize("builder", list(_ETA_AXES))
+def test_every_eta_axis_outside_the_unit_interval_names_the_bound(builder, rng):
+    with pytest.raises(ValueError) as err:
+        _ETA_AXES[builder](rng)
+    assert str(err.value) == "eta sweeps must stay inside (0, 1]"
+
+
+@pytest.mark.parametrize("start", [0.0, -5.0])
+def test_n_in_sweep_must_stay_positive(start):
+    # the kernel would name n1 + n2, or n1 at a value scaled by the split
+    with pytest.raises(ValueError) as err:
+        run_sweep("n_in", Range(start, 1e3, 5))
+    assert str(err.value) == "n_in sweeps must stay positive"
+
+
+def test_grid_rejects_an_unknown_quantity():
+    with pytest.raises(ValueError) as err:
+        run_grid(Range(0.1, 1.0, 3), Range(0.1, 1.0, 3), quantity="delta_u_smsv")
+    assert str(err.value) == "unknown grid quantity 'delta_u_smsv'"
+
+
 # kernel scheme -> its scalar wrapper, called with a config and a channel
 WRAPPERS = {
     "TMSV_ideal": lambda cfg, ch: delta_u_tmsv_ideal(cfg),
@@ -298,7 +335,7 @@ def test_verify_independent_policy_diagnostic():
 def test_verify_refined_grid():
     report = run_verify(eta_steps=4)
     assert report.passed
-    assert len(report.two_mode_rows) == 4 * 16
+    assert {len(column) for column in report.two_mode.values()} == {4 * 16}
 
 
 def test_verify_rejects_bad_tolerance():

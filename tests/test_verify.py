@@ -30,15 +30,15 @@ def test_stacked_oracle_equals_per_point_chains_on_dense_grid(policy, eta_steps)
     # level's whole eta1 x eta2 mesh runs as one stack, and the one-mode chain
     # runs every level at once.
     report = verify.run_verify(policy=policy, eta_steps=eta_steps)
-    assert len(report.two_mode_rows) == 4 * eta_steps**2
-    assert any(row["eta1"] == 1.0 for row in report.two_mode_rows)
-    for row in report.two_mode_rows:
-        r = r_from_db(row["r_db"])
-        scalar = verify.tmsv_chain_variance(r, row["eta1"], row["eta2"], policy)
-        assert row["oracle"] == scalar / 2.0
-    for row in report.single_mode_rows:
-        r = r_from_db(row["r_db"])
-        assert row["oracle"] == verify.smsv_chain_variance(r, row["eta"], policy)
+    two, one = report.two_mode, report.single_mode
+    assert {len(column) for column in two.values()} == {4 * eta_steps**2}
+    assert (two["eta1"] == 1.0).any()
+    names = ("r_db", "eta1", "eta2", "oracle")
+    for r_db, eta1, eta2, oracle in zip(*(two[name].tolist() for name in names)):
+        scalar = verify.tmsv_chain_variance(r_from_db(r_db), eta1, eta2, policy)
+        assert oracle == scalar / 2.0
+    for r_db, eta, oracle in zip(*(one[name].tolist() for name in ("r_db", "eta", "oracle"))):
+        assert oracle == verify.smsv_chain_variance(r_from_db(r_db), eta, policy)
 
 
 def test_chain_variances_broadcast_over_eta_arrays():
@@ -163,6 +163,12 @@ def _bits(rows):
             for row in rows]
 
 
+def _rows(columns, tolerance):
+    """The old-style dicts of a chain's points, read from its columns."""
+    points = zip(*(column.tolist() for column in columns.values()))
+    return [dict(zip(columns, point), ok=point[-1] <= tolerance) for point in points]
+
+
 def _columns(rows, eta_names):
     names = ("r_db", *eta_names, "formula", "oracle", "rel_err")
     return {name: np.array([row[name] for row in rows], dtype=float) for name in names}
@@ -194,6 +200,8 @@ def test_report_text_matches_the_per_row_formatter(case):
 def test_report_text_matches_the_per_row_formatter_on_the_dense_grid(policy):
     # 3,720 points, most of them distinct: the bench's verify-dense report
     report = verify.run_verify(policy=policy, eta_steps=30)
+    two_rows, one_rows = (_rows(chain, report.tolerance)
+                          for chain in (report.two_mode, report.single_mode))
     assert report.text() == _reference_text(
-        policy, report.tolerance, report.two_mode_rows, report.single_mode_rows, report.notes
+        policy, report.tolerance, two_rows, one_rows, report.notes
     )
