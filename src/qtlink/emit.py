@@ -1,8 +1,10 @@
 """Deterministic file emission for sweep results: CSV, JSON, and plain SVG.
 
 All renderers are pure string builders, so identical results give identical
-bytes; the write wrapper refuses empty tables and surfaces I/O failures
-with the offending path attached.  The SVG output needs no plotting
+bytes; each table is one ``sweep.SweepResult``, which is built with at
+least two rows and, for a grid, a shape that splits them, so no renderer
+handles an empty or one-step table.  The write wrapper surfaces I/O
+failures with the offending path attached.  The SVG output needs no plotting
 dependency: curves are drawn on a log-scale axis, grids as filled cells
 with iso-lines extracted by marching squares.  The SVG string builders live
 in ``qtlink.svg``, loaded only when SVG is written, and ``json`` only when
@@ -58,17 +60,10 @@ def render_json(result: SweepResult) -> str:
     import json
 
     rows = result.rows
-    payload = {
-        "columns": result.columns,
-        # an empty table is small enough for json.dumps itself
-        "rows": rows.tolist() if rows.size == 0 else None,
-        "meta": result.meta,
-    }
+    payload = {"columns": result.columns, "rows": None, "meta": result.meta}
     if result.grid_shape is not None:
         payload["grid_shape"] = list(result.grid_shape)
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if rows.size == 0:
-        return text
     # a row is at depth 2 and its values at depth 3; a raw newline cannot sit
     # inside a JSON string, so the top-level key is the only match
     row = "[\n      " + ",\n      ".join(["%s"] * rows.shape[1]) + "\n    ]"
@@ -90,8 +85,6 @@ def write_result(result: SweepResult, fmt: str, path: str, levels=None) -> None:
     """Render ``result`` in the requested format and write it to ``path``."""
     if fmt not in _FORMATS:
         raise ValueError(f"unknown output format {fmt!r}; pick one of {_FORMATS}")
-    if len(result.rows) == 0:
-        raise ValueError("refusing to emit an empty result")
     if fmt == "csv":
         text = render_csv(result)
     elif fmt == "json":

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .constants import Record, require, require_policy
+from .constants import Record, require, require_finite, require_policy, require_real
 
 __all__ = [
     "GaussianState",
@@ -50,11 +50,11 @@ class GaussianState(Record):
     shared_port: int | None = None
 
     def __post_init__(self):
-        require("n_modes", self.n_modes, self.n_modes >= 1, ">= 1")
-        if self.shared_port is not None and not 0 <= self.shared_port < self.n_modes:
-            raise ValueError(
-                f"shared_port {self.shared_port} out of range for {self.n_modes}-mode state"
-            )
+        _require_count(self.n_modes)
+        port = self.shared_port
+        if port is not None:
+            require_real("shared_port", port, integer=True)
+            require("shared_port", port, 0 <= port < self.n_modes, f"in [0, {self.n_modes})")
         cov = np.asarray(self.cov, dtype=float)
         d = 2 * self.n_modes
         if cov.shape[-2:] != (d, d):
@@ -69,8 +69,14 @@ class GaussianState(Record):
         return self.cov.shape[:-2]
 
     def _check_mode(self, mode: int) -> None:
-        if not 0 <= mode < self.n_modes:
-            raise ValueError(f"mode {mode} out of range for {self.n_modes}-mode state")
+        require_real("mode", mode, integer=True)
+        require("mode", mode, 0 <= mode < self.n_modes, f"in [0, {self.n_modes})")
+
+
+def _require_count(n_modes) -> None:
+    """Raise ValueError unless ``n_modes`` is an integer >= 1, a bool not included."""
+    require_real("n_modes", n_modes, integer=True)
+    require("n_modes", n_modes, n_modes >= 1, ">= 1")
 
 
 def _symmetric(cov: np.ndarray) -> bool:
@@ -110,7 +116,7 @@ def min_physicality_eigenvalue(state: GaussianState) -> float:
 
 def vacuum(n_modes: int) -> GaussianState:
     """n-mode vacuum: identity covariance."""
-    require("n_modes", n_modes, n_modes >= 1, ">= 1")
+    _require_count(n_modes)  # before np.eye, which takes neither a float nor a count < 0
     return GaussianState(n_modes, np.eye(2 * n_modes))
 
 
@@ -256,9 +262,11 @@ def homodyne_variance(
     A float for a single state; an array of shape ``state.batch_shape``
     for a stack.
     """
+    require_finite("phase", phase)
     coeffs = np.atleast_1d(np.asarray(coefficients, dtype=float))
     if coeffs.ndim != 1:
         raise ValueError("coefficients must be a 1-d vector")
+    require("coefficients", coeffs, np.isfinite(coeffs), "finite")
     if not np.any(coeffs != 0.0):
         raise ValueError("homodyne pattern needs at least one nonzero coefficient")
     if len(coeffs) > state.n_modes:

@@ -144,8 +144,8 @@ def grid(result: SweepResult, levels=None) -> str:
         # four evenly spaced iso-levels inside the positive range
         levels = [vmax * f for f in (0.25, 0.5, 0.75, 0.95)] if vmax > 0 else []
 
-    half1 = 0.5 * (e1[1] - e1[0]) if len(e1) > 1 else 0.5
-    half2 = 0.5 * (e2[1] - e2[0]) if len(e2) > 1 else 0.5
+    half1 = 0.5 * (e1[1] - e1[0])
+    half2 = 0.5 * (e2[1] - e2[0])
     # a cell's x and width depend on its column only, its y and height on its row
     px0, px1 = _x_to_px(e1 - half1, x0, x1), _x_to_px(e1 + half1, x0, x1)
     py0, py1 = _y_to_px(e2 + half2, y0, y1), _y_to_px(e2 - half2, y0, y1)

@@ -55,6 +55,7 @@ class Range(Record):
         for name in ("start", "stop"):
             require_finite(name, getattr(self, name))
         require_real("steps", self.steps, integer=True)
+        object.__setattr__(self, "steps", int(self.steps))  # a numpy integer is no JSON number
         require("steps", self.steps, self.steps >= 2, ">= 2")
         require("steps", self.steps, self.steps <= MAX_STEPS, f"<= {MAX_STEPS}")
         if not self.start < self.stop:
@@ -92,8 +93,9 @@ def _require_domain(variable: str, rng: Range) -> None:
 class SweepResult(Record):
     """Tabulated sweep output: column names, a 2-D float array of rows, config echo.
 
-    Grid results set ``grid_shape`` = (n_eta1, n_eta2); their rows run over
-    eta2 fastest, so any column reshapes straight to the grid.
+    At least two rows.  A grid sets ``grid_shape`` = (n_eta1, n_eta2), integers >= 2
+    whose product is the row count, over >= 3 columns (two axes and a value); its
+    rows run over eta2 fastest, so any column reshapes straight to the grid.
     """
 
     columns: list
@@ -102,15 +104,21 @@ class SweepResult(Record):
     grid_shape: tuple | None = None
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=float)
-        if rows.size == 0:
-            rows = rows.reshape(0, len(self.columns))
-        if rows.ndim != 2 or rows.shape[1] != len(self.columns):
-            raise ValueError("row width does not match column count")
+        rows, width, shape = np.asarray(self.rows, dtype=float), len(self.columns), self.grid_shape
+        ok = rows.ndim == 2 and rows.shape[0] >= 2 and rows.shape[1] == width
+        require("rows", rows.shape, ok, f"of shape (>= 2, {width}), one value per column")
         finite = np.isfinite(rows).all(axis=1)
         if not finite.all():
             bad = rows[~finite][0].tolist()
             raise ValueError(f"non-finite value in sweep row {bad}")
+        if shape is not None:
+            require("grid_shape", shape, type(shape) is tuple and len(shape) == 2, "a 2-tuple")
+            for n in shape:
+                require_real("grid_shape", n, integer=True)
+            shape = (int(shape[0]), int(shape[1]))
+            ok = min(shape) >= 2 and shape[0] * shape[1] == len(rows) and width >= 3
+            require("grid_shape", shape, ok, f"two axes >= 2, {len(rows)} cells, >= 3 columns")
+            object.__setattr__(self, "grid_shape", shape)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "meta", {} if self.meta is None else self.meta)
 

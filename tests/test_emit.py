@@ -1,5 +1,6 @@
 import json
 import xml.etree.ElementTree as ET
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,7 +15,18 @@ from qtlink.emit import (
     render_svg,
     write_result,
 )
-from qtlink.sweep import Range, SweepResult, preset_fig2, preset_fig3, preset_fig4
+from qtlink.sensing import MAX_R_DB
+from qtlink.sweep import (
+    VARIABLES,
+    Range,
+    SweepResult,
+    preset_fig2,
+    preset_fig3,
+    preset_fig4,
+    run_compare_smsv,
+    run_grid,
+    run_sweep,
+)
 
 FIG2_HEADER = "eta,du_sql,du_tmsv_3db,du_tmsv_7db,du_tmsv_11db,du_tmsv_15db"
 FIG3_HEADER = "eta1,eta2,advantage,sign"
@@ -147,9 +159,9 @@ def test_contour_segments_circle_level_count():
 
 
 def test_write_result_refuses_empty(tmp_path):
-    empty = SweepResult(["a"], [])
-    with pytest.raises(ValueError):
-        write_result(empty, "csv", str(tmp_path / "out.csv"))
+    # an empty table is refused where it is built, so it never reaches the writer
+    with pytest.raises(ValueError, match=r"^rows must be of shape \(>= 2, 1\)"):
+        write_result(SweepResult(["a"], []), "csv", str(tmp_path / "out.csv"))
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -262,6 +274,56 @@ def test_contour_segments_keep_their_crossings_at_any_scale(scale):
         ).tolist()
 
 
+# Each sweep variable's legal values; the eta and n_in floors keep every
+# offset a finite double (an eta of 5e-324 makes the SMSV offset overflow,
+# which the kernel names).
+_DOMAINS = {"eta": (1e-6, 1.0), "r_db": (0.0, MAX_R_DB), "n_in": (1e-3, 1e12)}
+
+
+@st.composite
+def _ranges(draw, domain="eta", max_steps=40):
+    """A legal Range over ``domain``, its steps a Python or a numpy integer."""
+    start, stop = sorted(draw(st.lists(st.floats(*_DOMAINS[domain]), min_size=2, max_size=2,
+                                       unique=True)))
+    integer = draw(st.sampled_from([int, np.int64, np.int32]))
+    return Range(start, stop, integer(draw(st.integers(2, max_steps))))
+
+
+@st.composite
+def _builds(draw):
+    """(a call of one table builder on legal Ranges, the Ranges it takes)."""
+    name = draw(st.sampled_from(["sweep", "grid", "compare", "fig2", "fig3", "fig4"]))
+    if name == "sweep":
+        variable = draw(st.sampled_from(list(VARIABLES)))
+        rng = draw(_ranges("eta" if variable.startswith("eta") else variable))
+        return partial(run_sweep, variable, rng), [rng]
+    if name == "grid":
+        axes = [draw(_ranges(max_steps=12)) for _ in range(2)]
+        quantity = draw(st.sampled_from(["advantage", "delta_u"]))
+        return partial(run_grid, *axes, quantity=quantity), axes
+    if name == "fig3":  # one Range for both grid axes
+        rng = draw(_ranges(max_steps=12))
+        return partial(preset_fig3, eta_range=rng), [rng, rng]
+    rng = draw(_ranges())
+    if name == "compare":
+        return partial(run_compare_smsv, rng), [rng]
+    return partial(preset_fig2 if name == "fig2" else preset_fig4, eta_range=rng), [rng]
+
+
+@settings(deadline=None, max_examples=120)
+@given(build=_builds())
+def test_every_builder_takes_any_legal_range_and_its_table_renders(build):
+    call, ranges = build
+    result = call()
+    payload = json.loads(render_json(result))
+    assert render_csv(result).count("\n") == len(result.rows) + 2
+    ET.fromstring(render_svg(result))
+    # a numpy integer of steps is stored as an int, so it echoes as a JSON number
+    assert all(type(rng.steps) is int for rng in ranges)
+    if result.grid_shape is not None:
+        assert payload["grid_shape"] == [rng.steps for rng in ranges]
+
+
 # Reference renderers: json.dumps with an indent (the pure-Python encoder) and
 # one format call per CSV value.  The emitters must match them byte for byte.
 def _json_reference(result):
@@ -314,14 +376,15 @@ def _column(draw):
 
 @st.composite
 def sweep_results(draw):
-    names = draw(st.lists(st.sampled_from(["eta1", "eta2", "du_tmsv", "advantage", "ratio"]),
-                          min_size=1, max_size=4, unique=True))
-    columns = names + ["sign"] if draw(st.booleans()) else names
+    """Any legal table: 2-12 rows, or a grid of 2-5 steps per axis over at least 3 columns."""
     if draw(st.booleans()):
-        grid_shape = (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+        grid_shape = (draw(st.integers(2, 5)), draw(st.integers(2, 5)))
         n_rows = grid_shape[0] * grid_shape[1]
     else:
-        grid_shape, n_rows = None, draw(st.integers(0, 12))
+        grid_shape, n_rows = None, draw(st.integers(2, 12))
+    names = draw(st.lists(st.sampled_from(["eta1", "eta2", "du_tmsv", "advantage", "ratio"]),
+                          min_size=1 if grid_shape is None else 3, max_size=4, unique=True))
+    columns = names + ["sign"] if draw(st.booleans()) else names
     cell = {
         c: st.sampled_from([-1.0, 0.0, -0.0, 1.0]) if c == "sign" else draw(_column())
         for c in columns
@@ -333,7 +396,8 @@ def sweep_results(draw):
 
 @settings(deadline=None, max_examples=200)
 @given(result=sweep_results())
-@example(result=SweepResult(["eta1", "sign"], [[5e-324, -1.0]], {"rows": [1]}, (1, 1)))
+@example(result=SweepResult(["eta1", "eta2", "sign"], [[5e-324, 1.0, -1.0]] * 4, {"rows": [1]},
+                            (2, 2)))
 @example(result=SweepResult(["du_sql"], [[-1.7976931348623157e308], [1e16], [-0.0]], {}))
 def test_renderers_match_the_reference_renderers(result):
     assert render_json(result) == _json_reference(result)

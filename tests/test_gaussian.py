@@ -46,6 +46,41 @@ def test_vacuum_rejects_nonpositive_mode_count():
         vacuum(-3)
 
 
+@pytest.mark.parametrize(
+    "fn, args, message",
+    [
+        (vacuum, (True,), "n_modes must be an integer, got True"),
+        (vacuum, (2.5,), "n_modes must be an integer, got 2.5"),
+        (GaussianState, (True, np.eye(2)), "n_modes must be an integer, got True"),
+        (GaussianState, (1.0, np.eye(2)), "n_modes must be an integer, got 1.0"),
+        (GaussianState, (2, np.eye(4), 1.0), "shared_port must be an integer, got 1.0"),
+        (GaussianState, (2, np.eye(4), True), "shared_port must be an integer, got True"),
+        (GaussianState, (2, np.eye(4), 2), "shared_port must be in [0, 2), got 2"),
+        (pure_loss, (vacuum(2), 1.5, 0.5), "mode must be an integer, got 1.5"),
+        (pure_loss, (vacuum(2), -1, 0.5), "mode must be in [0, 2), got -1"),
+        (squeeze_single, (vacuum(2), True, 0.3), "mode must be an integer, got True"),
+        (beam_splitter, (vacuum(2), 0, 1.0, 0.5), "mode must be an integer, got 1.0"),
+        (homodyne_variance, (vacuum(1), (np.nan,)), "coefficients must be finite, got nan"),
+        (homodyne_variance, (vacuum(2), (1.0, -np.inf)), "coefficients must be finite, got -inf"),
+        (homodyne_variance, (vacuum(1), (1.0,), np.inf), "phase must be finite, got inf"),
+        (homodyne_variance, (vacuum(1), (1.0,), np.nan), "phase must be finite, got nan"),
+        (homodyne_variance, (vacuum(1), (1.0,), "0"), "phase must be a real number, got '0'"),
+    ],
+)
+def test_integer_and_finite_fields_are_named_where_they_are_taken(fn, args, message):
+    # each returned nan, built a state of True modes, or raised an unnamed
+    # TypeError, an IndexError or a RuntimeWarning
+    with pytest.raises(ValueError) as err:
+        fn(*args)
+    assert str(err.value) == message
+
+
+def test_numpy_integer_mode_counts_and_indices_are_accepted():
+    st = squeeze_single(vacuum(np.int64(2)), np.int64(1), R_5DB)
+    assert st.n_modes == 2
+    assert pure_loss(st, np.int32(0), 0.5, "independent").shared_port is None
+
+
 def test_squeeze_zero_is_identity():
     st = squeeze_single(vacuum(1), 0, 0.0, 0.0)
     assert np.allclose(st.cov, np.eye(2))

@@ -27,6 +27,7 @@ from qtlink.sensing import (
     r_from_db,
     radicand,
 )
+from qtlink.sweep import Range, run_grid
 from qtlink.verify import tmsv_chain_variance
 
 LEO = SensingConfig(r_db=5.0, n_in=1e3, lambda0=815e-9, delta_omega=2 * math.pi * 1e6)
@@ -112,6 +113,82 @@ def test_advantage_changes_sign_at_the_boundary(r_db, eta2):
     axes = dict(eta1=row, eta2=eta2)
     adv = evaluate("SQL", cfg, **axes) - evaluate("TMSV_real", cfg, **axes)
     assert np.array_equal(np.sign(adv), [-1.0, 1.0])
+
+
+def _slack(r_db):
+    """Relative rounding of an offset at ``r_db``: a few ulps of the radicand's
+    cancelling terms, which grow as sinh(2r) (~500 at 30 dB)."""
+    return 8 * np.finfo(float).eps * (1.0 + math.sinh(2.0 * r_from_db(r_db)))
+
+
+@st.composite
+def eta_axes(draw, max_steps=40):
+    start, stop = sorted(draw(st.lists(open_etas, min_size=2, max_size=2, unique=True)))
+    return Range(start, stop, draw(st.integers(2, max_steps)))
+
+
+@checked
+@given(r_db=st.floats(0.01, MAX_R_DB), split=splits, policy=policies, axis1=eta_axes(),
+       axis2=eta_axes())
+def test_advantage_region_lies_between_the_two_roots(r_db, split, policy, axis1, axis2):
+    # tanh r < 2*sqrt(eta1*eta2)/(eta1+eta2) exactly for eta2*t^2 < eta1 < eta2/t^2,
+    # t = tanh(r/2); both schemes share a denominator and the cross term
+    # cancels, so neither the split nor the policy moves the region
+    cfg = replace(LEO, r_db=r_db, split=split)
+    grid = run_grid(axis1, axis2, cfg)
+    eta1, eta2 = grid.column("eta1"), grid.column("eta2")
+    t2 = math.tanh(r_from_db(r_db) / 2.0) ** 2
+    inside = (eta2 * t2 < eta1) & (eta1 < eta2 / t2)
+    ch = ChannelPair(1.0, 1.0, policy)
+    sql = evaluate("SQL", cfg, ch, eta1=eta1, eta2=eta2)
+    adv = sql - evaluate("TMSV_real", cfg, ch, eta1=eta1, eta2=eta2)
+    # run_grid's sign (shared ports), then the drawn policy's: only a cell whose
+    # two offsets agree to rounding, one on a root, may differ from the region
+    for sign, gap in ((grid.column("sign"), grid.column("advantage")), (np.sign(adv), adv)):
+        off = (sign > 0) != inside
+        assert np.all(np.abs(gap[off]) <= _slack(r_db) * sql[off])
+
+
+# sorted etas at least 1e-6 apart in (0, 1]
+eta_rows = st.lists(st.integers(1, 10**6), min_size=2, max_size=30, unique=True).map(
+    lambda ks: np.array(sorted(ks)) / 1e6
+)
+
+
+@checked
+@given(r_db=st.floats(0.0, MAX_R_DB), other=open_etas, etas=eta_rows, split=splits,
+       policy=policies)
+def test_sql_and_smsv_offsets_fall_strictly_in_each_eta(r_db, other, etas, split, policy):
+    cfg, ch = replace(LEO, r_db=r_db, split=split), ChannelPair(other, other, policy)
+    for du in (evaluate("SQL", cfg, ch, eta1=etas), evaluate("SQL", cfg, ch, eta2=etas),
+               evaluate("SMSV_real", cfg, eta1=etas)):
+        assert np.all(np.diff(du) < 0.0)
+
+
+@checked
+@given(r_db=st.floats(0.0, MAX_R_DB), eta2=open_etas, etas=eta_rows, split=splits,
+       policy=policies)
+def test_tmsv_offset_falls_along_balanced_paths_and_in_the_weaker_eta1(
+    r_db, eta2, etas, split, policy
+):
+    # the TMSV_real offset falls as both paths clear together, and as eta1
+    # rises up to eta2; above eta2 it need not (see the next test)
+    cfg, ch = replace(LEO, r_db=r_db, split=split), ChannelPair(1.0, 1.0, policy)
+    balanced = evaluate("TMSV_real", cfg, ch, eta1=etas, eta2=etas)
+    weaker = evaluate("TMSV_real", cfg, ch, eta1=eta2 * etas, eta2=eta2)
+    for du in (balanced, weaker):
+        assert np.all(du[1:] <= du[:-1] * (1.0 + _slack(r_db)))
+
+
+def test_tmsv_offset_is_not_monotone_in_eta1_above_eta2():
+    # the model's physics, not a bug: at high squeezing the offset is least
+    # near balanced paths, and clearing path 1 alone past that costs more
+    cfg = replace(LEO, r_db=15.0)
+    eta1 = np.linspace(0.5, 1.0, 50001)
+    du = evaluate("TMSV_real", cfg, ChannelPair(1.0, 1.0, "independent"), eta1=eta1, eta2=0.5)
+    best = int(du.argmin())
+    assert eta1[best] == pytest.approx(0.64, abs=0.005)
+    assert du[-1] / du[best] == pytest.approx(1.20, abs=0.005)
 
 
 @checked

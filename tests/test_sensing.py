@@ -505,8 +505,10 @@ _RECORDS = {
              pointing_jitter_rad=1e-7),
         {"range_m": -1.0}, "range_m must be > 0, got -1.0"),
     Range: (dict(start=0.0, stop=1.0, steps=5), {"steps": 1}, "steps must be >= 2, got 1"),
-    SweepResult: (dict(columns=["a", "b"], rows=_ARRAY, meta={"k": 1}, grid_shape=(1, 2)),
-                  {"columns": ["a"]}, "row width does not match column count"),
+    SweepResult: (dict(columns=["a", "b", "c"], rows=np.ones((4, 3)), meta={"k": 1},
+                       grid_shape=(2, 2)),
+                  {"columns": ["a"]}, "rows must be of shape (>= 2, 1), one value per column, "
+                                      "got (4, 3)"),
     GaussianState: (dict(n_modes=1, cov=np.eye(2), shared_port=None),
                     {"n_modes": 0}, "n_modes must be >= 1, got 0"),
     SpectralProfile: (dict(omega0=10.0, delta_omega=1.0, grid_points=64, grid_span=8.0),

@@ -346,7 +346,54 @@ def test_verify_rejects_bad_tolerance():
 def test_result_rejects_non_finite_rows():
     from qtlink.sweep import SweepResult
 
-    with pytest.raises(ValueError):
-        SweepResult(["a"], [[math.inf]])
+    with pytest.raises(ValueError, match="^non-finite value in sweep row"):
+        SweepResult(["a"], [[math.inf], [1.0]])
     with pytest.raises(ValueError):
         SweepResult(["a", "b"], [[1.0]])
+
+
+_ROW_RULE = "rows must be of shape (>= 2, {}), one value per column, got {}"
+_GRID_RULE = "grid_shape must be two axes >= 2, {} cells, >= 3 columns, got {}"
+_PAIR_RULE = "grid_shape must be a 2-tuple, got {}"
+
+
+@pytest.mark.parametrize(
+    "columns, rows, grid_shape, message",
+    [
+        (["a"], [], None, _ROW_RULE.format(1, "(0,)")),
+        (["a", "b"], np.empty((0, 2)), None, _ROW_RULE.format(2, "(0, 2)")),
+        (["a", "b"], [[0.5, 1.0]], None, _ROW_RULE.format(2, "(1, 2)")),
+        (["a", "b", "c"], np.ones((6, 3)), (4, 4), _GRID_RULE.format(6, "(4, 4)")),
+        (["a", "b", "c"], np.ones((2, 3)), (1, 2), _GRID_RULE.format(2, "(1, 2)")),
+        (["a", "b", "c"], np.ones((3, 3)), (3, 1), _GRID_RULE.format(3, "(3, 1)")),
+        (["a", "b"], np.ones((4, 2)), (2, 2), _GRID_RULE.format(4, "(2, 2)")),
+        (["a", "b", "c"], np.ones((4, 3)), True, _PAIR_RULE.format(True)),
+        (["a", "b", "c"], np.ones((4, 3)), 4.0, _PAIR_RULE.format(4.0)),
+        (["a", "b", "c"], np.ones((4, 3)), np.int64(4), _PAIR_RULE.format(4)),
+        (["a", "b", "c"], np.ones((4, 3)), [2, 2], _PAIR_RULE.format([2, 2])),
+        (["a", "b", "c"], np.ones((4, 3)), (2, 2, 1), _PAIR_RULE.format((2, 2, 1))),
+        (["a", "b", "c"], np.ones((4, 3)), (True, 4), "grid_shape must be an integer, got True"),
+        (["a", "b", "c"], np.ones((4, 3)), (2.0, 2), "grid_shape must be an integer, got 2.0"),
+    ],
+    ids=["empty", "empty-2-d", "one-row", "product", "axis-of-1", "row-of-1", "two-columns",
+         "bool", "float", "numpy-int", "list", "three-axes", "bool-axis", "float-axis"],
+)
+def test_a_table_no_renderer_can_draw_is_refused_where_it_is_built(
+    columns, rows, grid_shape, message
+):
+    # each of these reached a renderer before, to fail there or write a
+    # self-contradicting JSON file
+    from qtlink.sweep import SweepResult
+
+    with pytest.raises(ValueError) as err:
+        SweepResult(columns, rows, {}, grid_shape)
+    assert str(err.value) == message
+
+
+def test_a_grid_shape_of_numpy_integers_is_stored_as_ints():
+    from qtlink.emit import render_json
+    from qtlink.sweep import SweepResult
+
+    result = SweepResult(["a", "b", "c"], np.ones((6, 3)), {}, (np.int64(2), np.int32(3)))
+    assert result.grid_shape == (2, 3) and all(type(n) is int for n in result.grid_shape)
+    assert '"grid_shape": [\n    2,\n    3\n  ]' in render_json(result)
