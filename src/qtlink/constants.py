@@ -18,7 +18,9 @@ bad field is rejected with one message shape, ``<field> must be
 <requirement>, got <value>``.
 FLOAT_MAX bounds a finite field: ``abs(value) <= FLOAT_MAX`` fails for NaN,
 for an infinity and for an int too large for a double, where
-``math.isfinite`` would raise OverflowError on that int.
+``math.isfinite`` would raise OverflowError on that int.  A value type
+stores what :func:`require_finite` returns, so a numpy scalar field is kept
+as the Python number it equals.
 
 :func:`format_rows` fills a line template once per row of a table's
 columns, formatting each distinct value of a column once; it is the one
@@ -108,10 +110,20 @@ def require_real(name: str, value, integer: bool = False) -> None:
         raise ValueError(f"{name} must be {noun}, got {value!r}")
 
 
-def require_finite(name: str, value) -> None:
-    """Raise ValueError naming ``name`` unless ``value`` is a finite real number."""
+def require_finite(name: str, value):
+    """``value`` as the Python int or float it equals; ValueError naming ``name`` unless finite.
+
+    A non-integral real is checked as the double it is, so a numpy float32 is
+    compared without a cast, and a value type that stores the result stores a
+    number JSON can print.  A Python int or float comes back unchanged.
+    """
     require_real(name, value)
+    try:
+        value = int(value) if isinstance(value, numbers.Integral) else float(value)
+    except OverflowError:  # a Fraction past the double range, checked as it is
+        pass
     require(name, value, abs(value) <= FLOAT_MAX, "finite")
+    return value
 
 
 def require(name: str, values, ok, requirement: str) -> None:

@@ -11,6 +11,11 @@ stack of covariances of shape (..., 2n, 2n), and ``r``/``eta`` may be arrays,
 so one chain of operations carries many parameter points at once.  A scalar
 call is the 0-d case of the same code.
 
+Every covariance must be finite, and a squeezing magnitude ``r`` at most
+ln(FLOAT_MAX)/2, where e^(2r) overflows a double.  An operation whose
+product overflows all the same (two large squeezes of one mode) is rejected
+by the new state, which names ``cov``.
+
 This module is the brute-force cross-check for the closed-form photocurrent
 variances in :mod:`qtlink.sensing`: build the state by explicit matrix
 algebra, read the homodyne variance off the covariance matrix, and compare.
@@ -20,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .constants import Record, require, require_finite, require_policy, require_real
+from .constants import FLOAT_MAX, Record, require, require_finite, require_policy, require_real
 
 __all__ = [
     "GaussianState",
@@ -39,8 +44,8 @@ class GaussianState(Record):
 
     Attributes:
         n_modes: number of modes.
-        cov: real symmetric covariance matrices, shape (..., 2n, 2n); identity
-            for vacuum.  Leading axes are batch axes.
+        cov: finite real symmetric covariance matrices, shape (..., 2n, 2n);
+            identity for vacuum.  Leading axes are batch axes.
         shared_port: index of the vacuum mode that every shared-policy loss
             reads (see pure_loss), or None before the first such loss.
     """
@@ -55,12 +60,14 @@ class GaussianState(Record):
         if port is not None:
             require_real("shared_port", port, integer=True)
             require("shared_port", port, 0 <= port < self.n_modes, f"in [0, {self.n_modes})")
-        cov = np.asarray(self.cov, dtype=float)
+        cov = _floats("cov", self.cov)
         d = 2 * self.n_modes
         if cov.shape[-2:] != (d, d):
             raise ValueError(f"cov must have shape (..., {d}, {d}), got {cov.shape}")
-        if not _symmetric(cov):
-            raise ValueError("covariance matrix must be symmetric")
+        require("cov", cov, np.isfinite(cov), "finite")
+        with np.errstate(over="ignore"):  # a gap past FLOAT_MAX is inf, and not close
+            if not _symmetric(cov):
+                raise ValueError("covariance matrix must be symmetric")
         object.__setattr__(self, "cov", cov)
 
     @property
@@ -79,20 +86,22 @@ def _require_count(n_modes) -> None:
     require("n_modes", n_modes, n_modes >= 1, ">= 1")
 
 
-def _symmetric(cov: np.ndarray) -> bool:
-    """``np.allclose(cov, swapped, rtol=1e-12, atol=1e-12)``, swapped the transpose.
+def _floats(name: str, value) -> np.ndarray:
+    """``value`` as a float array; an int past the double range is named as not finite."""
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got {value}") from None
 
-    isclose(a, b) is |a - b| <= atol + rtol*|b| with b finite, or a == b
-    (NaN never passes, equal infinities do).  Over a whole matrix, testing
-    every entry against its own magnitude instead of its transpose's is the
-    same test, as the gap |a - b| is symmetric; that keeps the tolerance off
-    the strided transpose and skips isclose's generic set-up.
+
+def _symmetric(cov: np.ndarray) -> bool:
+    """``np.allclose(cov, transpose, rtol=1e-12, atol=1e-12)`` for a finite ``cov``.
+
+    The gap is symmetric, so every entry is measured against its own magnitude,
+    not its transpose's: the same test over the whole matrix.
     """
-    swapped = np.swapaxes(cov, -1, -2)
-    with np.errstate(invalid="ignore"):  # inf - inf, ignored as isclose ignores it
-        gap = np.abs(cov - swapped)
-    close = (gap <= 1e-12 + 1e-12 * np.abs(cov)) & np.isfinite(cov)
-    return bool(close.all() or (close | (cov == swapped)).all())
+    gap = np.abs(cov - np.swapaxes(cov, -1, -2))
+    return bool((gap <= 1e-12 + 1e-12 * np.abs(cov)).all())
 
 
 def symplectic_form(n_modes: int) -> np.ndarray:
@@ -126,10 +135,13 @@ def _identity(batch: tuple, d: int) -> np.ndarray:
 
 
 def _apply_linear(state: GaussianState, m: np.ndarray) -> GaussianState:
-    """Map cov -> M cov M^T; a stack of M broadcasts against the state's."""
-    return GaussianState(
-        state.n_modes, m @ state.cov @ np.swapaxes(m, -1, -2), state.shared_port
-    )
+    """Map cov -> M cov M^T; a stack of M broadcasts against the state's.
+
+    A product that overflows leaves inf or NaN, which the new state rejects.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = m @ state.cov @ np.swapaxes(m, -1, -2)
+    return GaussianState(state.n_modes, cov, state.shared_port)
 
 
 def _rotation(angle: float) -> np.ndarray:
@@ -140,15 +152,17 @@ def _rotation(angle: float) -> np.ndarray:
 def squeeze_single(
     state: GaussianState, mode: int, r: float | np.ndarray, angle: float = 0.0
 ) -> GaussianState:
-    """Squeeze one mode by r >= 0 along the quadrature at ``angle``.
+    """Squeeze one mode by r in [0, ln(FLOAT_MAX)/2] along the quadrature at ``angle``.
 
     angle = 0 squeezes x (block becomes diag(e^-2r, e^+2r)); angle = pi/2
     squeezes p.  Direction is carried entirely by the angle, so negative r
     is rejected.  An array ``r`` squeezes a stack, one element per state.
     """
     state._check_mode(mode)
-    r = np.asarray(r, dtype=float)
-    require("squeezing magnitude", r, r >= 0, ">= 0")
+    require_finite("angle", angle)
+    r = _floats("squeezing magnitude", r)
+    r_max = np.log(FLOAT_MAX) / 2  # e^(2r) overflows past it
+    require("squeezing magnitude", r, (r >= 0) & (r <= r_max), f"in [0, {r_max}]")
     rot = _rotation(angle)
     diag = np.zeros(r.shape + (2, 2))
     diag[..., 0, 0] = np.exp(-r)
@@ -185,7 +199,7 @@ def beam_splitter(
     state._check_mode(m2)
     if m1 == m2:
         raise ValueError("beam splitter needs two distinct modes")
-    eta = np.asarray(eta, dtype=float)
+    eta = _floats("transmissivity", eta)
     require("transmissivity", eta, (eta >= 0.0) & (eta <= 1.0), "in [0, 1]")
     return _apply_linear(state, _bs_rows(state.n_modes, m1, m2, eta))
 
@@ -235,7 +249,7 @@ def pure_loss(
     """
     state._check_mode(mode)
     require_policy(policy)
-    eta = np.asarray(eta, dtype=float)
+    eta = _floats("transmissivity", eta)
     require("transmissivity", eta, (eta >= 0.0) & (eta <= 1.0), "in [0, 1]")
     if np.all(eta == 1.0):
         return state
@@ -260,10 +274,10 @@ def homodyne_variance(
     ``coefficients[i]`` weights mode i's measured quadrature
     x_i cos(phase) + p_i sin(phase); phase = 0 measures X, pi/2 measures P.
     A float for a single state; an array of shape ``state.batch_shape``
-    for a stack.
+    for a stack.  A variance past the largest double is rejected by name.
     """
     require_finite("phase", phase)
-    coeffs = np.atleast_1d(np.asarray(coefficients, dtype=float))
+    coeffs = np.atleast_1d(_floats("coefficients", coefficients))
     if coeffs.ndim != 1:
         raise ValueError("coefficients must be a 1-d vector")
     require("coefficients", coeffs, np.isfinite(coeffs), "finite")
@@ -276,4 +290,7 @@ def homodyne_variance(
     v = np.zeros(2 * state.n_modes)
     v[: 2 * len(coeffs) : 2] = coeffs * np.cos(phase)
     v[1 : 2 * len(coeffs) : 2] = coeffs * np.sin(phase)
-    return v @ state.cov @ v
+    with np.errstate(over="ignore", invalid="ignore"):
+        variance = v @ state.cov @ v
+    require("homodyne variance", variance, np.isfinite(variance), "finite")
+    return variance

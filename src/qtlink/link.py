@@ -32,7 +32,7 @@ class LinkGeometry(Record):
 
     def __post_init__(self):
         for name in self.FIELDS:
-            require_finite(name, getattr(self, name))
+            object.__setattr__(self, name, require_finite(name, getattr(self, name)))
         for name in ("range_m", "tx_waist_m", "rx_aperture_m", "wavelength_m"):
             require(name, getattr(self, name), getattr(self, name) > 0, "> 0")
         jitter = self.pointing_jitter_rad

@@ -142,7 +142,7 @@ class SensingConfig(Record):
             value = getattr(self, name)
             if value is None and name in ("lambda0", "omega0"):
                 continue
-            require_finite(name, value)
+            object.__setattr__(self, name, require_finite(name, value))
         r_from_db(self.r_db)
         require("n_in", self.n_in, self.n_in > 0, "> 0")
         require("n_lo", self.n_lo, self.n_lo > 0, "> 0")
@@ -202,6 +202,7 @@ class ChannelPair(Record):
         for name, eta in (("eta1", self.eta1), ("eta2", self.eta2)):
             require_real(name, eta)
             require(name, eta, 0.0 <= eta <= 1.0, "in [0, 1]")
+            object.__setattr__(self, name, require_finite(name, eta))
         require_policy(self.policy)
 
 

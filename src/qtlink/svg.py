@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import emit
+from .constants import FLOAT_MAX, require
 
 if TYPE_CHECKING:
     from .sweep import SweepResult
@@ -69,6 +70,14 @@ def _axes(x0: float, x1: float, x_name: str, y_ticks: list, marks: bool) -> list
     return parts
 
 
+def _span(values: np.ndarray, name: str) -> tuple:
+    """Least and greatest of column ``name``'s ``values``; they must differ by a finite width."""
+    lo, hi = float(values.min()), float(values.max())
+    ok = 0.0 < hi - lo <= FLOAT_MAX
+    require(f"column {name!r}", [lo, hi], ok, "spread over a nonzero, finite width")
+    return lo, hi
+
+
 def _x_to_px(x, x0, x1):
     return _ML + (x - x0) / (x1 - x0) * (_W - _ML - _MR)
 
@@ -84,8 +93,9 @@ def curves(result: SweepResult) -> str:
     y_names = [c for c in result.columns[1:] if c.startswith("du_")] or list(
         result.columns[1:]
     )
+    require("columns", result.columns, len(y_names) > 0, f"{x_name!r} and at least one curve")
     xs = result.column(x_name)
-    x0, x1 = float(xs.min()), float(xs.max())
+    x0, x1 = _span(xs, x_name)
     all_y = np.concatenate([result.column(c) for c in y_names])
     if np.any(all_y <= 0):
         raise ValueError("log-scale curve plot needs strictly positive values")
@@ -137,8 +147,8 @@ def grid(result: SweepResult, levels=None) -> str:
     """A grid result's third column as filled cells, with its iso-lines at ``levels``."""
     cube = result.rows.reshape(*result.grid_shape, -1)
     e1, e2, z = cube[:, 0, 0], cube[0, :, 1], cube[:, :, 2]
-    x0, x1 = float(e1.min()), float(e1.max())
-    y0, y1 = float(e2.min()), float(e2.max())
+    x0, x1 = _span(e1, result.columns[0])
+    y0, y1 = _span(e2, result.columns[1])
     vmax = float(z.max())
     if levels is None:
         # four evenly spaced iso-levels inside the positive range

@@ -53,7 +53,7 @@ class Range(Record):
 
     def __post_init__(self):
         for name in ("start", "stop"):
-            require_finite(name, getattr(self, name))
+            object.__setattr__(self, name, require_finite(name, getattr(self, name)))
         require_real("steps", self.steps, integer=True)
         object.__setattr__(self, "steps", int(self.steps))  # a numpy integer is no JSON number
         require("steps", self.steps, self.steps >= 2, ">= 2")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qtlink.constants import format_rows
+from qtlink.constants import format_rows, replace
 from qtlink.emit import (
     contour_segments,
     render_csv,
@@ -15,7 +15,7 @@ from qtlink.emit import (
     render_svg,
     write_result,
 )
-from qtlink.sensing import MAX_R_DB
+from qtlink.sensing import MAX_R_DB, PAPER_SCALE_CONFIG
 from qtlink.sweep import (
     VARIABLES,
     Range,
@@ -90,6 +90,16 @@ def test_json_grid_shape(small_fig3):
     assert payload["grid_shape"] == [12, 12]
 
 
+@pytest.mark.parametrize("kind", [np.float32, np.float16, np.longdouble])
+def test_a_numpy_float_field_renders_to_json_and_csv(kind):
+    # a float32 warned in the finite check's cast, then reached json.dumps
+    config = replace(PAPER_SCALE_CONFIG, r_db=kind(3.0))
+    for result in (run_sweep("eta1", Range(kind(0.1), 1.0, 5)),
+                   preset_fig3(config, eta_range=Range(0.1, 1.0, 4))):
+        assert json.loads(render_json(result))["rows"]
+        assert render_csv(result).count("\n") == len(result.rows) + 2
+
+
 def test_svg_curves_well_formed(small_fig2):
     text = render_svg(small_fig2)
     root = ET.fromstring(text)
@@ -107,6 +117,31 @@ def test_svg_curves_reject_a_non_positive_value():
     result = SweepResult(["eta", "du_x"], [[0.1, 1e-18], [0.5, 0.0]])
     with pytest.raises(ValueError, match="^log-scale curve plot needs strictly positive values$"):
         render_svg(result)
+
+
+@pytest.mark.parametrize(
+    "columns, rows, grid_shape, message",
+    [
+        (["eta", "du_x"], [[0.5, 1e-3], [0.5, 2e-3]], None,
+         "column 'eta' must be spread over a nonzero, finite width, got [0.5, 0.5]"),
+        (["eta", "du_x"], [[-1e308, 1e-3], [1e308, 2e-3]], None,
+         "column 'eta' must be spread over a nonzero, finite width, got [-1e+308, 1e+308]"),
+        (["eta"], [[0.1], [0.5]], None,
+         "columns must be 'eta' and at least one curve, got ['eta']"),
+        (["eta1", "eta2", "a"], [[0.5, 0.1, 1.0], [0.5, 0.2, 2.0]] * 2, (2, 2),
+         "column 'eta1' must be spread over a nonzero, finite width, got [0.5, 0.5]"),
+        (["eta1", "eta2", "a"], [[0.1, 0.3, 1.0], [0.1, 0.3, 2.0]] + [[0.2, 0.3, 1.0]] * 2,
+         (2, 2), "column 'eta2' must be spread over a nonzero, finite width, got [0.3, 0.3]"),
+    ],
+)
+def test_svg_names_the_column_it_cannot_draw(columns, rows, grid_shape, message):
+    # these ended in ZeroDivisionError, a RuntimeWarning or numpy's "need at
+    # least one array to concatenate"; CSV and JSON still render them
+    result = SweepResult(columns, rows, grid_shape=grid_shape)
+    render_csv(result), render_json(result)
+    with pytest.raises(ValueError) as err:
+        render_svg(result)
+    assert str(err.value) == message
 
 
 def test_svg_curves_of_one_power_of_ten_span_one_decade():

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis.strategies import composite, floats, integers, sampled_from
+from hypothesis.strategies import (
+    composite,
+    data,
+    floats,
+    integers,
+    just,
+    lists,
+    sampled_from,
+)
 
 from qtlink.gaussian import (
     GaussianState,
@@ -14,6 +22,7 @@ from qtlink.gaussian import (
     vacuum,
 )
 from qtlink.sensing import r_from_db
+from qtlink.verify import smsv_chain_variance, tmsv_chain_variance
 
 R_5DB = 5.0 * np.log(10.0) / 20.0
 SUM_X = (1.0, 1.0)
@@ -419,9 +428,13 @@ def _covariances(draw):
 @settings(deadline=None, max_examples=300)
 @given(cov=_covariances())
 def test_symmetry_check_accepts_exactly_what_allclose_accepts(cov):
-    expected = np.allclose(cov, np.swapaxes(cov, -1, -2), rtol=1e-12, atol=1e-12)
+    # a non-finite entry is rejected by name before the symmetry test;
+    # a finite stack passes exactly when allclose passes it
     n_modes = cov.shape[-1] // 2
-    if expected:
+    if not np.isfinite(cov).all():
+        with pytest.raises(ValueError, match="^cov must be finite, got -?(nan|inf)$"):
+            GaussianState(n_modes, cov)
+    elif np.allclose(cov, np.swapaxes(cov, -1, -2), rtol=1e-12, atol=1e-12):
         GaussianState(n_modes, cov)
     else:
         with pytest.raises(ValueError, match="^covariance matrix must be symmetric$"):
@@ -466,3 +479,87 @@ def test_shared_loss_after_independent_loss_reuses_the_first_port():
         + 2 * np.sqrt((1 - eta1) * (1 - eta3))
     )
     assert homodyne_variance(st, SUM_X) == pytest.approx(var, rel=1e-12)
+
+
+# Every engine call returns finite numbers or raises an error naming what it
+# rejects; under tier-1's filterwarnings = error a float warning fails too.
+_NAMES = ("n_modes", "shared_port", "mode", "cov", "squeezing magnitude", "angle",
+          "transmissivity", "policy", "coefficient", "phase", "homodyne variance")
+_REALS = floats(0.0, 1.0) | floats(0.0, 360.0) | floats() | sampled_from([
+    np.nan, np.inf, -np.inf, 1e308, -1e308, 1e200, 10**400, -(10**400), 800.0, 400.0, 354.9,
+    300.0, 200.0, True, False, 0, 1, 0.5, -0.5, 5e-324, np.float32(0.25), np.float32(np.inf),
+])
+_MODES = integers(-1, 3) | sampled_from([True, False, 1.0, 1.5, np.nan, np.int64(1), 10**30])
+_POLICIES = sampled_from(["shared", "independent", "bogus"])
+
+
+def _call(draw):
+    """Build a state, apply a few drawn operations and read it out, all from drawn arguments."""
+    kind = draw(sampled_from(["tmsv", "smsv", "chain"]))
+    if kind == "tmsv":
+        return tmsv_chain_variance(draw(_REALS), draw(_REALS), draw(_REALS), draw(_POLICIES))
+    if kind == "smsv":
+        return smsv_chain_variance(draw(_REALS), draw(_REALS), draw(_POLICIES))
+    if draw(sampled_from([True, False])):
+        state = vacuum(draw(integers(1, 3) | sampled_from([0, -1, True, 2.5, np.int64(2)])))
+    else:
+        a, b, d = draw(_REALS), draw(_REALS), draw(_REALS)
+        cov = [[a, b], [draw(just(b) | _REALS), d]]
+        state = GaussianState(draw(_MODES), cov, draw(just(None) | _MODES))
+    assert np.isfinite(state.cov).all()
+    for op in draw(lists(sampled_from(["squeeze", "split", "loss"]), max_size=4)):
+        if op == "squeeze":
+            state = squeeze_single(state, draw(_MODES), draw(_REALS), draw(_REALS))
+        elif op == "split":
+            state = beam_splitter(state, draw(_MODES), draw(_MODES), draw(_REALS))
+        else:
+            state = pure_loss(state, draw(_MODES), draw(_REALS), draw(_POLICIES))
+        assert np.isfinite(state.cov).all()
+    return homodyne_variance(state, draw(lists(_REALS, max_size=3)), draw(_REALS))
+
+
+@settings(deadline=None, max_examples=400)
+@given(data=data())
+def test_every_engine_call_returns_a_finite_value_or_names_a_field(data):
+    try:
+        value = _call(data.draw)
+    except (ValueError, TypeError) as err:
+        assert any(name in str(err) for name in _NAMES), err
+    else:
+        assert np.isfinite(value)
+
+
+# e^(2r) overflows a double past this r
+_R_RULE = f"squeezing magnitude must be in [0, {np.log(np.finfo(float).max) / 2}], got "
+_HUGE_COV = [[1.0, 10**400], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: GaussianState(1, np.full((2, 2), np.nan)), "cov must be finite, got nan"),
+        (lambda: GaussianState(1, np.full((2, 2), -np.inf)), "cov must be finite, got -inf"),
+        (lambda: GaussianState(1, _HUGE_COV), f"cov must be finite, got {_HUGE_COV}"),
+        (lambda: GaussianState(1, [[0.0, 1e308], [-1e308, 0.0]]),
+         "covariance matrix must be symmetric"),
+        (lambda: squeeze_single(vacuum(1), 0, np.inf), _R_RULE + "inf"),
+        (lambda: squeeze_single(vacuum(1), 0, 400.0), _R_RULE + "400.0"),
+        (lambda: squeeze_single(vacuum(1), 0, np.nan), _R_RULE + "nan"),
+        (lambda: tmsv_chain_variance(800.0, 0.5, 0.5), _R_RULE + "800.0"),
+        (lambda: squeeze_single(vacuum(1), 0, 1.0, np.nan), "angle must be finite, got nan"),
+        (lambda: squeeze_single(vacuum(1), 0, 1.0, True), "angle must be a real number, got True"),
+        # the second squeeze overflows in the product, and the new state rejects it
+        (lambda: squeeze_single(squeeze_single(vacuum(1), 0, 300.0), 0, 300.0),
+         "cov must be finite, got nan"),
+        (lambda: pure_loss(vacuum(1), 0, 10**400),
+         f"transmissivity must be finite, got {10**400}"),
+        (lambda: homodyne_variance(vacuum(1), (1e200,)),
+         "homodyne variance must be finite, got inf"),
+    ],
+    ids=lambda value: value[-36:] if isinstance(value, str) else "",
+)
+def test_non_finite_and_overflowing_inputs_are_named(call, message):
+    # each ended in a RuntimeWarning, an unnamed OverflowError, or named the symmetry
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

@@ -1,8 +1,11 @@
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qtlink.constants import REQUIRED, asdict, replace
 from qtlink.gaussian import GaussianState
@@ -373,7 +376,7 @@ def test_config_accepts_omega0_directly():
      "delta_omega", "split", "snr"],
 )
 # an int too large for a double, as a JSON config may hold, is not finite either
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400, Fraction(10**400, 3)])
 def test_config_rejects_non_finite_fields(field, bad):
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         SensingConfig(**{field: bad})
@@ -452,6 +455,54 @@ def test_radicand_keeps_nine_digits_at_the_level_bound(policy):
                 ref = (e1 + e2) * sh * sh + 1 + cross - (e1 * e2).sqrt() * sh2
                 worst = max(worst, abs(Decimal(float(got[i, j])) / ref - 1))
     assert worst < Decimal("1e-9")
+
+
+def _radicand_exact(r, eta1, eta2, policy):
+    """The TMSV radicand (eta1+eta2) sinh^2 r + 1 + c - sqrt(eta1 eta2) sinh 2r to 60 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        r, e1, e2 = Decimal(r), Decimal(eta1), Decimal(eta2)
+        grow = r.exp()
+        sh, sh2 = (grow - 1 / grow) / 2, (grow * grow - 1 / (grow * grow)) / 2
+        cross = ((1 - e1) * (1 - e2)).sqrt() if policy == "shared" else 0
+        return (e1 + e2) * sh * sh + 1 + cross - (e1 * e2).sqrt() * sh2
+
+
+def _radicand_reference(r, eta1, eta2, policy):
+    """The same radicand as a sum of non-negative terms, so that nothing cancels."""
+    cross = math.sqrt((1 - eta1) * (1 - eta2)) if policy == "shared" else 0.0
+    return (((1 - eta1) + (1 - eta2)) / 2 + cross
+            + (math.sqrt(eta1) - math.sqrt(eta2)) ** 2 * math.cosh(2 * r) / 2
+            + math.sqrt(eta1 * eta2) * math.exp(-2 * r))
+
+
+@st.composite
+def _radicand_points(draw):
+    """(r, eta1, eta2, policy) at any legal level, the etas often near 1 and near each other."""
+    r = r_from_db(draw(st.floats(0.0, MAX_R_DB)))
+    etas = st.floats(0.0, 1.0) | st.floats(0.0, 1e-3).map(lambda d: 1.0 - d)
+    eta1 = draw(etas)
+    # sqrt(eta2) = sqrt(eta1) - t e^-2r is where the reference's one difference weighs most
+    root = st.floats(-4.0, 4.0).map(lambda t: math.sqrt(eta1) - t * math.exp(-2 * r))
+    eta2 = draw(etas | root.map(lambda s: min(1.0, max(0.0, s)) ** 2))
+    return r, eta1, eta2, draw(st.sampled_from(["shared", "independent"]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(point=_radicand_points())
+@example(point=(r_from_db(MAX_R_DB), 1.0, 0.996, "independent"))
+@example(point=(r_from_db(MAX_R_DB), 1.0, 1.0, "shared"))
+def test_radicand_keeps_its_digits_against_a_reference_at_every_level(point):
+    # The all-positive form keeps all but ~e^2r/2 ulps, where its one
+    # difference sqrt(eta1) - sqrt(eta2) weighs most; the kernel's factored
+    # form cancels down to e^-2r near eta = 1 and keeps all but ~e^4r ulps.
+    r, eta1, eta2, policy = point
+    grow, eps = math.exp(2 * r), np.finfo(float).eps
+    exact = _radicand_exact(r, eta1, eta2, policy)
+    reference = _radicand_reference(r, eta1, eta2, policy)
+    assert abs(Decimal(reference) / exact - 1) <= Decimal((4 + grow / 2) * eps)
+    kernel = radicand("TMSV_real", r, eta1, eta2, policy)
+    assert abs(kernel / reference - 1) <= (8 + 4 * grow**2) * eps
 
 
 
@@ -552,6 +603,23 @@ def test_every_value_type_keeps_the_record_contract(cls):
         if key in cls.FIELDS:
             own = [getattr(cls(**required), key) for _ in range(2)]
             assert own[0] == type(own[0])() and own[0] is not own[1]
+
+
+@pytest.mark.parametrize("kind", [np.float32, np.float64, np.longdouble])
+@pytest.mark.parametrize(
+    "cls", [SensingConfig, ChannelPair, LinkGeometry, Range, SpectralProfile],
+    ids=lambda cls: cls.__name__,
+)
+def test_a_numpy_float_field_is_stored_as_the_python_float_it_equals(cls, kind):
+    values = _RECORDS[cls][0]
+    reals = [key for key, value in values.items() if type(value) is float]
+    record = cls(**{**values, **{key: kind(values[key]) for key in reals}})
+    for key in reals:
+        assert type(getattr(record, key)) is float
+        assert getattr(record, key) == float(kind(values[key]))
+    # a Python int or float is stored as given
+    assert all(getattr(cls(**values), key) is value for key, value in values.items())
+    assert type(Range(0, 1, 5).start) is int
 
 
 def test_records_hash_by_value_and_never_equal_another_type():
