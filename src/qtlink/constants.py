@@ -18,9 +18,7 @@ bad field is rejected with one message shape, ``<field> must be
 <requirement>, got <value>``.
 FLOAT_MAX bounds a finite field: ``abs(value) <= FLOAT_MAX`` fails for NaN,
 for an infinity and for an int too large for a double, where
-``math.isfinite`` would raise OverflowError on that int.  A value type
-stores what :func:`require_finite` returns, so a numpy scalar field is kept
-as the Python number it equals.
+``math.isfinite`` would raise OverflowError on that int.
 
 :func:`format_rows` fills a line template once per row of a table's
 columns, formatting each distinct value of a column once; it is the one
@@ -30,9 +28,9 @@ computes only Python reals never loads numpy.
 
 :class:`Record` is the base of every value type: ``FIELDS`` maps its
 annotated class attributes to their defaults (:data:`REQUIRED` if none).  It
-binds arguments as a function would, checks them in ``__post_init__``, is
-frozen and generates no code; :func:`asdict` gives its field values and
-:func:`replace` rebuilds it with some changed, checked again.
+binds arguments as a function would, checks each ``float`` and ``int``
+field by one type rule, is frozen and generates no code; :func:`asdict`
+gives its field values and :func:`replace` a changed copy, checked again.
 """
 
 import numbers
@@ -47,14 +45,22 @@ SWEEP_VARIABLES = ("eta_symmetric", "eta1", "eta2", "r_db", "n_in")
 POLICIES = ("shared", "independent")
 
 REQUIRED = object()  # the default of a Record field that has none
+_TYPED = {"float": (float, False), "float | None": (float, True),
+          "int": (int, False), "int | None": (int, True)}
 
 
 class Record:
-    """A frozen value type; ``FIELDS`` maps its annotated class attributes to their defaults."""
+    """A frozen value type; ``FIELDS`` maps its annotated class attributes to their defaults.
+
+    ``TYPED`` maps each field annotated ``float`` or ``int`` to (that type, None admitted by
+    ``| None``).  As it binds, a float must be finite and an int an integer, a bool neither,
+    and each is stored as the Python number it equals, as a numpy scalar is no JSON number.
+    """
 
     def __init_subclass__(cls):
         names = cls.__dict__.get("__annotations__", {})
         cls.FIELDS = {name: cls.__dict__.get(name, REQUIRED) for name in names}
+        cls.TYPED = {name: _TYPED[kind] for name, kind in names.items() if kind in _TYPED}
 
     def __init__(self, *args, **kwargs):
         given = dict(zip(self.FIELDS, args))
@@ -65,6 +71,10 @@ class Record:
             raise TypeError(f"{type(self).__name__}({', '.join(self.FIELDS)}) got {len(args)} "
                             f"positional, unknown or repeated {extra} and missing {missing}")
         for key, value in values.items():
+            kind, optional = self.TYPED.get(key, (None, True))
+            if kind is not None and not (optional and value is None):
+                require_real(key, value, integer=kind is int)
+                value = int(value) if kind is int else require_finite(key, value)
             object.__setattr__(self, key, value)
         self.__post_init__()
 

@@ -58,7 +58,6 @@ class GaussianState(Record):
         _require_count(self.n_modes)
         port = self.shared_port
         if port is not None:
-            require_real("shared_port", port, integer=True)
             require("shared_port", port, 0 <= port < self.n_modes, f"in [0, {self.n_modes})")
         cov = _floats("cov", self.cov)
         d = 2 * self.n_modes
@@ -81,17 +80,21 @@ class GaussianState(Record):
 
 
 def _require_count(n_modes) -> None:
-    """Raise ValueError unless ``n_modes`` is an integer >= 1, a bool not included."""
+    """Raise ValueError unless ``n_modes`` is an integer in [1, 64], a bool not included."""
     require_real("n_modes", n_modes, integer=True)
     require("n_modes", n_modes, n_modes >= 1, ">= 1")
+    # 64 modes hold a 128 x 128 covariance per point, the oracle's chains at most 4
+    require("n_modes", n_modes, n_modes <= 64, "<= 64")
 
 
 def _floats(name: str, value) -> np.ndarray:
-    """``value`` as a float array; an int past the double range is named as not finite."""
+    """``value`` as a float array; a non-number, or an int past the double range, is named."""
     try:
         return np.asarray(value, dtype=float)
     except OverflowError:
         raise ValueError(f"{name} must be finite, got {value}") from None
+    except (TypeError, ValueError):  # a string, a ragged list
+        raise ValueError(f"{name} must be a real number, got {value!r}") from None
 
 
 def _symmetric(cov: np.ndarray) -> bool:

@@ -10,7 +10,7 @@ eta directly, so nothing here gates the physics.
 from __future__ import annotations
 
 import math
-from .constants import FLOAT_MAX, Record, require, require_finite, require_real
+from .constants import FLOAT_MAX, Record, require, require_real
 
 __all__ = [
     "LinkGeometry",
@@ -31,8 +31,6 @@ class LinkGeometry(Record):
     pointing_jitter_rad: float = 0.0
 
     def __post_init__(self):
-        for name in self.FIELDS:
-            object.__setattr__(self, name, require_finite(name, getattr(self, name)))
         for name in ("range_m", "tx_waist_m", "rx_aperture_m", "wavelength_m"):
             require(name, getattr(self, name), getattr(self, name) > 0, "> 0")
         jitter = self.pointing_jitter_rad

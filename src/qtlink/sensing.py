@@ -138,16 +138,10 @@ class SensingConfig(Record):
     snr: float = 1.0
 
     def __post_init__(self):
-        for name in self.FIELDS:
-            value = getattr(self, name)
-            if value is None and name in ("lambda0", "omega0"):
-                continue
-            object.__setattr__(self, name, require_finite(name, value))
         r_from_db(self.r_db)
         require("n_in", self.n_in, self.n_in > 0, "> 0")
         require("n_lo", self.n_lo, self.n_lo > 0, "> 0")
-        if not 0.0 < self.split < 1.0:
-            raise ValueError(f"split must lie in (0, 1), got {self.split}")
+        require("split", self.split, 0.0 < self.split < 1.0, "in (0, 1)")
         require("delta_omega", self.delta_omega, self.delta_omega > 0, "> 0")
         require("snr", self.snr, self.snr > 0, "> 0")
         if (self.lambda0 is None) == (self.omega0 is None):
@@ -200,9 +194,7 @@ class ChannelPair(Record):
 
     def __post_init__(self):
         for name, eta in (("eta1", self.eta1), ("eta2", self.eta2)):
-            require_real(name, eta)
             require(name, eta, 0.0 <= eta <= 1.0, "in [0, 1]")
-            object.__setattr__(self, name, require_finite(name, eta))
         require_policy(self.policy)
 
 

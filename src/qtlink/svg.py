@@ -70,11 +70,14 @@ def _axes(x0: float, x1: float, x_name: str, y_ticks: list, marks: bool) -> list
     return parts
 
 
-def _span(values: np.ndarray, name: str) -> tuple:
-    """Least and greatest of column ``name``'s ``values``; they must differ by a finite width."""
+def _span(values: np.ndarray, name: str, half: float = 0.0) -> tuple:
+    """Least and greatest of column ``name``'s ``values``; they must differ by a finite width
+    and stay finite ``half`` past each end, where a grid's outer cells reach."""
     lo, hi = float(values.min()), float(values.max())
     ok = 0.0 < hi - lo <= FLOAT_MAX
     require(f"column {name!r}", [lo, hi], ok, "spread over a nonzero, finite width")
+    ok = -FLOAT_MAX <= lo - abs(half) and hi + abs(half) <= FLOAT_MAX
+    require(f"column {name!r}", [lo, hi], ok, "within +-FLOAT_MAX half a step past each end")
     return lo, hi
 
 
@@ -147,15 +150,15 @@ def grid(result: SweepResult, levels=None) -> str:
     """A grid result's third column as filled cells, with its iso-lines at ``levels``."""
     cube = result.rows.reshape(*result.grid_shape, -1)
     e1, e2, z = cube[:, 0, 0], cube[0, :, 1], cube[:, :, 2]
-    x0, x1 = _span(e1, result.columns[0])
-    y0, y1 = _span(e2, result.columns[1])
+    # Python floats: a step past the double range is inf, which _span rejects
+    half1, half2 = 0.5 * (float(e1[1]) - float(e1[0])), 0.5 * (float(e2[1]) - float(e2[0]))
+    x0, x1 = _span(e1, result.columns[0], half1)
+    y0, y1 = _span(e2, result.columns[1], half2)
     vmax = float(z.max())
     if levels is None:
         # four evenly spaced iso-levels inside the positive range
         levels = [vmax * f for f in (0.25, 0.5, 0.75, 0.95)] if vmax > 0 else []
 
-    half1 = 0.5 * (e1[1] - e1[0])
-    half2 = 0.5 * (e2[1] - e2[0])
     # a cell's x and width depend on its column only, its y and height on its row
     px0, px1 = _x_to_px(e1 - half1, x0, x1), _x_to_px(e1 + half1, x0, x1)
     py0, py1 = _y_to_px(e2 + half2, y0, y1), _y_to_px(e2 - half2, y0, y1)

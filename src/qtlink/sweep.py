@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import sensing
-from .constants import SWEEP_VARIABLES, Record, asdict, require, require_finite, require_real
+from .constants import SWEEP_VARIABLES, Record, asdict, require, require_real
 from .sensing import PAPER_SCALE_CONFIG, ChannelPair, SensingConfig
 
 __all__ = [
@@ -52,10 +52,6 @@ class Range(Record):
     steps: int
 
     def __post_init__(self):
-        for name in ("start", "stop"):
-            object.__setattr__(self, name, require_finite(name, getattr(self, name)))
-        require_real("steps", self.steps, integer=True)
-        object.__setattr__(self, "steps", int(self.steps))  # a numpy integer is no JSON number
         require("steps", self.steps, self.steps >= 2, ">= 2")
         require("steps", self.steps, self.steps <= MAX_STEPS, f"<= {MAX_STEPS}")
         if not self.start < self.stop:

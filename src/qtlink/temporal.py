@@ -64,9 +64,6 @@ class SpectralProfile(Record):
     grid_span: float = 8.0
 
     def __post_init__(self):
-        for name in ("omega0", "delta_omega", "grid_span"):
-            object.__setattr__(self, name, require_finite(name, getattr(self, name)))
-        require_real("grid_points", self.grid_points, integer=True)
         require("omega0", self.omega0, self.omega0 > 0, "> 0")
         require("delta_omega", self.delta_omega, self.delta_omega > 0, "> 0")
         points = self.grid_points

@@ -132,11 +132,19 @@ def test_svg_curves_reject_a_non_positive_value():
          "column 'eta1' must be spread over a nonzero, finite width, got [0.5, 0.5]"),
         (["eta1", "eta2", "a"], [[0.1, 0.3, 1.0], [0.1, 0.3, 2.0]] + [[0.2, 0.3, 1.0]] * 2,
          (2, 2), "column 'eta2' must be spread over a nonzero, finite width, got [0.3, 0.3]"),
+        # each axis spans a finite width, but a cell's edge half a step past it does not
+        (["eta1", "eta2", "a"], [[0, 0, 1], [0, 1, 2], [1.7e308, 0, 1], [1.7e308, 1, 2]], (2, 2),
+         "column 'eta1' must be within +-FLOAT_MAX half a step past each end, got [0.0, 1.7e+308]"),
+        (["eta1", "eta2", "a"], [[1.7e308, 0, 1], [1.7e308, 1, 2], [0, 0, 1], [0, 1, 2]], (2, 2),
+         "column 'eta1' must be within +-FLOAT_MAX half a step past each end, got [0.0, 1.7e+308]"),
+        (["eta1", "eta2", "a"], [[0, -1.7e308, 1], [0, 0, 2], [1, -1.7e308, 1], [1, 0, 2]], (2, 2),
+         "column 'eta2' must be within +-FLOAT_MAX half a step past each end, got [-1.7e+308, 0.0]"),
     ],
 )
 def test_svg_names_the_column_it_cannot_draw(columns, rows, grid_shape, message):
-    # these ended in ZeroDivisionError, a RuntimeWarning or numpy's "need at
-    # least one array to concatenate"; CSV and JSON still render them
+    # these ended in ZeroDivisionError, a RuntimeWarning (an overflow in the
+    # cell edges among them) or numpy's "need at least one array to
+    # concatenate"; CSV and JSON still render them
     result = SweepResult(columns, rows, grid_shape=grid_shape)
     render_csv(result), render_json(result)
     with pytest.raises(ValueError) as err:

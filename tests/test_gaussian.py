@@ -74,11 +74,25 @@ def test_vacuum_rejects_nonpositive_mode_count():
         (homodyne_variance, (vacuum(1), (1.0,), np.inf), "phase must be finite, got inf"),
         (homodyne_variance, (vacuum(1), (1.0,), np.nan), "phase must be finite, got nan"),
         (homodyne_variance, (vacuum(1), (1.0,), "0"), "phase must be a real number, got '0'"),
+        (squeeze_single, (vacuum(1), 0, [1, "a"]),
+         "squeezing magnitude must be a real number, got [1, 'a']"),
+        (pure_loss, (vacuum(1), 0, "x"), "transmissivity must be a real number, got 'x'"),
+        (homodyne_variance, (vacuum(1), ("a",)), "coefficients must be a real number, got ('a',)"),
+        (homodyne_variance, (vacuum(2), [[1.0], [1.0, 2.0]]),
+         "coefficients must be a real number, got [[1.0], [1.0, 2.0]]"),
+        (GaussianState, (1, "x"), "cov must be a real number, got 'x'"),
+        # bounded before np.eye allocates; a state past 64 modes, grown or built, is named
+        (vacuum, (10**30,), f"n_modes must be <= 64, got {10**30}"),
+        (vacuum, (65,), "n_modes must be <= 64, got 65"),
+        (GaussianState, (65, np.eye(2)), "n_modes must be <= 64, got 65"),
+        (pure_loss, (vacuum(64), 0, 0.5, "independent"), "n_modes must be <= 64, got 65"),
+        (pure_loss, (vacuum(64), 0, 0.5, "shared"), "n_modes must be <= 64, got 65"),
     ],
 )
 def test_integer_and_finite_fields_are_named_where_they_are_taken(fn, args, message):
     # each returned nan, built a state of True modes, or raised an unnamed
-    # TypeError, an IndexError or a RuntimeWarning
+    # TypeError, an IndexError, a RuntimeWarning or numpy's "could not convert
+    # string to float" or "Maximum allowed dimension exceeded"
     with pytest.raises(ValueError) as err:
         fn(*args)
     assert str(err.value) == message
@@ -488,6 +502,7 @@ _NAMES = ("n_modes", "shared_port", "mode", "cov", "squeezing magnitude", "angle
 _REALS = floats(0.0, 1.0) | floats(0.0, 360.0) | floats() | sampled_from([
     np.nan, np.inf, -np.inf, 1e308, -1e308, 1e200, 10**400, -(10**400), 800.0, 400.0, 354.9,
     300.0, 200.0, True, False, 0, 1, 0.5, -0.5, 5e-324, np.float32(0.25), np.float32(np.inf),
+    "x", "0.5", [1, "a"], ("a",), [0.5, [0.5]], None,
 ])
 _MODES = integers(-1, 3) | sampled_from([True, False, 1.0, 1.5, np.nan, np.int64(1), 10**30])
 _POLICIES = sampled_from(["shared", "independent", "bogus"])
@@ -501,7 +516,8 @@ def _call(draw):
     if kind == "smsv":
         return smsv_chain_variance(draw(_REALS), draw(_REALS), draw(_POLICIES))
     if draw(sampled_from([True, False])):
-        state = vacuum(draw(integers(1, 3) | sampled_from([0, -1, True, 2.5, np.int64(2)])))
+        state = vacuum(draw(integers(1, 3) | integers(65, 2**70)
+                            | sampled_from([0, -1, True, 2.5, np.int64(2), 64, 10**30])))
     else:
         a, b, d = draw(_REALS), draw(_REALS), draw(_REALS)
         cov = [[a, b], [draw(just(b) | _REALS), d]]

@@ -1,4 +1,7 @@
+import importlib
 import math
+import pkgutil
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -7,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qtlink.constants import REQUIRED, asdict, replace
+import qtlink
+from qtlink.constants import REQUIRED, Record, asdict, replace
 from qtlink.gaussian import GaussianState
 from qtlink.link import LinkGeometry
 from qtlink.sensing import (
@@ -401,8 +405,10 @@ def test_config_rejects_a_carrier_that_overflows_naming_it(carrier, name):
 @pytest.mark.parametrize("field", ["eta1", "eta2"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_channel_pair_rejects_non_finite_etas(field, bad):
-    with pytest.raises(ValueError, match=f"{field} must be in"):
+    # named by the float-field rule, as every value type's floats are
+    with pytest.raises(ValueError) as err:
         ChannelPair(**{"eta1": 0.5, "eta2": 0.5, field: bad})
+    assert str(err.value) == f"{field} must be finite, got {bad}"
 
 
 @pytest.mark.parametrize("bad", ["x", True, None, [1.0]])
@@ -620,6 +626,52 @@ def test_a_numpy_float_field_is_stored_as_the_python_float_it_equals(cls, kind):
     # a Python int or float is stored as given
     assert all(getattr(cls(**values), key) is value for key, value in values.items())
     assert type(Range(0, 1, 5).start) is int
+
+
+def _record_types() -> set:
+    """Every value type qtlink defines, each of its modules imported."""
+    for module in pkgutil.iter_modules(qtlink.__path__):
+        importlib.import_module(f"qtlink.{module.name}")
+    return {cls for cls in Record.__subclasses__() if cls.__module__.startswith("qtlink.")}
+
+
+def test_every_value_type_has_a_record_case_and_its_number_fields_are_typed():
+    # a new value type needs a _RECORDS case, which the type-rule property
+    # below then covers; a field spelled float|None or Optional[int] would
+    # miss the rule, and fails here
+    assert _record_types() == set(_RECORDS)
+    for cls in _RECORDS:
+        numbers = {name for name, kind in cls.__annotations__.items()
+                   if re.search(r"\b(float|int)\b", kind)}
+        assert numbers == set(cls.TYPED), cls
+    assert SensingConfig.TYPED["omega0"] == (float, True) and Range.TYPED["steps"] == (int, False)
+
+
+# a wrong value of each field type -> the reason the type rule gives for it
+_WRONG = {
+    float: {math.nan: "finite", math.inf: "finite", -math.inf: "finite", 10**400: "finite",
+            "x": "a real number", True: "a real number", None: "a real number"},
+    int: {2.5: "an integer", True: "an integer", "x": "an integer", math.nan: "an integer"},
+}
+_NUMPY = {float: [np.float32, np.float64, np.longdouble], int: [np.int16, np.int64, np.uint16]}
+_TYPED_FIELDS = [(cls, name, kind) for cls in _RECORDS for name, (kind, _) in cls.TYPED.items()]
+
+
+@settings(deadline=None)
+@given(field=st.sampled_from(_TYPED_FIELDS), data=st.data())
+def test_every_float_and_int_field_is_checked_where_it_binds(field, data):
+    cls, name, kind = field
+    values = _RECORDS[cls][0]
+    wrong = data.draw(st.sampled_from(list(_WRONG[kind])))
+    if wrong is None and cls.TYPED[name][1]:
+        wrong = "x"  # None is admitted here
+    with pytest.raises(ValueError) as err:
+        cls(**{**values, name: wrong})
+    assert str(err.value) == f"{name} must be {_WRONG[kind][wrong]}, got {wrong!r}"
+    if values[name] is not None:
+        scalar = data.draw(st.sampled_from(_NUMPY[kind]))(values[name])
+        stored = getattr(cls(**{**values, name: scalar}), name)
+        assert type(stored) is kind and stored == scalar
 
 
 def test_records_hash_by_value_and_never_equal_another_type():
