@@ -15,7 +15,8 @@ them as choices without loading the sweep or sensing layer.
 Every value type and kernel checks its inputs where they are built with
 :func:`require_real`, :func:`require_finite` and :func:`require`, so each
 bad field is rejected with one message shape, ``<field> must be
-<requirement>, got <value>``.
+<requirement>, got <value>``.  :func:`real_array` applies the same type rule
+to each element of an array argument before converting it to floats.
 FLOAT_MAX bounds a finite field: ``abs(value) <= FLOAT_MAX`` fails for NaN,
 for an infinity and for an int too large for a double, where
 ``math.isfinite`` would raise OverflowError on that int.
@@ -134,6 +135,29 @@ def require_finite(name: str, value):
         pass
     require(name, value, abs(value) <= FLOAT_MAX, "finite")
     return value
+
+
+def real_array(name: str, value):
+    """``value`` as a float array; ValueError naming ``name`` unless each element is a real number.
+
+    The type is checked before the conversion, by :func:`require_real`'s rule:
+    a bool, a string or any other element that is not a real number (None, a
+    complex, a ragged list) is rejected, and an int past the double range is
+    named as not finite.  A numpy array is judged by its dtype.
+    """
+    import numpy as np
+
+    array = value if isinstance(value, np.ndarray) else np.asarray(value, dtype=object)
+    if array.dtype == object:
+        real = not any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in array.flat)
+    else:
+        real = array.dtype.kind in "iuf"
+    if not real:
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return array.astype(float, copy=False)
+    except OverflowError:  # an int past the double range
+        raise ValueError(f"{name} must be finite, got {value}") from None
 
 
 def require(name: str, values, ok, requirement: str) -> None:

@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .constants import FLOAT_MAX, Record, require, require_finite, require_policy, require_real
+from .constants import (
+    FLOAT_MAX, Record, real_array, require, require_finite, require_policy, require_real
+)
 
 __all__ = [
     "GaussianState",
@@ -59,7 +61,7 @@ class GaussianState(Record):
         port = self.shared_port
         if port is not None:
             require("shared_port", port, 0 <= port < self.n_modes, f"in [0, {self.n_modes})")
-        cov = _floats("cov", self.cov)
+        cov = real_array("cov", self.cov)
         d = 2 * self.n_modes
         if cov.shape[-2:] != (d, d):
             raise ValueError(f"cov must have shape (..., {d}, {d}), got {cov.shape}")
@@ -85,16 +87,6 @@ def _require_count(n_modes) -> None:
     require("n_modes", n_modes, n_modes >= 1, ">= 1")
     # 64 modes hold a 128 x 128 covariance per point, the oracle's chains at most 4
     require("n_modes", n_modes, n_modes <= 64, "<= 64")
-
-
-def _floats(name: str, value) -> np.ndarray:
-    """``value`` as a float array; a non-number, or an int past the double range, is named."""
-    try:
-        return np.asarray(value, dtype=float)
-    except OverflowError:
-        raise ValueError(f"{name} must be finite, got {value}") from None
-    except (TypeError, ValueError):  # a string, a ragged list
-        raise ValueError(f"{name} must be a real number, got {value!r}") from None
 
 
 def _symmetric(cov: np.ndarray) -> bool:
@@ -163,7 +155,7 @@ def squeeze_single(
     """
     state._check_mode(mode)
     require_finite("angle", angle)
-    r = _floats("squeezing magnitude", r)
+    r = real_array("squeezing magnitude", r)
     r_max = np.log(FLOAT_MAX) / 2  # e^(2r) overflows past it
     require("squeezing magnitude", r, (r >= 0) & (r <= r_max), f"in [0, {r_max}]")
     rot = _rotation(angle)
@@ -202,7 +194,7 @@ def beam_splitter(
     state._check_mode(m2)
     if m1 == m2:
         raise ValueError("beam splitter needs two distinct modes")
-    eta = _floats("transmissivity", eta)
+    eta = real_array("transmissivity", eta)
     require("transmissivity", eta, (eta >= 0.0) & (eta <= 1.0), "in [0, 1]")
     return _apply_linear(state, _bs_rows(state.n_modes, m1, m2, eta))
 
@@ -252,7 +244,7 @@ def pure_loss(
     """
     state._check_mode(mode)
     require_policy(policy)
-    eta = _floats("transmissivity", eta)
+    eta = real_array("transmissivity", eta)
     require("transmissivity", eta, (eta >= 0.0) & (eta <= 1.0), "in [0, 1]")
     if np.all(eta == 1.0):
         return state
@@ -280,7 +272,7 @@ def homodyne_variance(
     for a stack.  A variance past the largest double is rejected by name.
     """
     require_finite("phase", phase)
-    coeffs = np.atleast_1d(_floats("coefficients", coefficients))
+    coeffs = np.atleast_1d(real_array("coefficients", coefficients))
     if coeffs.ndim != 1:
         raise ValueError("coefficients must be a 1-d vector")
     require("coefficients", coeffs, np.isfinite(coeffs), "finite")

@@ -33,7 +33,8 @@ from contextlib import nullcontext
 from types import SimpleNamespace
 
 from .constants import (
-    FLOAT_MAX, SPEED_OF_LIGHT, Record, require, require_finite, require_policy, require_real
+    FLOAT_MAX, SPEED_OF_LIGHT, Record, real_array, require, require_finite, require_policy,
+    require_real,
 )
 
 __all__ = [
@@ -83,7 +84,6 @@ _MAX_R = MAX_R_DB * math.log(10.0) / 20.0
 # negative, the signed infinity (or NaN) for a zero denominator, so no float
 # error needs an errstate.
 _REALS = SimpleNamespace(
-    asarray=lambda value, dtype: dtype(value),
     isfinite=math.isfinite,
     any=bool,
     sqrt=lambda x: math.sqrt(x) if x >= 0.0 else math.nan,
@@ -105,16 +105,26 @@ def _xp(*values):
     return numpy
 
 
+def _floats(xp, name: str, value):
+    """``value`` as a float, or on numpy's path as a float array, by :func:`real_array`'s rule."""
+    if xp is not _REALS:
+        return real_array(name, value)
+    try:
+        return float(value)
+    except OverflowError:  # an int past the double range
+        raise ValueError(f"{name} must be finite, got {value}") from None
+
+
 def r_from_db(r_db):
     """Squeezing magnitude from decibels: r_db = -10*log10(e^-2r), elementwise.
 
     Each level must be finite and in [0, MAX_R_DB].
     """
     xp = _xp(r_db)
-    level = xp.asarray(r_db, dtype=float)
+    level = _floats(xp, "squeezing level in dB", r_db)
     require("squeezing level in dB", level, xp.isfinite(level) & (level >= 0.0), "finite and >= 0")
     require("squeezing level in dB", level, level <= MAX_R_DB, f"at most {MAX_R_DB:g}")
-    return r_db * math.log(10.0) / 20.0
+    return level * math.log(10.0) / 20.0
 
 
 class SensingConfig(Record):
@@ -246,17 +256,17 @@ def post_variance_ideal(cfg: SensingConfig) -> float:
 
 
 def _unit(name: str, eta):
-    eta = _xp(eta).asarray(eta, dtype=float)
+    eta = _floats(_xp(eta), name, eta)
     require(name, eta, (eta >= 0.0) & (eta <= 1.0), "in [0, 1]")
     return eta
 
 
 def _squeezing(r):
     xp = _xp(r)
-    level = xp.asarray(r, dtype=float)
+    level = _floats(xp, "squeezing magnitude", r)
     require("squeezing magnitude", level, xp.isfinite(level) & (level >= 0.0), "finite and >= 0")
     require("squeezing magnitude", level, level <= _MAX_R, f"at most {_MAX_R} ({MAX_R_DB:g} dB)")
-    return r
+    return level
 
 
 def _math(fn, r):
@@ -269,7 +279,6 @@ def _math(fn, r):
     xp = _xp(r)
     if xp is _REALS or xp.ndim(r) == 0:
         return fn(float(r))
-    r = xp.asarray(r, dtype=float)
     return xp.fromiter(map(fn, r.flat), float, r.size).reshape(r.shape)
 
 
@@ -327,14 +336,14 @@ def delta_u(
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; pick one of {tuple(SCHEMES)}")
     xp = _xp(r, eta1, eta2, n1, n2, omega_rss, snr)
+    n1, n2 = _floats(xp, "n1", n1), _floats(xp, "n2", n2)
     for name, value in (("n1", n1), ("n2", n2)):
-        value = xp.asarray(value, dtype=float)
         require(name, value, xp.isfinite(value) & (value >= 0.0), "finite and >= 0")
     with xp.errstate(over="ignore"):  # a sum past the largest double is still > 0
-        total = xp.asarray(n1, dtype=float) + xp.asarray(n2, dtype=float)
+        total = n1 + n2
     require("n1 + n2", total, total > 0.0, "> 0")
     for name, value in (("omega_rss", omega_rss), ("snr", snr)):
-        value = xp.asarray(value, dtype=float)
+        value = _floats(xp, name, value)
         require(name, value, xp.isfinite(value) & (value > 0.0), "finite and > 0")
     # an overflow or a zero denominator reaches the final check as inf or nan
     # instead of a warning or an exception
@@ -344,13 +353,13 @@ def delta_u(
             value = xp.divide(_math(math.exp, -_squeezing(r)), denom)
         elif scheme == "SMSV_real":
             noise = radicand(scheme, r, eta1)
-            e1 = xp.asarray(eta1, dtype=float)
+            e1 = _floats(xp, "eta1", eta1)
             if xp.any(e1 == 0.0):
                 raise ValueError("delta_u diverges with the channel fully opaque")
             value = 0.5 * xp.sqrt(xp.divide(noise, e1 * total)) / omega_rss
         else:
             q = radicand(scheme, r, eta1, eta2, policy)
-            e1, e2 = xp.asarray(eta1, dtype=float), xp.asarray(eta2, dtype=float)
+            e1, e2 = _floats(xp, "eta1", eta1), _floats(xp, "eta2", eta2)
             if xp.any(e1 + e2 <= 0.0):
                 raise ValueError("delta_u diverges with both channels fully opaque")
             amplitude = xp.sqrt(e1 * n1) + xp.sqrt(e2 * n2)
@@ -379,8 +388,8 @@ def evaluate(
     r_db and n_in given replaced by arrays, which broadcast against each other."""
     eta1 = ch.eta1 if eta1 is None else eta1
     eta2 = ch.eta2 if eta2 is None else eta2
-    r = cfg.r if r_db is None else r_from_db(_xp(r_db).asarray(r_db, dtype=float))
-    n_in = cfg.n_in if n_in is None else _xp(n_in).asarray(n_in, dtype=float)
+    r = cfg.r if r_db is None else r_from_db(r_db)
+    n_in = cfg.n_in if n_in is None else _floats(_xp(n_in), "n_in", n_in)
     if scheme == "SMSV_real":
         n1, n2 = n_in, 0.0
     else:

@@ -28,7 +28,7 @@ import warnings
 
 import numpy as np
 
-from .constants import FLOAT_MAX, Record, require, require_finite, require_real
+from .constants import FLOAT_MAX, Record, real_array, require, require_finite
 
 __all__ = [
     "SpectralProfile",
@@ -178,9 +178,7 @@ def shift_expansion_check(profile: SpectralProfile, delta_u):
     quadratically in delta_u.  An array of shifts gives an array of their
     residuals; y0 and y1 are sampled once for all, then each shift in turn.
     """
-    shifts = np.asarray(delta_u)
-    if shifts.ndim == 0:
-        require_real("delta_u", shifts.item())
+    shifts = real_array("delta_u", delta_u)
     require("delta_u", delta_u, abs(shifts) <= FLOAT_MAX, "finite")
     points_per_width = profile.grid_points / (2.0 * profile.grid_span)
     if profile.grid_span < _MIN_SPAN or points_per_width < _MIN_POINTS_PER_WIDTH:
@@ -192,7 +190,7 @@ def shift_expansion_check(profile: SpectralProfile, delta_u):
     # z1 is dropped at once: held through the loop it adds 16 MB to the peak at 2**20 points
     y0, y1 = mode_functions(profile)[:2]
     residuals = np.empty(shifts.shape)
-    for index, du in np.ndenumerate(shifts.astype(float)):
+    for index, du in np.ndenumerate(shifts):
         shifted = ModeFunction(y0.u, _sampled_fundamental(profile, y0.u, du))
         p0 = inner_product(y0, shifted)
         p1 = inner_product(y1, shifted)

@@ -81,6 +81,20 @@ def test_vacuum_rejects_nonpositive_mode_count():
         (homodyne_variance, (vacuum(2), [[1.0], [1.0, 2.0]]),
          "coefficients must be a real number, got [[1.0], [1.0, 2.0]]"),
         (GaussianState, (1, "x"), "cov must be a real number, got 'x'"),
+        # a numeric string, a bool or None is no real number, alone or in a list
+        (pure_loss, (vacuum(1), 0, "0.5", "independent"),
+         "transmissivity must be a real number, got '0.5'"),
+        (squeeze_single, (vacuum(1), 0, "1.0"),
+         "squeezing magnitude must be a real number, got '1.0'"),
+        (beam_splitter, (vacuum(2), 0, 1, True), "transmissivity must be a real number, got True"),
+        (homodyne_variance, (vacuum(1), ["1"]), "coefficients must be a real number, got ['1']"),
+        (homodyne_variance, (vacuum(2), [1.0, False]),
+         "coefficients must be a real number, got [1.0, False]"),
+        (pure_loss, (vacuum(1), 0, None), "transmissivity must be a real number, got None"),
+        (pure_loss, (vacuum(1), 0, np.array([0.5, 1.0]) > 0.7),
+         "transmissivity must be a real number, got array([False,  True])"),
+        (GaussianState, (1, [[True, 0.0], [0.0, 1.0]]),
+         "cov must be a real number, got [[True, 0.0], [0.0, 1.0]]"),
         # bounded before np.eye allocates; a state past 64 modes, grown or built, is named
         (vacuum, (10**30,), f"n_modes must be <= 64, got {10**30}"),
         (vacuum, (65,), "n_modes must be <= 64, got 65"),
@@ -90,9 +104,10 @@ def test_vacuum_rejects_nonpositive_mode_count():
     ],
 )
 def test_integer_and_finite_fields_are_named_where_they_are_taken(fn, args, message):
-    # each returned nan, built a state of True modes, or raised an unnamed
-    # TypeError, an IndexError, a RuntimeWarning or numpy's "could not convert
-    # string to float" or "Maximum allowed dimension exceeded"
+    # each returned nan, ran on a numeric string or a bool, built a state of
+    # True modes, or raised an unnamed TypeError, an IndexError, a
+    # RuntimeWarning or numpy's "could not convert string to float" or
+    # "Maximum allowed dimension exceeded"
     with pytest.raises(ValueError) as err:
         fn(*args)
     assert str(err.value) == message
@@ -502,7 +517,7 @@ _NAMES = ("n_modes", "shared_port", "mode", "cov", "squeezing magnitude", "angle
 _REALS = floats(0.0, 1.0) | floats(0.0, 360.0) | floats() | sampled_from([
     np.nan, np.inf, -np.inf, 1e308, -1e308, 1e200, 10**400, -(10**400), 800.0, 400.0, 354.9,
     300.0, 200.0, True, False, 0, 1, 0.5, -0.5, 5e-324, np.float32(0.25), np.float32(np.inf),
-    "x", "0.5", [1, "a"], ("a",), [0.5, [0.5]], None,
+    "x", "0.5", ["1"], [1, "a"], ("a",), [0.5, [0.5]], None,
 ])
 _MODES = integers(-1, 3) | sampled_from([True, False, 1.0, 1.5, np.nan, np.int64(1), 10**30])
 _POLICIES = sampled_from(["shared", "independent", "bogus"])

@@ -191,6 +191,46 @@ def test_tmsv_offset_is_not_monotone_in_eta1_above_eta2():
     assert du[-1] / du[best] == pytest.approx(1.20, abs=0.005)
 
 
+# The paper's second claim at r = 0.  Under independent ports both radicands
+# are 1 there, so at an even split TMSV_real's offset over SMSV_real's is
+# 2*sqrt(eta1)/(sqrt(eta1) + sqrt(eta2)): two modes win exactly when eta1 < eta2.
+# Where the two offsets agree to rounding (eta1 = eta2 and its neighbours),
+# rounding may decide; each offset rounds a handful of times, eps/2 each, so
+# there the two differ by less than 16 eps.
+_TIE = 16 * np.finfo(float).eps
+_EVEN_UNSQUEEZED = replace(LEO, r_db=0.0, split=0.5)
+
+
+@st.composite
+def _eta_pairs(draw):
+    eta1 = draw(open_etas)
+    near = [eta1, float(np.nextafter(eta1, 0.0)), float(np.nextafter(eta1, 2.0))]
+    return eta1, min(1.0, draw(open_etas | st.sampled_from(near)))
+
+
+@checked
+@given(pair=_eta_pairs())
+def test_two_modes_beat_one_at_zero_squeezing_exactly_when_eta1_is_below_eta2(pair):
+    eta1, eta2 = pair
+    ch = ChannelPair(eta1, eta2, "independent")
+    tmsv = evaluate("TMSV_real", _EVEN_UNSQUEEZED, ch)
+    smsv = evaluate("SMSV_real", _EVEN_UNSQUEEZED, ch)
+    if (tmsv < smsv) != (eta1 < eta2):
+        assert abs(tmsv - smsv) <= _TIE * smsv
+
+
+def test_two_modes_beat_one_at_zero_squeezing_on_a_grid():
+    eta = np.linspace(0.01, 1.0, 200)
+    ch = ChannelPair(1.0, 1.0, "independent")
+    axes = dict(eta1=eta[:, None], eta2=eta[None, :])
+    tmsv = evaluate("TMSV_real", _EVEN_UNSQUEEZED, ch, **axes)
+    smsv = evaluate("SMSV_real", _EVEN_UNSQUEEZED, ch, **axes)
+    off = ~np.eye(eta.size, dtype=bool)
+    assert np.array_equal((tmsv < smsv)[off], (eta[:, None] < eta[None, :])[off])
+    # on the diagonal the offsets tie to an ulp or two, and rounding picks the side
+    assert np.all(np.abs(np.diag(tmsv) / np.diag(smsv) - 1.0) <= 2 * np.finfo(float).eps)
+
+
 @checked
 @given(r_db=r_dbs, eta1=etas, eta2=etas, policy=policies)
 def test_radicand_is_the_oracle_variance(r_db, eta1, eta2, policy):

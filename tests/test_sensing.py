@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qtlink
-from qtlink.constants import REQUIRED, Record, asdict, replace
+from qtlink.constants import REQUIRED, Record, asdict, real_array, replace, require_real
 from qtlink.gaussian import GaussianState
 from qtlink.link import LinkGeometry
 from qtlink.sensing import (
@@ -25,6 +25,7 @@ from qtlink.sensing import (
     delta_u_sql,
     delta_u_tmsv_ideal,
     delta_u_tmsv_real,
+    evaluate,
     photocurrent_mean_single,
     photocurrent_variance_single,
     post_variance_ideal,
@@ -548,7 +549,7 @@ def test_non_finite_scalar_inputs_are_rejected_naming_the_field(fn, args, messag
 
 
 # record type -> (every field's value in declared order, a change its checks
-# reject and their error); ModeFunction and VerifyReport check nothing
+# reject and their error); ModeFunction checks nothing
 _ARRAY = np.ones((2, 2))
 _RECORDS = {
     SensingConfig: (
@@ -573,8 +574,8 @@ _RECORDS = {
     ModeFunction: (dict(u=_ARRAY[0], samples=_ARRAY[1]), None, None),
     VerifyReport: (
         dict(policy="shared", tolerance=1e-9, two_mode={"rel_err": _ARRAY[0]},
-             single_mode={"rel_err": _ARRAY[1]}, notes=["n"]),
-        None, None),
+             single_mode={"rel_err": _ARRAY[1]}, gap=2.442e-15),
+        {"gap": math.inf}, "gap must be finite, got inf"),
 }
 
 
@@ -604,16 +605,15 @@ def test_every_value_type_keeps_the_record_contract(cls):
     for args, kwargs in calls:
         with pytest.raises(TypeError):
             cls(*args, **kwargs)
-    # a list or dict left to its default is each record's own
-    for key in ("meta", "notes"):
-        if key in cls.FIELDS:
-            own = [getattr(cls(**required), key) for _ in range(2)]
-            assert own[0] == type(own[0])() and own[0] is not own[1]
+    # a meta dict left to its default is each record's own
+    if "meta" in cls.FIELDS:
+        own = [cls(**required).meta for _ in range(2)]
+        assert own[0] == {} and own[0] is not own[1]
 
 
 @pytest.mark.parametrize("kind", [np.float32, np.float64, np.longdouble])
 @pytest.mark.parametrize(
-    "cls", [SensingConfig, ChannelPair, LinkGeometry, Range, SpectralProfile],
+    "cls", [SensingConfig, ChannelPair, LinkGeometry, Range, SpectralProfile, VerifyReport],
     ids=lambda cls: cls.__name__,
 )
 def test_a_numpy_float_field_is_stored_as_the_python_float_it_equals(cls, kind):
@@ -672,6 +672,86 @@ def test_every_float_and_int_field_is_checked_where_it_binds(field, data):
         scalar = data.draw(st.sampled_from(_NUMPY[kind]))(values[name])
         stored = getattr(cls(**{**values, name: scalar}), name)
         assert type(stored) is kind and stored == scalar
+
+
+# scalars of every kind an array argument may hold; a nested list is not one
+_ELEMENTS = st.floats() | st.integers() | st.sampled_from([
+    True, False, np.bool_(True), "1", "0.5", None, 1j, np.complex128(1.0), np.float32(0.5),
+    np.longdouble(0.25), np.int64(3), np.uint8(7), Fraction(1, 3), Decimal("1.5"), 10**400,
+])
+
+
+def _is_real(value) -> bool:
+    try:
+        require_real("x", value)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(deadline=None)
+@given(value=_ELEMENTS | st.lists(_ELEMENTS, max_size=4) | st.tuples(_ELEMENTS, _ELEMENTS))
+def test_real_array_takes_exactly_what_require_real_takes_in_each_element(value):
+    elements = value if isinstance(value, (list, tuple)) else [value]
+    try:
+        array = real_array("x", value)
+    except ValueError as err:
+        if all(map(_is_real, elements)):  # only an int past the double range
+            assert str(err) == f"x must be finite, got {value}"
+            assert any(isinstance(v, int) and abs(v) > 1e308 for v in elements)
+        else:
+            assert str(err) == f"x must be a real number, got {value!r}"
+    else:
+        assert all(map(_is_real, elements))
+        assert array.dtype == np.float64
+        assert np.array_equal(array, np.asarray(value, dtype=float), equal_nan=True)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # each of these returned a number, or raised an unnamed TypeError
+        (lambda: delta_u("TMSV_real", "0.5", "0.5", 0.5, 500.0, 500.0, 1e15, 1.0),
+         "eta1 must be a real number, got '0.5'"),
+        (lambda: delta_u("TMSV_real", 0.5, True, 0.5, 500.0, 500.0, 1e15, 1.0),
+         "eta1 must be a real number, got True"),
+        (lambda: delta_u("TMSV_real", 0.5, 0.5, 0.5, "500", 500.0, 1e15, 1.0),
+         "n1 must be a real number, got '500'"),
+        (lambda: delta_u("TMSV_ideal", 0.5, 1.0, 1.0, 500.0, 500.0, 1e15, np.array([True])),
+         "snr must be a real number, got array([ True])"),
+        (lambda: delta_u("SMSV_real", 0.5j, 0.5, 1.0, 500.0, 0.0, 1e15, 1.0),
+         "squeezing magnitude must be a real number, got 0.5j"),
+        (lambda: radicand("TMSV_real", "1", 0.5, 0.5),
+         "squeezing magnitude must be a real number, got '1'"),
+        (lambda: r_from_db(True), "squeezing level in dB must be a real number, got True"),
+        (lambda: r_from_db("3"), "squeezing level in dB must be a real number, got '3'"),
+        (lambda: evaluate("SQL", PAPER_SCALE_CONFIG, eta1="0.4"),
+         "eta1 must be a real number, got '0.4'"),
+        (lambda: evaluate("SQL", PAPER_SCALE_CONFIG, eta1=[0.5, True]),
+         "eta1 must be a real number, got [0.5, True]"),
+        (lambda: evaluate("SQL", PAPER_SCALE_CONFIG, n_in=["1e3"]),
+         "n_in must be a real number, got ['1e3']"),
+        (lambda: evaluate("TMSV_real", PAPER_SCALE_CONFIG, r_db=[5.0, None]),
+         "squeezing level in dB must be a real number, got [5.0, None]"),
+        (lambda: shift_expansion_check(NATURAL, ["1e-3"]),
+         "delta_u must be a real number, got ['1e-3']"),
+        (lambda: shift_expansion_check(NATURAL, np.array([1e-3, np.nan])),
+         "delta_u must be finite, got nan"),
+        # an int past the double range raised an unnamed OverflowError on the math path
+        (lambda: delta_u("TMSV_real", 0.5, 0.5, 0.5, 10**400, 500.0, 1e15, 1.0),
+         f"n1 must be finite, got {10**400}"),
+        (lambda: radicand("TMSV_real", 0.5, 10**400, 0.5), f"eta1 must be finite, got {10**400}"),
+        (lambda: r_from_db(-(10**400)),
+         f"squeezing level in dB must be finite, got {-(10**400)}"),
+        (lambda: r_from_db([-(10**400)]),
+         f"squeezing level in dB must be finite, got {[-(10**400)]}"),
+    ],
+    ids=lambda value: value[:40] if isinstance(value, str) else "",
+)
+def test_the_kernel_and_the_shift_check_name_a_non_real_or_overflowing_element(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_records_hash_by_value_and_never_equal_another_type():

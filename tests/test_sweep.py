@@ -324,12 +324,15 @@ def test_verify_default_grid_passes():
     report = run_verify()
     assert report.passed
     assert report.max_rel_err < 1e-9
+    assert report.gap is None  # set under independent ports only
 
 
 def test_verify_independent_policy_diagnostic():
     report = run_verify(policy="independent")
     assert report.passed  # mismatch is expected and reported, not failed
-    assert report.notes and "sqrt((1-eta1)(1-eta2))" in report.notes[0]
+    # the independent radicand is the shared one minus the cross term, to rounding
+    assert type(report.gap) is float and 0.0 <= report.gap < 1e-12
+    assert "sqrt((1-eta1)(1-eta2))" in report.text()
 
 
 def test_verify_refined_grid():

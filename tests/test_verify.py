@@ -88,7 +88,7 @@ def test_chain_variances_reject_unknown_policy():
         verify.smsv_chain_variance(0.4, 1.0, "bogus")
 
 
-def _reference_text(policy, tolerance, two_rows, one_rows, notes):
+def _reference_text(policy, tolerance, two_rows, one_rows, gap):
     """The report as the per-row formatter printed it, one format call per line."""
     rows = two_rows + one_rows
     max_rel_err = max(row["rel_err"] for row in rows) if rows else 0.0
@@ -109,7 +109,11 @@ def _reference_text(policy, tolerance, two_rows, one_rows, notes):
             "formula={formula:.12e} oracle={oracle:.12e} "
             "rel_err={rel_err:.3e} {verdict}".format(verdict="ok" if row["ok"] else "FAIL", **row)
         )
-    lines += [f"  note: {note}" for note in notes]
+    if gap is not None:
+        lines.append(
+            "  note: independent ports sit below the shared closed form by exactly "
+            f"sqrt((1-eta1)(1-eta2)) in the radicand; max deviation from that prediction {gap:.3e}"
+        )
     lines.append(f"verify: max_rel_err={max_rel_err:.3e} passed={passed}")
     return "".join(line + "\n" for line in lines)
 
@@ -128,7 +132,7 @@ _NAN_SIGNED = float(np.array([-0x0008000000000000], dtype=np.int64).view(float)[
 
 @st.composite
 def _reports(draw):
-    """(policy, tolerance, two-mode rows, one-mode rows, notes), rows as old-style dicts."""
+    """(policy, tolerance, two-mode rows, one-mode rows, gap), rows as old-style dicts."""
     tolerance = draw(st.sampled_from([1e-9, 1e-15]) | st.floats(1e-16, 1.0))
     # rel_err of 0, at the tolerance, just past it and well past it
     errs = (
@@ -153,8 +157,9 @@ def _reports(draw):
         return out
 
     policy = draw(st.sampled_from(["shared", "independent"]))
-    notes = draw(st.lists(st.text(max_size=12), max_size=3))
-    return policy, tolerance, rows(("eta1", "eta2")), rows(("eta",)), notes
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    gap = draw(st.none() | st.sampled_from([0.0, -0.0, 2.442e-15]) | finite)
+    return policy, tolerance, rows(("eta1", "eta2")), rows(("eta",)), gap
 
 
 def _bits(rows):
@@ -178,14 +183,14 @@ def _columns(rows, eta_names):
 @given(case=_reports())
 @example(case=("shared", 1e-9, [{"r_db": 15.0, "eta1": 1.0, "eta2": 0.1 + 0.2, "formula": 1.5,
                                  "oracle": 1.5, "rel_err": 2e-9, "ok": False}], [],
-               ["50% of the gap", ""]))
+               2.442e-15))
 def test_report_text_matches_the_per_row_formatter(case):
-    policy, tolerance, two_rows, one_rows, notes = case
+    policy, tolerance, two_rows, one_rows, gap = case
     report = verify.VerifyReport(
         policy, tolerance, _columns(two_rows, ("eta1", "eta2")), _columns(one_rows, ("eta",)),
-        notes,
+        gap,
     )
-    assert report.text() == _reference_text(policy, tolerance, two_rows, one_rows, notes)
+    assert report.text() == _reference_text(policy, tolerance, two_rows, one_rows, gap)
     rows = two_rows + one_rows
     assert report.passed is all(row["ok"] for row in rows)
     assert report.max_rel_err == (max(row["rel_err"] for row in rows) if rows else 0.0)
@@ -200,8 +205,19 @@ def test_report_text_matches_the_per_row_formatter(case):
 def test_report_text_matches_the_per_row_formatter_on_the_dense_grid(policy):
     # 3,720 points, most of them distinct: the bench's verify-dense report
     report = verify.run_verify(policy=policy, eta_steps=30)
+    assert (report.gap is None) is (policy == "shared")
     two_rows, one_rows = (_rows(chain, report.tolerance)
                           for chain in (report.two_mode, report.single_mode))
     assert report.text() == _reference_text(
-        policy, report.tolerance, two_rows, one_rows, report.notes
+        policy, report.tolerance, two_rows, one_rows, report.gap
     )
+
+
+def test_dense_grid_note_keeps_the_computed_gap(capsys):
+    # The golden pins the default grid only.  On this grid the largest
+    # |formula - oracle| of the report's columns prints 5.163e-15: the gap is
+    # read off the shared closed form and the cross term, not off the columns.
+    assert main(["verify", "--eta-steps", "30", "--policy", "independent"]) == 0
+    notes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  note:")]
+    assert len(notes) == 1
+    assert notes[0].endswith("max deviation from that prediction 5.176e-15")
