@@ -115,14 +115,20 @@ def _floats(xp, name: str, value):
         raise ValueError(f"{name} must be finite, got {value}") from None
 
 
+def _finite(name: str, value, low: str):
+    """``value`` by :func:`_floats`; ValueError unless it is finite and ``low``, "> 0" or ">= 0"."""
+    value = _floats(_xp(value), name, value)
+    above = value > 0.0 if low == "> 0" else value >= 0.0
+    require(name, value, above & (value <= FLOAT_MAX), f"finite and {low}")
+    return value
+
+
 def r_from_db(r_db):
     """Squeezing magnitude from decibels: r_db = -10*log10(e^-2r), elementwise.
 
     Each level must be finite and in [0, MAX_R_DB].
     """
-    xp = _xp(r_db)
-    level = _floats(xp, "squeezing level in dB", r_db)
-    require("squeezing level in dB", level, xp.isfinite(level) & (level >= 0.0), "finite and >= 0")
+    level = _finite("squeezing level in dB", r_db, ">= 0")
     require("squeezing level in dB", level, level <= MAX_R_DB, f"at most {MAX_R_DB:g}")
     return level * math.log(10.0) / 20.0
 
@@ -262,9 +268,7 @@ def _unit(name: str, eta):
 
 
 def _squeezing(r):
-    xp = _xp(r)
-    level = _floats(xp, "squeezing magnitude", r)
-    require("squeezing magnitude", level, xp.isfinite(level) & (level >= 0.0), "finite and >= 0")
+    level = _finite("squeezing magnitude", r, ">= 0")
     require("squeezing magnitude", level, level <= _MAX_R, f"at most {_MAX_R} ({MAX_R_DB:g} dB)")
     return level
 
@@ -292,17 +296,16 @@ def radicand(scheme: str, r, eta1, eta2=1.0, policy: str = "shared"):
     1 + c + sinh r*((eta1+eta2)*sinh r - 2*sqrt(eta1*eta2)*cosh r),
     which avoids the cosh/sinh cancellation at high transmissivity.  Always
     positive; e^-2r at eta1 = eta2 = 1 and 1 + c at r = 0.
-    SQL: the TMSV_real radicand at r = 0.
-    SMSV_real: eta1*e^-2r + (1-eta1); eta2 and the policy play no part.
+    SQL: the TMSV_real radicand at r = 0.  SMSV_real: eta1*e^-2r + (1-eta1).
+    The scheme is checked first, then policy, eta1, r and eta2, whatever it reads.
     """
+    if scheme not in ("TMSV_real", "SQL", "SMSV_real"):
+        raise ValueError(f"no radicand for scheme {scheme!r}")
     require_policy(policy)
-    e1 = _unit("eta1", eta1)
-    r = 0.0 if scheme == "SQL" else _squeezing(r)
+    e1, r, e2 = _unit("eta1", eta1), _squeezing(r), _unit("eta2", eta2)
     if scheme == "SMSV_real":
         return e1 * _math(math.exp, -2.0 * r) + (1.0 - e1)
-    if scheme not in ("TMSV_real", "SQL"):
-        raise ValueError(f"no radicand for scheme {scheme!r}")
-    e2 = _unit("eta2", eta2)
+    r = 0.0 if scheme == "SQL" else r
     xp = _xp(r, e1, e2)
     sh, ch = _math(math.sinh, r), _math(math.cosh, r)
     cross = xp.sqrt((1.0 - e1) * (1.0 - e2)) if policy == "shared" else 0.0
@@ -328,41 +331,38 @@ def delta_u(
     * SMSV_real:  (1/2)*sqrt((eta1*e^-2r + 1-eta1) / (eta1*(n1+n2))) / omega_rss,
       the whole budget n1 + n2 in one mode through channel 1.
 
-    Each value is scaled by ``snr``.  Every argument and the result are
-    checked element by element, NaN included: n1 and n2 finite and >= 0
-    with n1 + n2 > 0 (and sqrt(eta1*n1) + sqrt(eta2*n2) > 0 for TMSV_real
-    and SQL), omega_rss and snr finite and > 0.
+    Each value is scaled by ``snr``.  Whatever the scheme reads, each argument
+    is converted and checked once, element by element, NaN included, in this
+    order: n1, n2 (finite, >= 0), n1 + n2 (> 0), omega_rss, snr (finite, > 0),
+    policy, eta1, r, eta2 (in range); then, for TMSV_real and SQL,
+    sqrt(eta1*n1) + sqrt(eta2*n2) > 0, and the result finite and > 0.
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; pick one of {tuple(SCHEMES)}")
     xp = _xp(r, eta1, eta2, n1, n2, omega_rss, snr)
-    n1, n2 = _floats(xp, "n1", n1), _floats(xp, "n2", n2)
-    for name, value in (("n1", n1), ("n2", n2)):
-        require(name, value, xp.isfinite(value) & (value >= 0.0), "finite and >= 0")
+    n1, n2 = _finite("n1", n1, ">= 0"), _finite("n2", n2, ">= 0")
     with xp.errstate(over="ignore"):  # a sum past the largest double is still > 0
         total = n1 + n2
     require("n1 + n2", total, total > 0.0, "> 0")
-    for name, value in (("omega_rss", omega_rss), ("snr", snr)):
-        value = _floats(xp, name, value)
-        require(name, value, xp.isfinite(value) & (value > 0.0), "finite and > 0")
+    omega_rss, snr = _finite("omega_rss", omega_rss, "> 0"), _finite("snr", snr, "> 0")
+    require_policy(policy)
+    eta1, r, eta2 = _unit("eta1", eta1), _squeezing(r), _unit("eta2", eta2)
     # an overflow or a zero denominator reaches the final check as inf or nan
     # instead of a warning or an exception
     with xp.errstate(over="ignore", divide="ignore", invalid="ignore"):
         if scheme == "TMSV_ideal":
             denom = math.sqrt(2.0) * (xp.sqrt(n1) + xp.sqrt(n2)) * omega_rss
-            value = xp.divide(_math(math.exp, -_squeezing(r)), denom)
+            value = xp.divide(_math(math.exp, -r), denom)
         elif scheme == "SMSV_real":
-            noise = radicand(scheme, r, eta1)
-            e1 = _floats(xp, "eta1", eta1)
-            if xp.any(e1 == 0.0):
+            noise = radicand(scheme, r, eta1, eta2, policy)
+            if xp.any(eta1 == 0.0):
                 raise ValueError("delta_u diverges with the channel fully opaque")
-            value = 0.5 * xp.sqrt(xp.divide(noise, e1 * total)) / omega_rss
+            value = 0.5 * xp.sqrt(xp.divide(noise, eta1 * total)) / omega_rss
         else:
             q = radicand(scheme, r, eta1, eta2, policy)
-            e1, e2 = _floats(xp, "eta1", eta1), _floats(xp, "eta2", eta2)
-            if xp.any(e1 + e2 <= 0.0):
+            if xp.any(eta1 + eta2 <= 0.0):
                 raise ValueError("delta_u diverges with both channels fully opaque")
-            amplitude = xp.sqrt(e1 * n1) + xp.sqrt(e2 * n2)
+            amplitude = xp.sqrt(eta1 * n1) + xp.sqrt(eta2 * n2)
             require("sqrt(eta1*n1) + sqrt(eta2*n2)", amplitude, amplitude > 0.0, "> 0")
             value = xp.divide(xp.sqrt(q), math.sqrt(2.0) * amplitude * omega_rss)
         out = snr * value
@@ -389,7 +389,7 @@ def evaluate(
     eta1 = ch.eta1 if eta1 is None else eta1
     eta2 = ch.eta2 if eta2 is None else eta2
     r = cfg.r if r_db is None else r_from_db(r_db)
-    n_in = cfg.n_in if n_in is None else _floats(_xp(n_in), "n_in", n_in)
+    n_in = cfg.n_in if n_in is None else _finite("n_in", n_in, "> 0")
     if scheme == "SMSV_real":
         n1, n2 = n_in, 0.0
     else:

@@ -20,9 +20,11 @@ filled by ``constants.format_rows``, the formatter of the CSV and JSON rows.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
-from .constants import FLOAT_MAX, Record, format_rows, require, require_real
+from .constants import FLOAT_MAX, Record, format_rows, require, require_policy, require_real
 from .gaussian import beam_splitter, homodyne_variance, pure_loss, squeeze_single, vacuum
 from .sensing import r_from_db, radicand
 
@@ -78,17 +80,20 @@ _LINES = {
     "single_mode": "  one-mode  r_db=%s eta=%s formula=%s oracle=%s rel_err=%s %s\n",
 }
 _TEMPLATES = {"formula": "%.12e", "oracle": "%.12e", "rel_err": "%.3e"}
+# each chain's columns, in the order its line prints them
+_COLUMNS = {name: re.findall(r"(\w+)=%s", line) for name, line in _LINES.items()}
 
 
 class VerifyReport(Record):
     """Oracle variances against the closed forms, one array per column per chain.
 
     ``two_mode`` maps r_db, eta1, eta2, formula, oracle and rel_err, in that
-    order, to aligned 1-d arrays with one element per point; ``single_mode``
-    does the same with one eta column.  A point passes when its rel_err is
-    at most ``tolerance``.  ``gap``, set under independent ports only, is how
-    far the oracle strays from the shared closed form minus the predicted
-    cross term; it is a diagnostic, never a failure.
+    order, to aligned 1-d float arrays with one element per point (perhaps
+    none); ``single_mode`` does the same with one eta column.  Both chains
+    and ``policy`` are checked as the report is built.  A point passes when
+    its rel_err is at most ``tolerance``.  ``gap``, set under independent
+    ports only, is how far the oracle strays from the shared closed form
+    minus the predicted cross term; it is a diagnostic, never a failure.
     """
 
     policy: str
@@ -96,6 +101,21 @@ class VerifyReport(Record):
     two_mode: dict
     single_mode: dict
     gap: float | None = None
+
+    def __post_init__(self):
+        require_policy(self.policy)
+        for name, columns in _COLUMNS.items():
+            got, layouts = getattr(self, name), ()
+            if isinstance(got, dict):  # each column's dtype (or type) and shape
+                got = {key: (str(getattr(a, "dtype", type(a).__name__)), getattr(a, "shape", None))
+                       for key, a in got.items()}
+                layouts = set(got.values()) if list(got) == columns else ()
+            if len(layouts) == 1:
+                kind, shape = layouts.pop()
+                if kind == "float64" and len(shape) == 1:
+                    continue
+            raise ValueError(f"{name} must map {', '.join(columns)}, in that order, to aligned "
+                             f"1-d float arrays, got {got!r}")
 
     @property
     def max_rel_err(self) -> float:

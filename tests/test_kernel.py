@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from qtlink.constants import replace
 from qtlink.sensing import (
     MAX_R_DB,
+    PAPER_SCALE_CONFIG,
     ChannelPair,
     SensingConfig,
     advantage_boundary_eta1,
@@ -229,6 +230,28 @@ def test_two_modes_beat_one_at_zero_squeezing_on_a_grid():
     assert np.array_equal((tmsv < smsv)[off], (eta[:, None] < eta[None, :])[off])
     # on the diagonal the offsets tie to an ulp or two, and rounding picks the side
     assert np.all(np.abs(np.diag(tmsv) / np.diag(smsv) - 1.0) <= 2 * np.finfo(float).eps)
+
+
+# The paper's second claim at 15 dB, split 0.5 and eta2 = 0.9: the eta1 at which
+# the winner of TMSV_real against SMSV_real changes, two modes winning below
+# the first.  Under independent ports the two radicands are equal on
+# eta1 = eta2, so the last switch is an exact tie there.
+_SWITCHES_AT_15_DB = {"independent": (0.0960, 0.5911, 0.9), "shared": (0.0816,)}
+
+
+@pytest.mark.parametrize("policy", list(_SWITCHES_AT_15_DB))
+def test_two_modes_beat_one_at_15_db_in_the_pinned_bands(policy):
+    switches = np.array(_SWITCHES_AT_15_DB[policy])
+    cfg, ch = replace(LEO, r_db=15.0, split=0.5), ChannelPair(1.0, 0.9, policy)
+    eta1 = np.linspace(1e-4, 1.0, 20000)
+    wins = evaluate("TMSV_real", cfg, ch, eta1=eta1) < evaluate("SMSV_real", cfg, ch, eta1=eta1)
+    # away from each switch by a margin, the band's parity says who wins
+    clear = np.abs(eta1[:, None] - switches).min(axis=1) > 1e-3
+    expected = np.searchsorted(switches, eta1) % 2 == 0
+    assert np.array_equal(wins[clear], expected[clear])
+    # and the winner changes exactly once near each switch, within 2e-4 of it
+    flips = eta1[1:][wins[1:] != wins[:-1]]
+    assert flips == pytest.approx(switches, abs=2e-4)
 
 
 @checked
@@ -463,3 +486,140 @@ def test_no_photons_in_one_element_names_that_element(scheme):
     n1, n2 = np.array([500.0, 0.0, 1e308]), np.array([0.0, 0.0, 1e308])
     with pytest.raises(ValueError, match=r"^n1 \+ n2 must be > 0, got 0.0$"):
         delta_u(scheme, r, eta1, eta2, n1, n2, omega_rss, snr)
+
+
+# ----------------------------------------------------------------------
+# The kernel's intake: every argument once, in one order, whatever the scheme
+# ----------------------------------------------------------------------
+
+MAX_R = r_from_db(MAX_R_DB)
+# one bad value of each argument that radicand checks, every other one valid
+below_zero = st.floats(max_value=-5e-324)
+intake_bad = {
+    "policy": st.sampled_from(["bogus", "Shared", "", "independent "]),
+    "r": st.sampled_from([*BAD, 3.46]) | below_zero | st.floats(min_value=MAX_R, exclude_min=True),
+    "eta1": st.sampled_from(BAD) | below_zero | st.floats(min_value=1.0, exclude_min=True),
+    "eta2": st.sampled_from(BAD) | below_zero | st.floats(min_value=1.0, exclude_min=True),
+}
+
+
+def _intake_error(name, bad):
+    if name == "policy":
+        return f"unknown vacuum policy {bad!r}"
+    if name != "r":
+        return f"{name} must be in [0, 1], got {bad}"
+    if 0.0 <= bad < math.inf:
+        return f"squeezing magnitude must be at most {MAX_R} ({MAX_R_DB:g} dB), got {bad}"
+    return f"squeezing magnitude must be finite and >= 0, got {bad}"
+
+
+@settings(deadline=None, max_examples=60)
+@given(r=st.floats(0.0, MAX_R), eta1=etas, eta2=etas, policy=policies, n1=st.floats(1.0, 1e6),
+       n2=st.floats(0.0, 1e6), omega_rss=st.floats(1e13, 1e17), snr=st.floats(0.1, 10.0),
+       data=st.data())
+@pytest.mark.parametrize("name", list(intake_bad))
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_every_scheme_names_a_bad_policy_r_or_eta_whether_or_not_it_reads_it(
+    scheme, name, r, eta1, eta2, policy, n1, n2, omega_rss, snr, data
+):
+    args = dict(r=r, eta1=eta1, eta2=eta2, policy=policy)
+    bad = args[name] = data.draw(intake_bad[name])
+    policy = args.pop("policy")
+    # an eta of 0 would diverge, but only past the intake, which rejects the bad value first
+    outcome = _same_on_reals_and_arrays(
+        lambda *a: delta_u(scheme, *a, policy), *args.values(), n1, n2, omega_rss, snr
+    )
+    assert outcome == ("error", _intake_error(name, bad))
+    if scheme != "TMSV_ideal":
+        on_radicand = _same_on_reals_and_arrays(lambda *a: radicand(scheme, *a, policy),
+                                                *args.values())
+        assert on_radicand == outcome
+
+
+ALL_BAD = dict(r=-1.0, eta1=1.5, eta2=math.nan, n1=-1.0, n2=-1.0, omega_rss=0.0, snr=math.nan)
+# in the intake's order: the error while this and every later argument is bad,
+# and the valid value that then replaces it
+INTAKE_ORDER = [
+    ("n1", "n1 must be finite and >= 0, got -1.0", 0.0),
+    ("n2", "n2 must be finite and >= 0, got -1.0", 0.0),
+    ("n1", "n1 + n2 must be > 0, got 0.0", 500.0),
+    ("omega_rss", "omega_rss must be finite and > 0, got 0.0", 1e15),
+    ("snr", "snr must be finite and > 0, got nan", 1.0),
+    ("policy", "unknown vacuum policy 'bogus'", "shared"),
+    ("eta1", "eta1 must be in [0, 1], got 1.5", 0.5),
+    ("r", "squeezing magnitude must be finite and >= 0, got -1.0", 0.5),
+    ("eta2", "eta2 must be in [0, 1], got nan", 0.5),
+]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_the_intake_checks_every_argument_in_one_order_whatever_the_scheme(scheme):
+    args, policy = dict(ALL_BAD), "bogus"
+    for name, message, valid in INTAKE_ORDER:
+        outcome = _same_on_reals_and_arrays(
+            lambda *a: delta_u(scheme, *a, policy), *args.values()
+        )
+        assert outcome == ("error", message)
+        if name == "policy":
+            policy = valid
+        else:
+            args[name] = valid
+    assert delta_u(scheme, **args, policy=policy) > 0.0
+
+
+@pytest.mark.parametrize("name", list(ALL_BAD))
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_list_argument_is_taken_as_an_array(scheme, name):
+    # a list omega_rss or snr once reached the formula unconverted and raised
+    # an unnamed TypeError for TMSV_real and SQL
+    args = dict(r=0.5, eta1=0.5, eta2=0.5, n1=500.0, n2=500.0, omega_rss=1e15, snr=1.0)
+    scalar = delta_u(scheme, **args)
+    args[name] = [args[name]]
+    out = delta_u(scheme, **args)
+    assert isinstance(out, np.ndarray) and out.shape == (1,) and out[0] == scalar
+
+
+A = (500.0, 500.0, 1e15, 1.0)  # n1, n2, omega_rss, snr
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # each returned a number: an argument or a policy the scheme does not read was unchecked
+        (lambda: delta_u("SMSV_real", 0.5, 0.5, 0.5, *A, "bogus"), "unknown vacuum policy 'bogus'"),
+        (lambda: delta_u("TMSV_ideal", 0.5, 0.5, 0.5, *A, "bogus"),
+         "unknown vacuum policy 'bogus'"),
+        (lambda: delta_u("TMSV_ideal", 0.5, 5.0, 0.5, *A), "eta1 must be in [0, 1], got 5.0"),
+        (lambda: delta_u("TMSV_ideal", 0.5, "abc", None, *A),
+         "eta1 must be a real number, got 'abc'"),
+        (lambda: delta_u("TMSV_ideal", 0.5, 0.5, None, *A), "eta2 must be a real number, got None"),
+        (lambda: delta_u("SMSV_real", 0.5, 0.5, math.nan, *A), "eta2 must be in [0, 1], got nan"),
+        (lambda: delta_u("SQL", "x", 0.5, 0.5, *A),
+         "squeezing magnitude must be a real number, got 'x'"),
+        (lambda: delta_u("SQL", 4.0, 0.5, 0.5, *A),
+         f"squeezing magnitude must be at most {MAX_R} (30 dB), got 4.0"),
+        (lambda: radicand("SMSV_real", 0.5, 0.5, 7.0), "eta2 must be in [0, 1], got 7.0"),
+        (lambda: radicand("SQL", math.nan, 0.5, 0.5),
+         "squeezing magnitude must be finite and >= 0, got nan"),
+        (lambda: radicand("SMSV_real", 0.5, 0.5, 0.5, "bogus"), "unknown vacuum policy 'bogus'"),
+        # radicand names its scheme before any argument
+        (lambda: radicand("TMSV_ideal", math.nan, 0.5, 0.5, "bogus"),
+         "no radicand for scheme 'TMSV_ideal'"),
+        # each named n1, a value the caller never passed
+        (lambda: evaluate("SQL", PAPER_SCALE_CONFIG, n_in=np.array([-1.0])),
+         "n_in must be finite and > 0, got -1.0"),
+        (lambda: evaluate("SMSV_real", PAPER_SCALE_CONFIG, n_in=math.nan),
+         "n_in must be finite and > 0, got nan"),
+        (lambda: evaluate("TMSV_real", PAPER_SCALE_CONFIG, n_in=np.array([1e3, math.inf])),
+         "n_in must be finite and > 0, got inf"),
+        (lambda: evaluate("TMSV_ideal", PAPER_SCALE_CONFIG, n_in=0.0),
+         "n_in must be finite and > 0, got 0.0"),
+    ],
+    ids=lambda value: value[:40] if isinstance(value, str) else "",
+)
+def test_each_argument_is_rejected_by_name_where_the_kernel_takes_it(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as err:
+            call()
+    assert str(err.value) == message

@@ -573,8 +573,11 @@ _RECORDS = {
                       {"grid_points": 8}, "grid_points must be >= 16, got 8"),
     ModeFunction: (dict(u=_ARRAY[0], samples=_ARRAY[1]), None, None),
     VerifyReport: (
-        dict(policy="shared", tolerance=1e-9, two_mode={"rel_err": _ARRAY[0]},
-             single_mode={"rel_err": _ARRAY[1]}, gap=2.442e-15),
+        dict(policy="shared", tolerance=1e-9,
+             two_mode=dict.fromkeys(("r_db", "eta1", "eta2", "formula", "oracle", "rel_err"),
+                                    _ARRAY[0]),
+             single_mode=dict.fromkeys(("r_db", "eta", "formula", "oracle", "rel_err"), _ARRAY[1]),
+             gap=2.442e-15),
         {"gap": math.inf}, "gap must be finite, got inf"),
 }
 

@@ -213,6 +213,59 @@ def test_report_text_matches_the_per_row_formatter_on_the_dense_grid(policy):
     )
 
 
+_TWO = ("r_db", "eta1", "eta2", "formula", "oracle", "rel_err")
+_ONE = ("r_db", "eta", "formula", "oracle", "rel_err")
+_TWO_NEEDS = ("two_mode must map r_db, eta1, eta2, formula, oracle, rel_err, in that order, "
+              "to aligned 1-d float arrays, got ")
+
+
+def _chain(names, n=2):
+    return {name: np.full(n, 0.5) for name in names}
+
+
+@pytest.mark.parametrize(
+    "two_mode, got",
+    [
+        ({}, "{}"),
+        ({"rel_err": np.ones(2)}, "{'rel_err': ('float64', (2,))}"),
+        (dict(reversed(_chain(_TWO).items())), None),
+        ({**_chain(_TWO), "extra": np.ones(2)}, None),
+        ({**_chain(_TWO), "rel_err": np.ones(3)}, None),
+        ({**_chain(_TWO), "oracle": np.ones((2, 1))}, None),
+        ({**_chain(_TWO), "formula": [0.5, 0.5]}, None),
+        ({**_chain(_TWO), "formula": np.ones(2, dtype=int)}, None),
+        ({**_chain(_TWO), "formula": np.array(["0.5", "0.5"])}, None),
+        ({name: np.float64(0.5) for name in _TWO}, None),
+        (None, "None"),
+        ([np.ones(2)] * 6, None),
+    ],
+)
+def test_report_rejects_a_chain_that_is_not_its_aligned_columns(two_mode, got):
+    # each was accepted, and text() or passed then raised a KeyError or TypeError
+    with pytest.raises(ValueError) as err:
+        verify.VerifyReport("shared", 1e-9, two_mode, _chain(_ONE))
+    assert str(err.value).startswith(_TWO_NEEDS)
+    if got is not None:
+        assert str(err.value) == _TWO_NEEDS + got
+    with pytest.raises(ValueError, match="^single_mode must map r_db, eta, formula, oracle, rel_err"):
+        verify.VerifyReport("shared", 1e-9, _chain(_TWO), two_mode)
+
+
+def test_report_rejects_an_unknown_policy():
+    with pytest.raises(ValueError) as err:
+        verify.VerifyReport("bogus", 1e-9, _chain(_TWO), _chain(_ONE))
+    assert str(err.value) == "unknown vacuum policy 'bogus'"
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+@pytest.mark.parametrize("value", [0.5, np.nan, np.inf])
+def test_report_takes_any_number_of_points_and_any_float(n, value):
+    two, one = ({name: np.full(n, value) for name in names} for names in (_TWO, _ONE))
+    report = verify.VerifyReport("independent", 1e-9, two, one)
+    assert report.text().count("\n") == 2 + 2 * n
+    assert report.passed is (n == 0)
+
+
 def test_dense_grid_note_keeps_the_computed_gap(capsys):
     # The golden pins the default grid only.  On this grid the largest
     # |formula - oracle| of the report's columns prints 5.163e-15: the gap is
