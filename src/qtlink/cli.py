@@ -11,8 +11,10 @@ keys its COMMANDS entry declares; anything else exits 1.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import atexit
 import gc
 import math
+import os
 import sys
 
 # every layer is registered lazily by the package: binding one here loads nothing
@@ -383,20 +385,34 @@ def run() -> int:
     """Process entry of ``qtlink`` and ``python -m qtlink.cli``: ``main()`` with collection paused.
 
     What the layers and numpy build as they load lives until the process
-    ends, so a collection during the command would walk it and free almost
-    nothing.  Afterwards the heap is frozen, so the collections at
-    interpreter exit skip it, and the caller's setting comes back.  ``main``
-    itself never touches the collector: tests and the bench tracer call it
-    in a process whose heap is theirs.
+    ends, so a collection would walk it and free almost nothing: collection
+    stays off.  ``run`` returns ``main``'s code, so what runs after it
+    (``raise SystemExit``, cProfile, runpy) runs as before; at interpreter
+    exit ``_end`` then skips module teardown and the exit collections, and
+    keeps every atexit handler, flushed streams and the exit status.
+    ``main`` itself never touches the collector or the exit: tests and the
+    bench tracer call it in a process that is theirs.
     """
-    enabled = gc.isenabled()
     gc.disable()
+    code = main()
+    atexit.register(_end, code, atexit._ncallbacks() + 1)
+    return code
+
+
+def _end(code: int, registered: int) -> None:
+    # runs first at exit, as the last handler registered, unless one was
+    # registered after it: that one has run, so the interpreter's exit runs the rest
+    if atexit._ncallbacks() != registered:
+        return
+    atexit.unregister(_end)
+    atexit._run_exitfuncs()  # the handlers registered before this one
     try:
-        return main()
-    finally:
-        gc.freeze()
-        if enabled:
-            gc.enable()
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # its fd was closed at start
+                stream.flush()
+    except (OSError, ValueError):  # the interpreter's exit flushes again and reports it
+        return
+    os._exit(code)
 
 
 if __name__ == "__main__":

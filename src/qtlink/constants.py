@@ -30,7 +30,8 @@ computes only Python reals never loads numpy.
 :class:`Record` is the base of every value type: ``FIELDS`` maps its
 annotated class attributes to their defaults (:data:`REQUIRED` if none).  It
 binds arguments as a function would, checks each ``float`` and ``int``
-field by one type rule, is frozen and generates no code; :func:`asdict`
+field by one type rule, is frozen, compares field by field (an array
+whole, also inside a dict) and generates no code; :func:`asdict`
 gives its field values and :func:`replace` a changed copy, checked again.
 """
 
@@ -90,7 +91,7 @@ class Record:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return asdict(self) == asdict(other)
+        return all(_equal(getattr(self, key), getattr(other, key)) for key in self.FIELDS)
 
     def __hash__(self):
         return hash(tuple(asdict(self).values()))
@@ -98,6 +99,19 @@ class Record:
     def __repr__(self):
         fields = ", ".join(f"{key}={value!r}" for key, value in asdict(self).items())
         return f"{type(self).__qualname__}({fields})"
+
+
+def _equal(a, b) -> bool:
+    """``a == b`` as one bool: an array equals another of its shape and values, also in a dict."""
+    if a is b:
+        return True
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_equal(a[key], b[key]) for key in a)
+    if hasattr(a, "__array__") or hasattr(b, "__array__"):
+        import numpy as np
+
+        return bool(np.array_equal(a, b))
+    return a == b
 
 
 def asdict(record: Record) -> dict:

@@ -1383,14 +1383,16 @@ def test_sweep_tabulates_the_default_n_in_range(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# the process entry: main() with collection paused, the heap frozen after it
+# the process entry: main() with collection paused, the process ended after
+# the atexit handlers
 # ----------------------------------------------------------------------
 
 ROOT = Path(__file__).resolve().parents[1]
 
 # runs qtlink.cli as "python -m qtlink.cli" would, counting gc.freeze calls and
 # the collections that start once main is entered, and recording the
-# collector's state when main is entered and when the module exits
+# collector's state when main is entered and when the module exits; the
+# record is printed after the module has run, so it must outlive the entry
 _ENTRY_PROBE = """
 import gc, json, runpy, sys
 freezes = []
@@ -1413,11 +1415,19 @@ print(json.dumps(seen))
 """
 
 
-def _python(*args):
+def _python(*args, shell=None):
+    """Run this interpreter on ``args`` from the repository root with block-buffered stdout.
+
+    With ``shell``, the command runs as ``sh -c shell python args...``, so
+    the shell script can redirect or close its streams.
+    """
     env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    argv = [sys.executable, *args]
     proc = subprocess.run(
-        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+        argv if shell is None else ["sh", "-c", shell, *argv],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -1430,19 +1440,24 @@ def test_main_in_process_freezes_nothing(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["delta-u", "--eta", "0.5"], ["fig3", "--format", "svg"]],
-    ids=["delta-u", "fig3-svg"],
+    "argv, code",
+    [
+        (["delta-u", "--eta", "0.5"], 0),
+        (["fig3", "--format", "svg"], 0),
+        (["tm-check", "--points", "8"], 1),
+    ],
+    ids=["delta-u", "fig3-svg", "tm-check-validation"],
 )
-def test_module_entry_pauses_collection_across_main_and_freezes_once_after(argv, tmp_path):
+def test_module_entry_pauses_collection_across_main_and_freezes_nothing(argv, code, tmp_path):
     rc, out, err = _python("-c", _ENTRY_PROBE, *argv, *(
         ["--out", str(tmp_path / "fig3.svg")] if argv[0] == "fig3" else []))
-    assert rc == 0, err
+    assert rc == code, err
     seen = json.loads(out.splitlines()[-1])
     # main starts with collection off and nothing frozen, and no collection
-    # runs from there to the exit; the heap is frozen once, after main
-    assert seen == {"freezes": 0, "enabled": False, "collections": 0, "rc": 0,
-                    "total_freezes": 1, "enabled_after": True, "frozen_after": True}
+    # runs from there to the exit; nothing is ever frozen, and the exit
+    # status is main's code
+    assert seen == {"freezes": 0, "enabled": False, "collections": 0, "rc": code,
+                    "total_freezes": 0, "enabled_after": False, "frozen_after": False}
 
 
 # imports qtlink.cli with collection on or off, then allocates twice the young
@@ -1481,14 +1496,15 @@ def test_console_script_names_the_pausing_entry():
         target = tomllib.load(handle)["project"]["scripts"]["qtlink"]
     module, _, name = target.partition(":")
     # the script target, called in a fresh process with main patched, runs main
-    # with collection off and nothing frozen, then leaves collection on over a frozen heap
+    # with collection off and nothing frozen and returns its code; the caller
+    # then prints and exits normally, and the process still exits with that code
     code = (
         f"import gc, importlib; entry = importlib.import_module({module!r}); "
-        f"entry.main = lambda: not gc.isenabled() and gc.get_freeze_count() == 0 and 7; "
+        f"entry.main = lambda: 7 if not gc.isenabled() and gc.get_freeze_count() == 0 else 9; "
         f"rc = getattr(entry, {name!r})(); "
-        f"raise SystemExit(rc if gc.isenabled() and gc.get_freeze_count() > 0 else 9)"
+        f"print(rc, gc.isenabled(), gc.get_freeze_count())"
     )
-    assert _python("-c", code) == (7, "", "")
+    assert _python("-c", code) == (7, "7 False 0\n", "")
 
 
 @pytest.mark.parametrize(
@@ -1502,12 +1518,74 @@ def test_console_script_names_the_pausing_entry():
         (["grid", "--format", "csv", "--levels", "1e-18"], 1),
         (["compare", "--steps", "5", "--out", "/no/such/dir/c.csv"], 3),
         (["tm-check"], 0),
+        (["verify", "--eta-steps", "30"], 0),
     ],
     ids=["ok", "validation", "verify-failure", "io", "table", "table-validation", "table-io",
-         "tm-check"],
+         "tm-check", "verify-dense"],
 )
 def test_module_entry_prints_and_exits_as_main(argv, code, tmp_path, capsys):
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     expected = run(argv, capsys)
     assert expected[0] == code
     assert _python("-m", "qtlink.cli", *argv) == expected
+
+
+# registers a handler before the entry and, with after=True, one once the
+# entry has returned; the caller then exits normally, with status 0
+_ATEXIT_PROBE = """
+import atexit, runpy
+atexit.register(print, "registered before the entry")
+try:
+    runpy.run_module("qtlink.cli", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+if {after}:
+    atexit.register(print, "registered after the entry")
+"""
+
+
+@pytest.mark.parametrize("after", [False, True])
+def test_module_entry_runs_every_atexit_handler_once_and_keeps_its_output(after, capsys):
+    expected = run(["tm-check", "--points", "8"], capsys)
+    rc, out, err = _python("-c", _ATEXIT_PROBE.format(after=after), "tm-check", "--points", "8")
+    # the handlers run last in, first out, each once, and what they print
+    # lands after the command's output.  The process ends with main's code;
+    # with a handler registered after the entry, the interpreter's own exit
+    # runs the rest and the caller's status stands.
+    handlers = ["registered after the entry\n"] * after + ["registered before the entry\n"]
+    assert (rc, out, err) == (0 if after else 1, expected[1] + "".join(handlers), expected[2])
+
+
+def test_module_entry_under_cprofile_prints_the_profile(capsys):
+    expected = run(["delta-u"], capsys)
+    rc, out, err = _python("-m", "cProfile", "-m", "qtlink.cli", "delta-u")
+    assert (rc, err) == (0, expected[2])
+    command, _, profile = out.partition(expected[1])
+    assert command == "" and "function calls" in profile and "Ordered by" in profile
+
+
+def test_module_entry_with_stdout_closed_writes_and_exits_cleanly(tmp_path, capsys):
+    expected = tmp_path / "expected.csv"
+    assert run(["fig2", "--out", str(expected)], capsys) == (0, f"wrote {expected}\n", "")
+    out_path = tmp_path / "f.csv"
+    # the "wrote" line goes nowhere, and no flush of the missing stdout is tried at exit
+    assert _python("-m", "qtlink.cli", "fig2", "--out", str(out_path), shell='"$0" "$@" >&-') == (
+        0, "", "")
+    assert out_path.read_bytes() == expected.read_bytes()
+    # the process still ends early, with main's code where the caller exits 0
+    expected = run(["tm-check", "--points", "8"], capsys)
+    assert _python("-c", _ATEXIT_PROBE.format(after=False), "tm-check", "--points", "8",
+                   shell='"$0" "$@" >&-') == (1, "", expected[2])
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_module_entry_leaves_a_failing_flush_to_the_interpreter(capsys):
+    expected = run(["delta-u"], capsys)
+    # stdout is block-buffered, so the write fails only when it is flushed at
+    # exit; the interpreter reports it and exits 120, as it does without the entry's handler
+    rc, out, err = _python("-m", "qtlink.cli", "delta-u", shell='"$0" "$@" >/dev/full')
+    assert (rc, out) == (120, "")
+    command, _, report = err.partition(expected[2])
+    assert command == ""
+    assert report.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+    assert report.splitlines()[1:] == ["OSError: [Errno 28] No space left on device"]

@@ -400,3 +400,19 @@ def test_a_grid_shape_of_numpy_integers_is_stored_as_ints():
     result = SweepResult(["a", "b", "c"], np.ones((6, 3)), {}, (np.int64(2), np.int32(3)))
     assert result.grid_shape == (2, 3) and all(type(n) is int for n in result.grid_shape)
     assert '"grid_shape": [\n    2,\n    3\n  ]' in render_json(result)
+
+
+def test_grids_built_alike_compare_equal_and_a_changed_cell_does_not():
+    axis = Range(0.2, 1.0, 3)
+    one, other = run_grid(axis, axis), run_grid(axis, axis)
+    assert one.rows is not other.rows and one == other and not one != other
+    rows = other.rows.copy()
+    rows[4, -1] *= 2
+    changed = type(other)(other.columns, rows, other.meta, other.grid_shape)
+    assert one != changed and changed != one
+    # a changed value inside the meta dict counts too, and so does a shorter table
+    meta = {**other.meta, "grid": {**other.meta["grid"], "quantity": "du_tmsv"}}
+    assert one != type(other)(other.columns, other.rows, meta, other.grid_shape)
+    assert one != type(other)(other.columns, other.rows[:6], other.meta, (2, 3))
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(one)

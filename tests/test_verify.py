@@ -274,3 +274,15 @@ def test_dense_grid_note_keeps_the_computed_gap(capsys):
     notes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  note:")]
     assert len(notes) == 1
     assert notes[0].endswith("max deviation from that prediction 5.176e-15")
+
+
+@pytest.mark.parametrize("policy", ["shared", "independent"])
+def test_reports_built_alike_compare_equal_and_a_changed_cell_does_not(policy):
+    one, other = verify.run_verify(policy=policy), verify.run_verify(policy=policy)
+    assert one.two_mode["oracle"] is not other.two_mode["oracle"] and one == other
+    chain = {**other.two_mode, "oracle": other.two_mode["oracle"].copy()}
+    chain["oracle"][7] = np.nextafter(chain["oracle"][7], np.inf)
+    changed = verify.VerifyReport(policy, other.tolerance, chain, other.single_mode, other.gap)
+    assert one != changed and changed != one
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(one)
