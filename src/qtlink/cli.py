@@ -5,7 +5,8 @@ figure presets fig2/fig3/fig4.  Parameters come from an optional JSON
 config file (sections "sensing", "channel", "link", "sweep") with any flag
 overriding the file.  Each subcommand accepts only the flags and config
 keys its COMMANDS entry declares; anything else exits 1.  Exit codes:
-0 success, 1 validation or usage error, 2 verify failure, 3 I/O error.
+0 success, 1 validation or usage error or a tm-check FAILED report (printed
+on stdout), 2 verify failure, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -144,76 +145,65 @@ def _budget_eta(parent: dict, key: str, name: str) -> float:
     return link.compose_eta(**entry)
 
 
-def _link_etas(file_cfg: dict) -> dict:
-    """Each entry of the config "link" section by name, to {eta it sets: its composed eta}."""
+def _sources(args, file_cfg: dict, reads: dict) -> list:
+    """Every setting given, lowest precedence first, as (its name, its section, {field: value}).
+
+    The "link" entries come first (as channel etas), then each key of the
+    file's sensing, channel and sweep sections, then each flag set, in
+    ``_FLAG_FIELDS`` order.  Every key is checked against ``reads`` here.
+    """
     link_cfg = _section(file_cfg, "link")
     if link_cfg and "path1" not in link_cfg and "path2" not in link_cfg:
-        return {"link": dict.fromkeys(("eta1", "eta2"), _budget_eta(file_cfg, "link", "link"))}
-    _require_keys(link_cfg, ("path1", "path2"), "link")
-    return {
-        f"link.{path}": {eta: _budget_eta(link_cfg, path, f"link.{path}")}
-        for path, eta in (("path1", "eta1"), ("path2", "eta2")) if path in link_cfg
-    }
-
-
-def _layer(args, file_cfg: dict, section: str, allowed: tuple) -> dict:
-    """The file's ``section``, its keys checked against ``allowed``, under the flags setting it."""
-    merged = dict(_section(file_cfg, section))
-    _require_keys(merged, allowed, section)
-    for name, (target, keys) in _FLAG_FIELDS.items():
-        value = getattr(args, name, None)
-        if target == section and value is not None:
-            merged.update(dict.fromkeys(keys, value))
-    return merged
+        eta = _budget_eta(file_cfg, "link", "link")
+        sources = [("link", "channel", {"eta1": eta, "eta2": eta})]
+    else:
+        _require_keys(link_cfg, ("path1", "path2"), "link")
+        sources = [(f"link.{path}", "channel", {eta: _budget_eta(link_cfg, path, f"link.{path}")})
+                   for path, eta in (("path1", "eta1"), ("path2", "eta2")) if path in link_cfg]
+    for section in ("sensing", "channel", "sweep"):
+        entry = _section(file_cfg, section)
+        _require_keys(entry, reads.get(section, ()), section)
+        sources += [(f"{section}.{key}", section, {key: value}) for key, value in entry.items()]
+    return sources + [
+        ("--" + name.replace("_", "-"), section, dict.fromkeys(fields, value))
+        for name, (section, fields) in _FLAG_FIELDS.items()
+        if (value := getattr(args, name, None)) is not None
+    ]
 
 
 def _resolve(args):
     """Merge config file and flags into a SensingConfig + ChannelPair + sweep section.
 
-    A key its command does not read (``COMMANDS``), at the top level or in a section, is rejected.
+    A key its command does not read (``COMMANDS``), at the top level or in a section, is rejected,
+    as is a flag or config entry that sets the swept variable.
     """
     reads = {}
     for section, _, name in (key.partition(".") for key in COMMANDS[args.command][2]):
         reads.setdefault(section, []).append(name)
     file_cfg = _load_config_file(args.config)
     _require_keys(file_cfg, tuple(reads), args.config)
-    sensing_cfg = _layer(args, file_cfg, "sensing", reads.get("sensing", ()))
+    sources = _sources(args, file_cfg, reads)
+    merged = {"sensing": {}, "channel": {"eta1": 1.0, "eta2": 1.0}, "sweep": {}}
+    for _, section, fields in sources:
+        merged[section].update(fields)
+    sensing_cfg, bounds = merged["sensing"], merged["sweep"]
     if getattr(args, "lambda0_nm", None) is not None:
         sensing_cfg["lambda0"] *= 1e-9
         sensing_cfg.pop("omega0", None)
     if sensing_cfg.get("omega0") is not None:
         sensing_cfg.setdefault("lambda0", None)
     cfg = replace(sensing.PAPER_SCALE_CONFIG, **sensing_cfg)
-
-    channel_cfg = _layer(args, file_cfg, "channel", reads.get("channel", ()))
-    links = _link_etas(file_cfg)
-    for etas in links.values():
-        channel_cfg = {**etas, **channel_cfg}
-    ch = sensing.ChannelPair(**{"eta1": 1.0, "eta2": 1.0, **channel_cfg})
-    bounds = _layer(args, file_cfg, "sweep", reads.get("sweep", ()))
+    ch = sensing.ChannelPair(**merged["channel"])
     if "variable" in reads.get("sweep", ()):
-        _require_unset_swept(args, file_cfg, links, bounds.setdefault("variable", "eta_symmetric"))
+        variable = bounds.setdefault("variable", "eta_symmetric")
+        sweep.require_variable(variable)
+        swept = set(sweep.VARIABLES[variable][0])
+        # the error names the flags, then the file keys, then the link entries
+        setters = sorted((name for name, _, fields in sources if swept & fields.keys()),
+                         key=lambda name: (not name.startswith("--"), name.startswith("link")))
+        if setters:
+            raise ValueError(f"{', '.join(setters)} sets {variable}, the swept variable")
     return cfg, ch, bounds
-
-
-def _require_unset_swept(args, file_cfg: dict, links: dict, variable: str) -> None:
-    """Reject ``variable`` unless it names a sweep variable that no flag or config entry sets.
-
-    The error names each flag (``--eta1``) and entry (``channel.eta1``,
-    ``link.path1``) that sets one of its fields.
-    """
-    sweep.require_variable(variable)
-    swept = set(sweep.VARIABLES[variable][0])
-    setters = [
-        "--" + name.replace("_", "-")
-        for name, (_, targets) in _FLAG_FIELDS.items()
-        if getattr(args, name) is not None and swept & set(targets)
-    ]
-    for section in ("sensing", "channel"):
-        setters += [f"{section}.{key}" for key in file_cfg.get(section, {}) if key in swept]
-    setters += [name for name, etas in links.items() if swept & etas.keys()]
-    if setters:
-        raise ValueError(f"{', '.join(setters)} sets {variable}, the swept variable")
 
 
 def _comma_list(args, name: str, convert=float):

@@ -17,8 +17,10 @@ integrand here multiplies the conjugate of one mode by another on the same
 carrier, so the carrier cancels up to the rounding of its phase, leaving at
 most the constant phase exp(i*omega0*du) of a delayed pulse.  The tm-check
 report therefore passes at paper-scale carriers on any grid that resolves
-the envelope, and does not test carrier sampling.  The closed-form helpers
-accept any scale.
+the envelope, and does not test carrier sampling.  On the default grid it
+passes up to Omega = 1e9 and fails from Omega ~ 1e10, where the rounding of
+the carrier phase dominates the residual.  The closed-form helpers accept
+any scale.
 """
 
 from __future__ import annotations

@@ -193,6 +193,22 @@ def test_tm_check(capsys):
     assert "tm-check passed" in out
 
 
+@pytest.mark.parametrize(
+    "args, code, verdict",
+    [
+        (["--omega0", "1e9"], 0, "passed"),
+        (["--omega0", "2.31e15", "--spread", "6.28e6"], 0, "passed"),
+        (["--omega0", "1e10"], 1, "FAILED"),
+    ],
+    ids=["omega-1e9", "paper-scale", "omega-1e10"],
+)
+def test_tm_check_passes_up_to_an_omega_of_1e9(args, code, verdict, capsys):
+    # from Omega = omega0/spread ~ 1e10 the rounding of the carrier phase
+    # dominates the residual, and a FAILED report exits 1 with nothing on stderr
+    got, out, err = run(["tm-check", *args], capsys)
+    assert (got, out.splitlines()[-1], err) == (code, f"tm-check {verdict}", "")
+
+
 def test_invalid_flag_value_exits_1(capsys):
     code, _, err = run(["delta-u", "--eta", "1.5"], capsys)
     assert code == 1
@@ -470,8 +486,13 @@ _SENSING_KEYS = "r_db, n_in, lambda0, omega0, delta_omega, split, snr"
         (["delta-u"], {"Sensing": {"r_db": 10}}, None, "Sensing", "sensing, channel, link"),
         (["delta-u"], {"sensing": {"rdb": 10}}, "sensing", "rdb", _SENSING_KEYS),
         (["compare"], {"channel": {"eta": 0.5}}, "channel", "eta", "policy"),
+        # the whole file is checked before any value is built
+        (["sweep"], {"sensing": {"r_db": 99}, "link": {"bogus": 1}}, "link", "bogus", _FACTORS),
+        (["sweep"], {"channel": {"eta1": 2}, "sweep": {"bogus": 1}}, "sweep", "bogus",
+         "variable, start, stop, steps"),
     ],
-    ids=["sweep-step", "top-level-Sensing", "sensing-rdb", "channel-eta"],
+    ids=["sweep-step", "top-level-Sensing", "sensing-rdb", "channel-eta",
+         "link-beside-a-bad-r_db", "sweep-beside-a-bad-eta1"],
 )
 def test_a_config_key_the_loader_never_reads_exits_1_naming_it(
     args, config, entry, key, allowed, tmp_path, capsys
@@ -584,6 +605,20 @@ def test_the_perturbed_keys_cover_every_config_key():
     assert set(_PERTURBED_BASE) == {
         command for command, entry in COMMANDS.items() if ("--config",) in [f[0] for f in entry[1]]
     }
+
+
+def test_each_flag_sets_config_keys_its_commands_read():
+    # a flag is a named source of the config keys it sets, so each command
+    # declaring the flag must read them, and each entry must be a flag
+    declared = set()
+    for command, (_, flags, keys, _) in COMMANDS.items():
+        for names, _ in flags:
+            name = names[0].removeprefix("--").replace("-", "_")
+            if name in cli._FLAG_FIELDS:
+                section, fields = cli._FLAG_FIELDS[name]
+                assert {f"{section}.{field}" for field in fields} <= set(keys), (command, name)
+                declared.add(name)
+    assert declared == set(cli._FLAG_FIELDS)
 
 
 def test_each_command_declares_only_the_config_keys_it_reads():
@@ -933,6 +968,10 @@ def test_sweep_rejects_a_flag_that_sets_the_swept_variable(variable, flag, tmp_p
         ([], {"link": {"path2": {"eta_detector": 0.3}}}, "link.path2", "eta_symmetric"),
         (["--variable", "eta2"], {"link": {"eta_detector": 0.3}}, "link", "eta2"),
         (["--eta", "0.4"], {"channel": {"eta1": 0.3}}, "--eta, channel.eta1", "eta_symmetric"),
+        (["--variable", "eta1", "--eta", "0.4", "--eta1", "0.3"], {}, "--eta, --eta1", "eta1"),
+        (["--variable", "eta1", "--eta1", "0.2"],
+         {"channel": {"eta1": 0.3}, "link": {"path1": {"eta_detector": 0.5}}},
+         "--eta1, channel.eta1, link.path1", "eta1"),
     ],
 )
 def test_sweep_rejects_a_config_entry_that_sets_the_swept_variable(
